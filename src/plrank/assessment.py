@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, rank_positions_of
+from .data import Dataset, _pair_counts, paired_comparisons, rank_positions_of
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import MixtureParams, NormalizedParams
-
-_PAIR_CHUNK = 4096
+from .model import MixtureParams, NormalizedParams, _gumbel_orderings
 
 
 def _marginal_of(params) -> np.ndarray:
@@ -74,33 +72,16 @@ def top1_discrepancy(data: Dataset, params) -> float:
 
 def paired_discrepancy(data: Dataset, params) -> float:
     """Observed paired chi-squared of a dataset at given parameters."""
-    from .data import paired_comparisons
-
     pbar = _marginal_of(params)
     if pbar.shape[0] != data.n_items:
         raise ValidationError("parameter dimension does not match the data")
     return chi2_paired(paired_comparisons(data), pbar)
 
 
-def _tau_from_ranks(ranks: np.ndarray) -> np.ndarray:
-    K = ranks.shape[1]
-    tau = np.zeros((K, K), dtype=np.int64)
-    for lo in range(0, ranks.shape[0], _PAIR_CHUNK):
-        blk = ranks[lo : lo + _PAIR_CHUNK]
-        tau += (blk[:, :, None] < blk[:, None, :]).sum(axis=0)
-    return tau
-
-
 def _replicate_orderings(supports, weights, nranked, rng):
     """Complete orderings from the mixture, truncated to given depths."""
-    n = nranked.shape[0]
-    G, K = supports.shape
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    labels = np.argmax(logw[None, :] + rng.gumbel(size=(n, G)), axis=1)
-    key = np.log(supports)[labels] + rng.gumbel(size=(n, K))
-    orderings = np.argsort(-key, axis=1, kind="stable") + 1
-    orderings[np.arange(K)[None, :] >= nranked[:, None]] = 0
+    _, orderings = _gumbel_orderings(nranked.shape[0], supports, weights, rng)
+    orderings[np.arange(supports.shape[1])[None, :] >= nranked[:, None]] = 0
     return orderings
 
 
@@ -132,27 +113,26 @@ def _check_one_chain(data: Dataset, chain: GibbsChain, rng, strata):
     # observed side: counts are fixed, expectations move with each draw
     obs_ranks = data.to_rank_positions()
     obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
-    obs_tau = [_tau_from_ranks(obs_ranks[idx]) for idx in strata]
+    obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
     sizes = [idx.shape[0] for idx in strata]
 
     t_obs = np.empty(L)
     t_rep = np.empty(L)
     q_obs = np.empty(L)
     q_rep = np.empty(L)
-    big = K + 1
     for l in range(L):
         p = P3[l]
         p = p / p.sum(axis=1, keepdims=True)
         w = chain.W[l]
         pbar = w @ p
         rep = _replicate_orderings(p, w, data.nranked, rng)
-        rep_ranks = rank_positions_of(rep, data.nranked, big)
+        rep_ranks = rank_positions_of(rep, K + 1)
         a = b = c = d = 0.0
         for idx, r_o, tau_o, n_m in zip(strata, obs_r, obs_tau, sizes):
             a += chi2_top1(r_o, n_m, pbar)
             c += chi2_paired(tau_o, pbar)
             r_rep = np.bincount(rep[idx, 0] - 1, minlength=K)
-            tau_rep = _tau_from_ranks(rep_ranks[idx])
+            tau_rep = _pair_counts(rep_ranks[idx])
             b += chi2_top1(r_rep, n_m, pbar)
             d += chi2_paired(tau_rep, pbar)
         t_obs[l], t_rep[l] = a, b

@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 from . import fileio
 from .assessment import ppcheck, ppcheck_cond
 from .data import Dataset, ORDERING, RANKING, ord_rank_switch, rank_summaries
-from .em import Hyperparams, _one_start
+from .em import Hyperparams, _best_fits
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
 from .gibbs import DEFAULT_N_BURN, DEFAULT_N_ITER, gibbs_run, init_from_map
@@ -268,29 +267,13 @@ def _cmd_fit_map(opts: _Options) -> int:
     jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int)
     out = _out_dir(opts)
 
-    master = np.random.SeedSequence(seed)
-    per_g = master.spawn(len(g_list))
-    jobs = []
-    slots = []
-    for gi, G in enumerate(g_list):
-        hyper = _hyper(opts, G, data.n_items)
-        for si, child in enumerate(per_g[gi].spawn(n_start)):
-            rng = np.random.default_rng(child)
-            jobs.append((data, G, hyper, centered, max_iter, tol, rng))
-            slots.append((gi, si))
-    if jobs_n > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs_n, len(jobs))) as pool:
-            fits = list(pool.map(_one_start, jobs))
-    else:
-        fits = [_one_start(j) for j in jobs]
-
-    for gi, G in enumerate(g_list):
-        group = [(si, f) for (gj, si), f in zip(slots, fits) if gj == gi]
-        finals = np.array([f.log_post for _, f in group])
-        best = int(max(range(len(group)), key=lambda i: (finals[i], -i)))
-        fit = dataclasses.replace(
-            group[best][1], final_log_posts=finals, best_start=best
-        )
+    per_g = np.random.SeedSequence(seed).spawn(len(g_list))
+    runs = [
+        (G, _hyper(opts, G, data.n_items), np.random.default_rng(ss))
+        for G, ss in zip(g_list, per_g)
+    ]
+    fits = _best_fits(data, runs, n_start, centered, max_iter, tol, jobs_n)
+    for G, fit in zip(g_list, fits):
         path = os.path.join(out, f"map_G{G}.json")
         fileio.write_map_json(path, fit)
         bic_txt = "na" if fit.bic is None else f"{fit.bic:.3f}"

@@ -229,10 +229,7 @@ class Dataset:
         """Rank of each item per unit, unranked coded as `missing` (default K+1)."""
         if missing is None:
             missing = self.n_items + 1
-        ranks = np.full(self.orderings.shape, missing, dtype=np.int64)
-        rows, cols = np.nonzero(self.stage_mask)
-        ranks[rows, self.item_idx[rows, cols]] = cols + 1
-        return ranks
+        return rank_positions_of(self.orderings, missing)
 
 
 def available_items(ordering_row) -> "list[np.ndarray]":
@@ -419,8 +416,14 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     item j+1: both ranked with i before j, or i ranked while j is not.
     Units ranking neither item leave the pair undecided.
     """
-    ranks = data.to_rank_positions()
-    K = data.n_items
+    return _pair_counts(data.to_rank_positions())
+
+
+def _pair_counts(ranks: np.ndarray) -> np.ndarray:
+    """K x K counts of rows of a rank matrix placing item i strictly
+    before item j; code unranked items with a common rank beyond K so
+    that pairs a row leaves undecided count for neither side."""
+    K = ranks.shape[1]
     tau = np.zeros((K, K), dtype=np.int64)
     for lo in range(0, ranks.shape[0], _PAIR_CHUNK):
         blk = ranks[lo : lo + _PAIR_CHUNK]
@@ -428,12 +431,11 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     return tau
 
 
-def rank_positions_of(orderings: np.ndarray, nranked: np.ndarray, missing: int) -> np.ndarray:
-    """Rank matrix for a raw ordering matrix, unranked coded as `missing`."""
-    N, K = orderings.shape
-    ranks = np.full((N, K), missing, dtype=np.int64)
-    mask = np.arange(K)[None, :] < nranked[:, None]
-    rows, cols = np.nonzero(mask)
+def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:
+    """Rank matrix for a raw ordering matrix (zero-padded rows), unranked
+    items coded as `missing`."""
+    ranks = np.full(orderings.shape, missing, dtype=np.int64)
+    rows, cols = np.nonzero(orderings)
     ranks[rows, orderings[rows, cols] - 1] = cols + 1
     return ranks
 

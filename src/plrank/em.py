@@ -31,7 +31,7 @@ from scipy.special import logsumexp
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
-from .model import MixtureParams, component_stage_logliks
+from .model import MixtureParams, _availability_sums, _stage_table, _table_logliks
 
 SUPPORT_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
@@ -112,21 +112,12 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
     return float(sup + wterm)
 
 
-def _stage_remainders(data: Dataset, supports: np.ndarray):
-    """(selected, remaining) support mass per unit, stage, component."""
-    idx = np.where(data.stage_mask, data.item_idx, 0)
-    sel = supports.T[idx]
-    sel[~data.stage_mask] = 0.0
-    consumed = np.cumsum(sel, axis=1) - sel
-    rem = supports.sum(axis=1)[None, None, :] - consumed
-    return sel, rem
-
-
-def _e_step(params: MixtureParams, data: Dataset):
-    """Responsibilities, per-unit log mixture terms, and log-likelihood."""
-    comp = component_stage_logliks(data, params.supports)
+def _e_step(weights: np.ndarray, table):
+    """Responsibilities, per-unit log mixture terms, and log-likelihood,
+    from the weights and the _stage_table of the current supports."""
+    comp = _table_logliks(*table)
     with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
+        logw = np.log(weights)
     scored = comp + logw[None, :]
     per_unit = logsumexp(scored, axis=1)
     if not np.isfinite(per_unit).all():
@@ -137,33 +128,22 @@ def _e_step(params: MixtureParams, data: Dataset):
 
 
 def _m_step(data: Dataset, hyper: Hyperparams, zhat: np.ndarray,
-            supports_old: np.ndarray) -> MixtureParams:
-    N, K = data.orderings.shape
-    G = zhat.shape[1]
-    _, rem = _stage_remainders(data, supports_old)
-    with np.errstate(divide="ignore"):
-        r = np.where(data.stage_mask[:, :, None], 1.0 / rem, 0.0)
-    cumr = np.cumsum(r, axis=1)
-    full_r = cumr[np.arange(N), data.nranked - 1, :]
-    gamma_hat = zhat.T @ data.u
-    base = (zhat * full_r).sum(axis=0)
-    rows, cols = np.nonzero(data.stage_mask)
-    items = data.item_idx[rows, cols]
-    numer = hyper.shape - 1.0 + gamma_hat
+            rem: np.ndarray) -> MixtureParams:
+    """Closed-form update from responsibilities and the remaining-mass
+    table rem (N x K x G) of the previous supports."""
+    N, G = zhat.shape
+    numer = hyper.shape - 1.0 + zhat.T @ data.u
     if (numer < 0).any():
         g, i = np.argwhere(numer < 0)[0]
         raise ValidationError(
             f"support update numerator negative for component {g + 1}, "
             f"item {i + 1}: shape {hyper.shape[g, i]} too small for the data"
         )
-    denom = np.empty((G, K))
-    for g in range(G):
-        corr = np.bincount(
-            items,
-            weights=zhat[rows, g] * (full_r[rows, g] - cumr[rows, cols, g]),
-            minlength=K,
-        )
-        denom[g] = hyper.rate[g] + base[g] - corr
+    r = 1.0 / rem
+    r[~data.stage_mask] = 0.0
+    denom = hyper.rate[:, None] + np.einsum(
+        "sg,sig->gi", zhat, _availability_sums(data, r)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         p_new = numer / denom
     tiny = ~np.isfinite(p_new) | (p_new <= SUPPORT_FLOOR)
@@ -196,8 +176,9 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
     """
     if hyper.n_components != params.n_components:
         raise ValidationError("hyper and params disagree on G")
-    zhat, _, _ = _e_step(params, data)
-    return _m_step(data, hyper, zhat, params.supports), zhat
+    table = _stage_table(data, params.supports)
+    zhat, _, _ = _e_step(params.weights, table)
+    return _m_step(data, hyper, zhat, table[1]), zhat
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +294,9 @@ def fit_map(
     n_done = 0
     prev = None
     for it in range(max_iter + 1):
-        zhat, _, log_lik = _e_step(params, data)
+        # one table per iteration serves the E-step and the M-step
+        table = _stage_table(data, params.supports)
+        zhat, _, log_lik = _e_step(params.weights, table)
         lp = log_lik + log_prior(params, hyper)
         if not np.isfinite(lp):
             raise NumericalError(f"log posterior not finite at iteration {it}")
@@ -324,7 +307,7 @@ def fit_map(
         if it == max_iter:
             break
         prev = lp
-        params = _m_step(data, hyper, zhat, params.supports)
+        params = _m_step(data, hyper, zhat, table[1])
         n_done = it + 1
 
     labels = np.argmax(zhat, axis=1) + 1
@@ -370,17 +353,37 @@ def fit_map_multistart(
     initial supports around the observed first-place shares instead of
     uniformly.
     """
-    if n_start < 1:
-        raise ValidationError("n_start must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    streams = rng.spawn(n_start)
-    jobs = [(data, G, hyper, centered_start, max_iter, tol, s) for s in streams]
-    if n_jobs > 1 and n_start > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, n_start)) as pool:
+    return _best_fits(
+        data, [(G, hyper, rng)], n_start, centered_start, max_iter, tol, n_jobs
+    )[0]
+
+
+def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
+    """Multistart fits for several (G, hyper, rng) runs at once.
+
+    Every start of every run goes to one process pool; each run keeps its
+    best ending as in fit_map_multistart, which is this with one run.
+    """
+    if n_start < 1:
+        raise ValidationError("n_start must be >= 1")
+    jobs = [
+        (data, G, hyper, centered_start, max_iter, tol, s)
+        for G, hyper, rng in runs
+        for s in rng.spawn(n_start)
+    ]
+    if n_jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
             fits = list(pool.map(_one_start, jobs))
     else:
         fits = [_one_start(j) for j in jobs]
-    finals = np.array([f.log_post for f in fits])
-    best = int(max(range(n_start), key=lambda i: (finals[i], -i)))
-    return dataclasses.replace(fits[best], final_log_posts=finals, best_start=best)
+    best_fits = []
+    for lo in range(0, len(fits), n_start):
+        group = fits[lo : lo + n_start]
+        finals = np.array([f.log_post for f in group])
+        best = int(max(range(n_start), key=lambda i: (finals[i], -i)))
+        best_fits.append(
+            dataclasses.replace(group[best], final_log_posts=finals, best_start=best)
+        )
+    return best_fits

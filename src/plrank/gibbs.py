@@ -22,9 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset, PartialOrdering, binary_group_ind, validate_ordering_matrix
+from .data import Dataset, binary_group_ind
 from .em import Hyperparams, MapFit
 from .errors import NumericalError, ValidationError
+from .model import (
+    _availability_sums,
+    _one_row,
+    _remaining_mass,
+    _stage_table,
+    _table_logliks,
+)
 
 DEFAULT_N_ITER = 22000
 DEFAULT_N_BURN = 2000
@@ -70,18 +77,22 @@ class GibbsChain:
 def stage_rates(ordering_row, supports) -> np.ndarray:
     """Exponential rates of the latent stage times for one unit: the
     remaining support mass before each of its n_s selections."""
-    if isinstance(ordering_row, PartialOrdering):
-        row = ordering_row.entries
-    else:
-        row = validate_ordering_matrix(ordering_row)[0]
-    p = np.asarray(supports, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != row.shape[0]:
-        raise ValidationError("supports must be a length-K vector")
-    if (p <= 0).any() or not np.isfinite(p).all():
-        raise ValidationError("supports must be positive and finite")
+    row, p = _one_row(ordering_row, supports)
     n_s = int((row != 0).sum())
-    chosen = p[row[:n_s] - 1]
-    return p.sum() - (np.cumsum(chosen) - chosen)
+    return _unit_rates(Dataset.from_orderings(row[None, :]), p[None, :])[0, :n_s]
+
+
+def _unit_rates(data: Dataset, p_unit: np.ndarray) -> np.ndarray:
+    """Stage-time rates of every unit under its own support row.
+
+    p_unit is N x K, one support row per unit; the result is N x K, the
+    remaining mass before each stage, with the unranked mass beyond a
+    unit's depth.
+    """
+    mask = data.stage_mask
+    sel = np.take_along_axis(p_unit, np.where(mask, data.item_idx, 0), axis=1)
+    sel[~mask] = 0.0
+    return _remaining_mass(sel, ((1 - data.u) * p_unit).sum(axis=1))
 
 
 def init_from_map(fit: MapFit) -> dict:
@@ -105,20 +116,14 @@ def _support_conditional(data: Dataset, z, y: np.ndarray, hyper: Hyperparams):
     else:
         g_of_s = np.asarray(z, dtype=np.int64) - 1
     G = hyper.n_components
-    N, K = data.orderings.shape
-    rows, cols = np.nonzero(data.stage_mask)
-    items = data.item_idx[rows, cols]
-    cum_y = np.cumsum(y, axis=1)
-    full_y = cum_y[np.arange(N), data.nranked - 1]
-    flat = g_of_s[rows] * K + items
-    gamma_z = np.bincount(flat, minlength=G * K).reshape(G, K)
-    contrib = np.repeat(full_y[:, None], K, axis=1)
-    contrib[rows, items] = cum_y[rows, cols]
+    K = data.n_items
     cell = (g_of_s[:, None] * K + np.arange(K)[None, :]).ravel()
-    shape = hyper.shape + gamma_z
-    rate = hyper.rate[:, None] + np.bincount(
-        cell, weights=contrib.ravel(), minlength=G * K
-    ).reshape(G, K)
+
+    def by_cell(v):
+        return np.bincount(cell, weights=v.ravel(), minlength=G * K).reshape(G, K)
+
+    shape = hyper.shape + by_cell(data.u)
+    rate = hyper.rate[:, None] + by_cell(_availability_sums(data, y))
     return shape, rate
 
 
@@ -193,15 +198,6 @@ def gibbs_run(
         g_of_s = rng.integers(0, G, size=N) if G > 1 else np.zeros(N, dtype=np.int64)
     w = np.full(G, 1.0 / G)
 
-    # static index plumbing
-    idx = np.where(data.stage_mask, data.item_idx, 0)
-    mask = data.stage_mask
-    rows_r, cols_r = np.nonzero(mask)
-    items_r = data.item_idx[rows_r, cols_r]
-    last = data.nranked - 1
-    ar_n = np.arange(N)
-    ar_k = np.arange(K)[None, :]
-    u_f = data.u.astype(np.float64)
     # with every rate zero the posterior leaves the overall scale of the
     # supports free and the raw chain random-walks in it; the sweep kernel
     # commutes with a global rescaling then, so projecting the state back
@@ -223,32 +219,11 @@ def gibbs_run(
             w = rng.dirichlet(hyper.alpha + counts)
 
         # stage times | memberships, supports
-        p_unit = p[g_of_s]
-        sel = np.take_along_axis(p_unit, idx, axis=1)
-        sel[~mask] = 0.0
-        # remainders as suffix sums: exact at the late stages where a
-        # running-difference form cancels to zero
-        tail = np.maximum(p_unit.sum(axis=1) - sel.sum(axis=1), 0.0)
-        rem_own = np.cumsum(sel[:, ::-1], axis=1)[:, ::-1] + tail[:, None]
-        y = rng.standard_exponential((N, K)) / rem_own
-        y[~mask] = 0.0
+        y = rng.standard_exponential((N, K)) / _unit_rates(data, p[g_of_s])
+        y[~data.stage_mask] = 0.0
 
-        # supports | times, memberships. Each unit adds, to its component's
-        # rate for item i, the sum of its stage times while i was still
-        # available: the prefix sum through the stage where i was chosen,
-        # or the full sum when the unit never ranks i. Scattering those
-        # prefix sums directly keeps the accumulation free of cancellation.
-        cum_y = np.cumsum(y, axis=1)
-        full_y = cum_y[ar_n, last]
-        flat = g_of_s[rows_r] * K + items_r
-        gamma_z = np.bincount(flat, minlength=G * K).reshape(G, K)
-        contrib = np.repeat(full_y[:, None], K, axis=1)
-        contrib[rows_r, items_r] = cum_y[rows_r, cols_r]
-        cell = (g_of_s[:, None] * K + ar_k).ravel()
-        shape = hyper.shape + gamma_z
-        rate = hyper.rate[:, None] + np.bincount(
-            cell, weights=contrib.ravel(), minlength=G * K
-        ).reshape(G, K)
+        # supports | times, memberships
+        shape, rate = _support_conditional(data, g_of_s + 1, y, hyper)
         bad = rate <= 0
         if bad.any():
             g_b, i_b = np.argwhere(bad)[0]
@@ -260,27 +235,17 @@ def gibbs_run(
 
         # memberships | weights, times, supports (and the log-likelihood,
         # which shares the per-component stage tables)
-        log_p = np.log(p)
-        tot = p.sum(axis=1)
-        A = u_f @ log_p.T
-        P_all = p.T[idx]
-        P_all[~mask] = 0.0
-        tails = np.maximum(tot[None, :] - P_all.sum(axis=1), 0.0)
-        rem_all = (
-            np.cumsum(P_all[:, ::-1, :], axis=1)[:, ::-1, :]
-            + tails[:, None, :]
-        )
-        rem_all[~mask] = 1.0
-        slr = np.log(rem_all).sum(axis=1)
+        log_num, rem = _stage_table(data, p)
+        comp = _table_logliks(log_num, rem)
         if G > 1:
-            B = np.einsum("sk,skg->sg", y, rem_all)
+            B = np.einsum("sk,skg->sg", y, rem)
             with np.errstate(divide="ignore"):
                 log_w = np.log(w)
-            log_m = log_w[None, :] + A - B
+            log_m = log_w[None, :] + log_num - B
             g_of_s = np.argmax(log_m + rng.gumbel(size=(N, G)), axis=1)
-            ll = float(logsumexp(log_w[None, :] + A - slr, axis=1).sum())
+            ll = float(logsumexp(comp + log_w[None, :], axis=1).sum())
         else:
-            ll = float((A[:, 0] - slr[:, 0]).sum())
+            ll = float(comp[:, 0].sum())
 
         if sweep > n_burn:
             k = sweep - n_burn - 1

@@ -79,33 +79,73 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
         )
 
 
+def _remaining_mass(sel: np.ndarray, unranked: np.ndarray) -> np.ndarray:
+    """Support mass still available before each stage.
+
+    sel holds the support chosen at each stage (axis 1), zero beyond the
+    unit's depth, in any trailing shape: (N, K) for one support row per
+    unit, (N, K, G) for every component. unranked, shaped like sel without
+    the stage axis, is the summed support of the items the unit leaves
+    unranked. The result is the suffix sum of sel plus that mass: a sum
+    of positive terms, exact to rounding at late stages where the running
+    difference total - consumed cancels. Beyond a unit's depth it holds
+    the unranked mass.
+    """
+    rem = np.cumsum(sel[:, ::-1], axis=1)[:, ::-1]
+    rem += unranked[:, None]
+    return rem
+
+
+def _stage_table(data: Dataset, p: np.ndarray):
+    """Per-component stage tables for supports p (G x K).
+
+    Returns (log_num, rem): log_num[s, g] sums log p[g, i] over the items
+    unit s ranks, and rem[s, t, g] is the remaining mass before stage t
+    under row g, set to 1 beyond the unit's depth so that its log adds 0.
+    """
+    mask = data.stage_mask
+    sel = p.T[np.where(mask, data.item_idx, 0)]
+    sel[~mask] = 0.0
+    rem = _remaining_mass(sel, (1 - data.u) @ p.T)
+    rem[~mask] = 1.0
+    return data.u @ np.log(p).T, rem
+
+
+def _table_logliks(log_num: np.ndarray, rem: np.ndarray) -> np.ndarray:
+    """(N, G) component log-likelihoods from a _stage_table."""
+    return log_num - np.log(rem).sum(axis=1)
+
+
+def _availability_sums(data: Dataset, x: np.ndarray) -> np.ndarray:
+    """Per item, the sum of per-stage values x (stages on axis 1, zero
+    beyond each unit's depth, any trailing shape) over the stages at which
+    the item was still available: the prefix sum through the stage that
+    chose it, or the full sum for an unranked item. Scattering prefix sums
+    of nonnegative terms keeps the accumulation free of cancellation.
+    """
+    N, K = data.orderings.shape
+    cum = np.cumsum(x, axis=1)
+    out = np.repeat(cum[np.arange(N), data.nranked - 1][:, None], K, axis=1)
+    rows, cols = np.nonzero(data.stage_mask)
+    out[rows, data.item_idx[rows, cols]] = cum[rows, cols]
+    return out
+
+
 def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
     """Log stagewise-choice likelihood of every unit under every support
     row; returns an (N, G) matrix.
 
-    Stage t of unit s contributes log p[chosen] - log(remaining mass),
-    where the remaining mass is the row total minus the supports already
-    consumed at earlier stages.
+    Unit s scores sum_t log p[chosen_t] - sum_t log(rem_t), where rem_t,
+    the support mass still available before stage t, is the sum of the
+    supports chosen from stage t on plus the supports of the items the
+    unit leaves unranked (see _remaining_mass).
     """
-    p = np.asarray(supports, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
-    idx = np.where(data.stage_mask, data.item_idx, 0)
-    sel = p.T[idx]                       # (N, K, G) chosen supports
-    sel[~data.stage_mask] = 0.0
-    consumed = np.cumsum(sel, axis=1) - sel
-    rem = p.sum(axis=1)[None, None, :] - consumed
-    logp = np.log(p)
-    log_sel = logp.T[idx]
-    with np.errstate(divide="ignore"):
-        log_rem = np.log(rem)
-    terms = log_sel - log_rem
-    terms[~data.stage_mask] = 0.0
-    return terms.sum(axis=1)
+    p = np.atleast_2d(np.asarray(supports, dtype=np.float64))
+    return _table_logliks(*_stage_table(data, p))
 
 
-def pl_prob(ordering, supports) -> float:
-    """Probability of one partial ordering under a single support vector."""
+def _one_row(ordering, supports):
+    """Validated ordering row and length-K support vector for one unit."""
     if isinstance(ordering, PartialOrdering):
         row = ordering.entries
     else:
@@ -115,6 +155,12 @@ def pl_prob(ordering, supports) -> float:
         raise ValidationError("supports must be a length-K vector")
     if not np.isfinite(p).all() or (p <= 0).any():
         raise ValidationError("supports must be positive and finite")
+    return row, p
+
+
+def pl_prob(ordering, supports) -> float:
+    """Probability of one partial ordering under a single support vector."""
+    row, p = _one_row(ordering, supports)
     data = Dataset.from_orderings(row[None, :])
     return float(np.exp(component_stage_logliks(data, p[None, :])[0, 0]))
 
@@ -152,9 +198,17 @@ def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):
         raise ValidationError("params shape must match (G, K)")
     if rng is None:
         rng = np.random.default_rng()
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    labels = np.argmax(logw[None, :] + rng.gumbel(size=(n, G)), axis=1)
-    key = np.log(params.supports)[labels] + rng.gumbel(size=(n, K))
-    orderings = np.argsort(-key, axis=1, kind="stable") + 1
+    labels, orderings = _gumbel_orderings(n, params.supports, params.weights, rng)
     return labels + 1, Dataset.from_orderings(orderings)
+
+
+def _gumbel_orderings(n: int, supports: np.ndarray, weights: np.ndarray, rng):
+    """0-based component labels and the raw 1-based matrix of n complete
+    orderings from the mixture (supports G x K, weights G), by sorting
+    Gumbel-perturbed logs."""
+    G, K = supports.shape
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    labels = np.argmax(logw[None, :] + rng.gumbel(size=(n, G)), axis=1)
+    key = np.log(supports)[labels] + rng.gumbel(size=(n, K))
+    return labels, np.argsort(-key, axis=1, kind="stable") + 1

@@ -219,6 +219,34 @@ def test_parallel_runs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_fit_map_matches_library_multistart(tmp_path):
+    from plrank import Dataset, fit_map_multistart
+    from plrank.fileio import read_sequence_csv
+
+    data = tmp_path / "sim"
+    run(["simulate", "--n", 80, "--K", 4, "--G", 2, "--seed", 3, "--out", data])
+    out = tmp_path / "fit"
+    code = run(
+        [
+            "fit-map", "--input", data / "orderings.csv", "--format", "ordering",
+            "--G", 2, "--n-start", 3, "--seed", 17, "--parallel", 1,
+            "--out", out,
+        ]
+    )
+    assert code == 0
+    cli_fit = read_map_json(out / "map_G2.json")
+    stream = np.random.default_rng(np.random.SeedSequence(17).spawn(1)[0])
+    lib_fit = fit_map_multistart(
+        Dataset.from_orderings(read_sequence_csv(data / "orderings.csv")),
+        2,
+        3,
+        rng=stream,
+    )
+    assert np.array_equal(cli_fit.supports, lib_fit.supports)
+    assert np.array_equal(cli_fit.final_log_posts, lib_fit.final_log_posts)
+    assert cli_fit.best_start == lib_fit.best_start
+
+
 def test_console_entry_point(tmp_path):
     src = tmp_path / "ord.csv"
     src.write_text("1,2\n2,1\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def test_single_component_update_matches_loop_oracle():
     want = em_update_single(p0, mat, depths)
     assert np.allclose(new.supports[0], want, atol=1e-12)
     assert np.allclose(resp, 1.0)
+
+
+def test_update_exact_at_extreme_supports():
+    # the remaining mass at late stages is 1e-17 scale; a running
+    # difference from the total rounds it to 0 and the update divides by it
+    data = Dataset.from_orderings(np.array([[1, 2, 3], [1, 3, 2]]))
+    params = MixtureParams(np.array([[1.0, 1e-17, 1e-17]]), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="invalid value")
+        warnings.filterwarnings("ignore", message="support estimate hit")
+        new, _ = em_step(params, data, Hyperparams.flat(1, 3))
+    assert new.supports[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_component_update_with_prior():

@@ -22,6 +22,10 @@ def test_stage_rates_hand():
     assert np.allclose(rates, [1.0, 0.5, 0.3], atol=1e-15)
     rates = stage_rates(np.array([2, 0, 0]), np.array([0.3, 0.5, 0.2]))
     assert np.allclose(rates, [1.0], atol=1e-15)
+    rates = stage_rates((1, 2, 3), np.array([1.0, 1e-17, 1e-17]))
+    assert np.allclose(rates, [1.0, 2e-17, 1e-17], rtol=1e-12, atol=0)
+    rates = stage_rates((1, 2, 0, 0), np.array([1.0, 1e-17, 1e-17, 1e-17]))
+    assert np.allclose(rates, [1.0, 3e-17], rtol=1e-12, atol=0)
 
 
 def test_chain_shapes_and_determinism():

@@ -27,6 +27,12 @@ def test_pl_prob_hand_values():
     assert pl_prob(np.array([2, 0, 0]), p) == pytest.approx(0.5, abs=1e-12)
     uni = np.ones(3)
     assert pl_prob(np.array([3, 1, 2]), uni) == pytest.approx(1 / 6, abs=1e-12)
+    # late stages at extreme supports: the remaining mass is a sum of
+    # tiny supports that a running difference from the total cancels
+    ext = np.array([1.0, 1e-17, 1e-17])
+    assert pl_prob(np.array([1, 2, 3]), ext) == pytest.approx(0.5, rel=1e-12)
+    ext = np.array([1.0, 1e-17, 1e-17, 1e-17])
+    assert pl_prob(np.array([1, 2, 0, 0]), ext) == pytest.approx(1 / 3, rel=1e-12)
 
 
 def test_params_validation():
