@@ -17,14 +17,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import fileio
 from .assessment import ppcheck, ppcheck_cond
 from .data import Dataset, ORDERING, RANKING, ord_rank_switch, rank_summaries
-from .em import Hyperparams, _best_fits
+from .em import Hyperparams, _best_fits, _fan_out
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
 from .gibbs import DEFAULT_N_BURN, DEFAULT_N_ITER, gibbs_run, init_from_map
@@ -198,9 +197,7 @@ def _cmd_summarize(opts: _Options) -> int:
     }
     out = opts.get("out")
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        fileio._write_json(out, doc)
     print(f"summarize: {data.n_units} units, {data.n_items} items")
     print("depth counts:", " ".join(f"{k}:{v}" for k, v in summ.nranked_distr.items()))
     print("times unranked:", " ".join(str(v) for v in summ.missing_pos))
@@ -239,17 +236,14 @@ def _cmd_simulate(opts: _Options) -> int:
         fh.write("component\n")
         for v in labels:
             fh.write(f"{int(v)}\n")
-    with open(os.path.join(out, "params.json"), "w") as fh:
-        json.dump(
-            {
-                "supports": params.supports.tolist(),
-                "weights": params.weights.tolist(),
-                "seed": seed,
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    fileio._write_json(
+        os.path.join(out, "params.json"),
+        {
+            "supports": params.supports.tolist(),
+            "weights": params.weights.tolist(),
+            "seed": seed,
+        },
+    )
     print(f"simulate: {n} orderings, K={K}, G={G}, seed={seed}: {out}")
     return EXIT_OK
 
@@ -325,11 +319,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         (data, G, _hyper(opts, G, data.n_items), inits[G], n_iter, n_burn, s)
         for G, s in zip(g_list, child_seeds)
     ]
-    if jobs_n > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs_n, len(jobs))) as pool:
-            chains = list(pool.map(_gibbs_job, jobs))
-    else:
-        chains = [_gibbs_job(j) for j in jobs]
+    chains = _fan_out(_gibbs_job, jobs, jobs_n)
 
     for G, chain in zip(g_list, chains):
         path = os.path.join(out, f"chain_G{G}.csv")
@@ -344,9 +334,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
             "log_lik_mean": float(chain.log_lik.mean()),
             "deviance_mean": float(chain.deviance.mean()),
         }
-        with open(os.path.join(out, f"gibbs_G{G}.json"), "w") as fh:
-            json.dump(meta, fh, indent=1)
-            fh.write("\n")
+        fileio._write_json(os.path.join(out, f"gibbs_G{G}.json"), meta)
         print(
             f"fit-gibbs: G={G} kept={chain.n_kept} "
             f"mean_deviance={meta['deviance_mean']:.3f}: {path}"

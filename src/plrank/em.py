@@ -27,11 +27,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
-from .model import MixtureParams, _availability_sums, _stage_table, _table_logliks
+from .model import (
+    MixtureParams,
+    _availability_sums,
+    _log_mixture,
+    _stage_table,
+    _table_logliks,
+)
 
 SUPPORT_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
@@ -115,11 +120,7 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
 def _e_step(weights: np.ndarray, table):
     """Responsibilities, per-unit log mixture terms, and log-likelihood,
     from the weights and the _stage_table of the current supports."""
-    comp = _table_logliks(*table)
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    scored = comp + logw[None, :]
-    per_unit = logsumexp(scored, axis=1)
+    scored, per_unit = _log_mixture(_table_logliks(*table), weights)
     if not np.isfinite(per_unit).all():
         bad = int(np.nonzero(~np.isfinite(per_unit))[0][0])
         raise NumericalError(f"unit {bad} has no support under any component")
@@ -360,6 +361,15 @@ def fit_map_multistart(
     )[0]
 
 
+def _fan_out(fn, jobs: list, n_jobs: int) -> list:
+    """fn over jobs, in job order: across a pool of up to n_jobs processes
+    when there is more than one of each, else serially in this process."""
+    if n_jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
+
+
 def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
     """Multistart fits for several (G, hyper, rng) runs at once.
 
@@ -373,11 +383,7 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
         for G, hyper, rng in runs
         for s in rng.spawn(n_start)
     ]
-    if n_jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
-            fits = list(pool.map(_one_start, jobs))
-    else:
-        fits = [_one_start(j) for j in jobs]
+    fits = _fan_out(_one_start, jobs, n_jobs)
     best_fits = []
     for lo in range(0, len(fits), n_start):
         group = fits[lo : lo + n_start]

@@ -37,6 +37,11 @@ PREFLIB = "preflib"
 
 _NUM_ALTERNATIVES = re.compile(r"#\s*NUMBER\s+ALTERNATIVES\s*:\s*(\d+)", re.I)
 
+# largest units x items matrix a preference profile may expand to (80 MB of
+# int64), far above the paper's data (APA: 15449 x 5); the counts multiply
+# a profile's size, so without a bound a one-line file can ask for terabytes
+_MAX_PREFLIB_CELLS = 10_000_000
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -49,26 +54,39 @@ def read_sequence_csv(path) -> np.ndarray:
     """Integer sequence matrix from CSV; a non-numeric first row is
     treated as a header and skipped."""
     rows = []
+    lines = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for i, rec in enumerate(reader):
-            rec = [c.strip() for c in rec if c.strip() != ""]
-            if not rec:
-                continue
-            try:
-                rows.append([int(c) for c in rec])
-            except ValueError:
-                if i == 0:
+        try:
+            for i, rec in enumerate(reader):
+                rec = [c.strip() for c in rec if c.strip() != ""]
+                if not rec:
                     continue
-                raise ValidationError(
-                    f"{path}: line {i + 1}: non-integer entry"
-                ) from None
+                try:
+                    rows.append([int(c) for c in rec])
+                except ValueError:
+                    if i == 0:
+                        continue
+                    raise ValidationError(
+                        f"{path}: line {i + 1}: non-integer entry"
+                    ) from None
+                lines.append(i + 1)
+        except csv.Error as e:
+            raise ValidationError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValidationError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=np.int64)
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        ln = next(
+            ln for ln, r in zip(lines, rows)
+            if not all(info.min <= v <= info.max for v in r)
+        )
+        raise ValidationError(f"{path}: line {ln}: entry outside int64") from None
 
 
 def write_sequence_csv(path, matrix: np.ndarray) -> None:
@@ -131,7 +149,13 @@ def parse_preflib_text(text: str, source: str = "<preflib>") -> Dataset:
         K = max_seen
     elif max_seen > K:
         raise ValidationError(f"{source}: item id {max_seen} exceeds K={K}")
-    matrix = np.zeros((sum(c for c, _ in prefs), K), dtype=np.int64)
+    n_units = sum(c for c, _ in prefs)
+    if n_units * K > _MAX_PREFLIB_CELLS:
+        raise ValidationError(
+            f"{source}: {n_units} units x {K} items exceeds the limit of "
+            f"{_MAX_PREFLIB_CELLS} entries"
+        )
+    matrix = np.zeros((n_units, K), dtype=np.int64)
     row = 0
     for count, items in prefs:
         matrix[row : row + count, : len(items)] = items
@@ -299,10 +323,15 @@ def map_fit_to_dict(fit: MapFit) -> dict:
     }
 
 
-def write_map_json(path, fit: MapFit) -> None:
+def _write_json(path, doc) -> None:
+    """JSON document, one-space indent, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(map_fit_to_dict(fit), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def write_map_json(path, fit: MapFit) -> None:
+    _write_json(path, map_fit_to_dict(fit))
 
 
 def read_map_json(path) -> MapFit:
@@ -354,26 +383,27 @@ def read_map_json(path) -> MapFit:
 # ----------------------------------------------------------------- reports
 
 
-def write_selection_csv(path, report) -> None:
-    rows = report.to_rows()
+def _write_table_csv(path, rows: list[dict]) -> None:
+    """Header from the first row's keys, then one line per row; floats
+    at full round-trip precision."""
     cols = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for r in rows:
             writer.writerow(
-                [
-                    _fmt(r[c]) if isinstance(r[c], float) else r[c]
-                    for c in cols
-                ]
+                [_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols]
             )
 
 
+def write_selection_csv(path, report) -> None:
+    _write_table_csv(path, report.to_rows())
+
+
 def write_selection_json(path, report) -> None:
-    doc = {"point_estimate": report.point_estimate, "criteria": report.to_rows()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(
+        path, {"point_estimate": report.point_estimate, "criteria": report.to_rows()}
+    )
 
 
 def ppcheck_rows(plain, cond=None) -> list[dict]:
@@ -392,18 +422,8 @@ def ppcheck_rows(plain, cond=None) -> list[dict]:
 
 
 def write_ppcheck_csv(path, plain, cond=None) -> None:
-    rows = ppcheck_rows(plain, cond)
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow(
-                [_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols]
-            )
+    _write_table_csv(path, ppcheck_rows(plain, cond))
 
 
 def write_ppcheck_json(path, plain, cond=None) -> None:
-    with open(path, "w") as fh:
-        json.dump({"checks": ppcheck_rows(plain, cond)}, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, {"checks": ppcheck_rows(plain, cond)})

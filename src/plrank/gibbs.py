@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset, binary_group_ind
 from .em import Hyperparams, MapFit
 from .errors import NumericalError, ValidationError
 from .model import (
     _availability_sums,
+    _log_mixture,
     _one_row,
     _remaining_mass,
     _stage_table,
@@ -236,16 +236,13 @@ def gibbs_run(
         # memberships | weights, times, supports (and the log-likelihood,
         # which shares the per-component stage tables)
         log_num, rem = _stage_table(data, p)
-        comp = _table_logliks(log_num, rem)
+        ll = float(_log_mixture(_table_logliks(log_num, rem), w)[1].sum())
         if G > 1:
             B = np.einsum("sk,skg->sg", y, rem)
             with np.errstate(divide="ignore"):
                 log_w = np.log(w)
             log_m = log_w[None, :] + log_num - B
             g_of_s = np.argmax(log_m + rng.gumbel(size=(N, G)), axis=1)
-            ll = float(logsumexp(comp + log_w[None, :], axis=1).sum())
-        else:
-            ll = float(comp[:, 0].sum())
 
         if sweep > n_burn:
             k = sweep - n_burn - 1

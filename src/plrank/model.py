@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset, PartialOrdering, validate_ordering_matrix
 from .errors import ValidationError
@@ -165,15 +164,33 @@ def pl_prob(ordering, supports) -> float:
     return float(np.exp(component_stage_logliks(data, p[None, :])[0, 0]))
 
 
+def _log_mixture(comp: np.ndarray, weights: np.ndarray):
+    """Weighted component scores and per-unit log mixture density.
+
+    comp is (N, G) component log-likelihoods. Returns (scored, per_unit):
+    scored = comp + log w (a zero weight scores -inf), per_unit[s] =
+    log sum_g exp(scored[s, g]). The sum is taken around the row maximum
+    top, counted m times, as top + log(m) + log1p(rest), rest being the
+    other terms' sum relative to m exp(top) (Blanchard, Higham & Higham
+    2021). An all -inf row gives -inf and a NaN row gives NaN without a
+    special case.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scored = comp + np.log(weights)[None, :]
+        top = scored.max(axis=1, keepdims=True)
+        is_top = scored == top
+        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        rest = np.where(is_top, 0.0, np.exp(scored - top))
+        rest = rest.sum(axis=1, keepdims=True) / m
+        per_unit = np.log1p(rest) + np.log(m) + top
+    return scored, per_unit[:, 0]
+
+
 def mixture_logliks_per_unit(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Log mixture density of each unit's observed sequence (length N)."""
     _check_params_data(params, data.n_items)
     comp = component_stage_logliks(data, params.supports)
-    if params.n_components == 1:
-        return comp[:, 0]
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    return logsumexp(comp + logw[None, :], axis=1)
+    return _log_mixture(comp, params.weights)[1]
 
 
 def mixture_loglik(params: MixtureParams, data: Dataset) -> float:

@@ -12,7 +12,7 @@ untouched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ _SWEEP_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class RelabeledChain:
+class RelabeledChain(GibbsChain):
     """Chain traces after per-sweep component realignment.
 
     permutations[l] is the 0-based source index each component slot was
@@ -34,29 +34,7 @@ class RelabeledChain:
     permutations[l, g] of the input chain.
     """
 
-    P: np.ndarray
-    W: np.ndarray
-    log_lik: np.ndarray
-    deviance: np.ndarray
-    permutations: np.ndarray
-    n_iter: int
-    n_burn: int
-    seed: int | None = None
-
-    @property
-    def n_kept(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def n_items(self) -> int:
-        return self.P.shape[1] // self.W.shape[1]
-
-    def supports_3d(self) -> np.ndarray:
-        return self.P.reshape(self.n_kept, self.n_components, self.n_items)
+    permutations: np.ndarray = field(kw_only=True)
 
 
 def _pivot_matrix(pivot, G: int, K: int) -> np.ndarray:

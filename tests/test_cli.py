@@ -260,3 +260,34 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "2 units" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime needs numpy only; scipy is a test dependency
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, plrank.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("ordering", "1,2,3\n2,99999999999999999999,1\n"),
+        ("preflib", "# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n"),
+        ("preflib", "1: 1,4000000000\n"),
+    ],
+)
+def test_oversized_input_is_a_validation_error(tmp_path, capsys, fmt, text):
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    assert run(["summarize", "--input", src, "--format", fmt]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "validation"

@@ -65,6 +65,9 @@ def test_sequence_csv_malformed(tmp_path):
     bad.write_text("")
     with pytest.raises(ValidationError):
         read_sequence_csv(bad)
+    bad.write_text("3,1,2\n\n1,2,-9223372036854775809\n")
+    with pytest.raises(ValidationError, match="line 3: entry outside int64"):
+        read_sequence_csv(bad)
 
 
 def test_preflib_golden():
@@ -93,6 +96,11 @@ def test_preflib_errors():
         parse_preflib_text("not a line\n")
     with pytest.raises(ValidationError):
         parse_preflib_text("")
+    # the size check comes before the matrix is allocated
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        parse_preflib_text("# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n")
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        parse_preflib_text("1: 1,4000000000\n")
 
 
 def test_preflib_round_trip(tmp_path):

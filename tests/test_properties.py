@@ -1,12 +1,14 @@
-"""Property-based checks of the stage kernel and the ingestion round trips."""
+"""Property-based checks of the stage kernel, the log mixture density, the
+ingestion round trips, and the parsers on malformed input."""
 
 import math
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from plrank import (
     Dataset,
@@ -17,8 +19,10 @@ from plrank import (
     write_dataset,
 )
 from plrank.data import ORDERING, RANKING
+from plrank.errors import ValidationError
+from plrank.fileio import _MAX_PREFLIB_CELLS, parse_preflib_text
 from plrank.gibbs import _unit_rates, stage_rates
-from plrank.model import component_stage_logliks
+from plrank.model import _log_mixture, component_stage_logliks
 from oracles import ordering_row_loglik
 
 LOG_TINY = math.log(1e-300)
@@ -97,3 +101,92 @@ def test_ingestion_round_trips(mat):
             path = os.path.join(tmp, f"{fmt}.csv")
             write_dataset(path, data, fmt)
             assert np.array_equal(read_dataset(path, fmt).orderings, mat)
+
+
+@st.composite
+def mixture_scores(draw):
+    """(N, G) component scores with ties, across magnitudes 1e-6..1e4,
+    sometimes with an all -inf row, and weights with zeros."""
+    N = draw(st.integers(1, 6))
+    G = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e2, 1e4]))
+    ties = st.sampled_from([-1.0, -0.5, 0.0])
+    vals = draw(
+        st.lists(st.floats(-1.0, 1.0) | ties, min_size=N * G, max_size=N * G)
+    )
+    comp = np.array(vals).reshape(N, G) * scale - scale
+    if draw(st.booleans()):
+        comp[draw(st.integers(0, N - 1))] = -np.inf
+    w = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0),
+                      min_size=G, max_size=G))
+    )
+    w[draw(st.integers(0, G - 1))] = 1.0
+    return comp, w / w.sum()
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixture_scores())
+@example((np.array([[-3.0], [-np.inf]]), np.array([1.0])))
+@example(
+    (np.array([[-2.0, -2.0, -5.0], [-np.inf] * 3]), np.array([0.5, 0.0, 0.5]))
+)
+def test_log_mixture_equals_logsumexp(case):
+    comp, w = case
+    with np.errstate(divide="ignore"):
+        scored = comp + np.log(w)[None, :]
+    got_scored, got = _log_mixture(comp, w)
+    assert np.array_equal(got_scored, scored)
+    assert np.array_equal(got, logsumexp(scored, axis=1))
+
+
+# Fuzzing the parsers: malformed input must raise ValidationError and
+# nothing else. Numbers are either small or beyond every size limit, so no
+# example allocates more than a few kilobytes.
+_HUGE = st.integers(_MAX_PREFLIB_CELLS + 1, 2**70)
+_NUMBER = (st.integers(-2, 12) | _HUGE | _HUGE.map(lambda v: -v)).map(str)
+_JUNK = st.text(alphabet=st.characters(max_codepoint=127), max_size=12)
+
+
+def _joined(token, sep, max_size):
+    return st.lists(token, max_size=max_size).map(sep.join)
+
+
+_CSV_TEXT = _joined(_joined(_NUMBER | _JUNK, ",", 8), "\n", 8) | st.text(
+    alphabet=st.characters(max_codepoint=127), max_size=200
+)
+
+_PREFLIB_LINE = (
+    st.builds("{}: {}".format, _NUMBER, _joined(_NUMBER, ",", 6))
+    | st.builds("# NUMBER ALTERNATIVES: {}".format, st.integers(0, 12) | _HUGE)
+    | st.text(alphabet="#:, \tabcNUMBERx-", max_size=20)
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_CSV_TEXT)
+@example("1,2,3\n2,99999999999999999999,1\n")
+@example("1,2\n\x00,1\n")
+def test_csv_parsing_fails_only_with_validation_error(tmp_path, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text)
+    for fmt in (ORDERING, RANKING):
+        try:
+            read_dataset(path, fmt)
+        except ValidationError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_joined(_PREFLIB_LINE, "\n", 8))
+@example("# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n")
+@example("1: 1,4000000000\n")
+def test_preflib_parsing_fails_only_with_validation_error(text):
+    try:
+        parse_preflib_text(text)
+    except ValidationError:
+        pass

@@ -43,6 +43,9 @@ def test_half_swapped_chain_restored():
     assert np.array_equal(out.deviance, chain.deviance)
     assert out.permutations[:5].tolist() == [[0, 1]] * 5
     assert out.permutations[5:].tolist() == [[1, 0]] * 5
+    # a relabeled chain is a chain: every consumer of GibbsChain takes it
+    assert isinstance(out, GibbsChain)
+    assert (out.n_iter, out.n_burn, out.seed) == (chain.n_iter, chain.n_burn, chain.seed)
 
 
 def test_relabel_idempotent():
