@@ -16,6 +16,11 @@ each unit's observed depth: complete orderings are sampled from the
 mixture at the draw and truncated to the unit's n_s. The conditional
 variant stratifies units by depth, sums the per-stratum discrepancies,
 and compares those totals.
+
+Both variants share one replicate per kept draw, so the CLI's plain and
+conditional p-values come from one simulation pass. Counts are taken per
+stratum; the plain statistics score the pooled counts, which are the
+integer sums of the stratum counts.
 """
 
 from __future__ import annotations
@@ -104,45 +109,40 @@ class PpcheckReport:
 
 
 def _check_one_chain(data: Dataset, chain: GibbsChain, rng, strata):
+    """(2, 4, n_kept) statistics of one chain, plain then conditional, each
+    holding top1 obs/rep and paired obs/rep, from one replicate per draw."""
     N, K = data.orderings.shape
-    G = chain.n_components
     if chain.n_items != K:
         raise ValidationError("chain item count does not match the data")
-    P3 = chain.supports_3d()
-    L = chain.n_kept
     # observed side: counts are fixed, expectations move with each draw
     obs_ranks = data.to_rank_positions()
     obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
     obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
     sizes = [idx.shape[0] for idx in strata]
 
-    t_obs = np.empty(L)
-    t_rep = np.empty(L)
-    q_obs = np.empty(L)
-    q_rep = np.empty(L)
-    for l in range(L):
-        p = P3[l]
+    stats = np.zeros((2, 4, chain.n_kept))
+    for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
         p = p / p.sum(axis=1, keepdims=True)
-        w = chain.W[l]
         pbar = w @ p
         rep = _replicate_orderings(p, w, data.nranked, rng)
         rep_ranks = rank_positions_of(rep, K + 1)
-        a = b = c = d = 0.0
-        for idx, r_o, tau_o, n_m in zip(strata, obs_r, obs_tau, sizes):
-            a += chi2_top1(r_o, n_m, pbar)
-            c += chi2_paired(tau_o, pbar)
-            r_rep = np.bincount(rep[idx, 0] - 1, minlength=K)
-            tau_rep = _pair_counts(rep_ranks[idx])
-            b += chi2_top1(r_rep, n_m, pbar)
-            d += chi2_paired(tau_rep, pbar)
-        t_obs[l], t_rep[l] = a, b
-        q_obs[l], q_rep[l] = c, d
-    p_top1 = float((t_rep >= t_obs).mean())
-    p_paired = float((q_rep >= q_obs).mean())
-    return p_top1, p_paired, t_obs, t_rep, q_obs, q_rep
+        rep_r = [np.bincount(rep[idx, 0] - 1, minlength=K) for idx in strata]
+        rep_tau = [_pair_counts(rep_ranks[idx]) for idx in strata]
+        pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
+        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
+        for k, groups in enumerate((pooled, per_stratum)):
+            for r_o, r_x, tau_o, tau_x, n in groups:
+                stats[k, :, l] += (
+                    chi2_top1(r_o, n, pbar),
+                    chi2_top1(r_x, n, pbar),
+                    chi2_paired(tau_o, pbar),
+                    chi2_paired(tau_x, pbar),
+                )
+    return stats
 
 
-def _run_checks(data: Dataset, chains, rng, conditional: bool) -> PpcheckReport:
+def _ppchecks(data: Dataset, chains, rng=None):
+    """Plain and conditional reports from one simulation pass."""
     if isinstance(chains, GibbsChain):
         chains = [chains]
     chains = list(chains)
@@ -150,31 +150,20 @@ def _run_checks(data: Dataset, chains, rng, conditional: bool) -> PpcheckReport:
         raise ValidationError("need at least one chain")
     if rng is None:
         rng = np.random.default_rng()
-    if conditional:
-        strata = [
-            np.nonzero(data.nranked == m)[0] for m in np.unique(data.nranked)
-        ]
-    else:
-        strata = [np.arange(data.n_units)]
-    gv, p1, p2, to_, tr_, qo_, qr_ = [], [], [], [], [], [], []
-    for chain in chains:
-        a, b, c, d, e, f = _check_one_chain(data, chain, rng, strata)
-        gv.append(chain.n_components)
-        p1.append(a)
-        p2.append(b)
-        to_.append(c)
-        tr_.append(d)
-        qo_.append(e)
-        qr_.append(f)
-    return PpcheckReport(
-        g_values=np.asarray(gv, dtype=np.int64),
-        p_top1=np.asarray(p1),
-        p_paired=np.asarray(p2),
-        top1_obs=to_,
-        top1_rep=tr_,
-        paired_obs=qo_,
-        paired_rep=qr_,
-        conditional=conditional,
+    strata = [np.nonzero(data.nranked == m)[0] for m in np.unique(data.nranked)]
+    stats = [_check_one_chain(data, chain, rng, strata) for chain in chains]
+    return tuple(
+        PpcheckReport(
+            g_values=np.asarray([c.n_components for c in chains], dtype=np.int64),
+            p_top1=np.asarray([(s[k, 1] >= s[k, 0]).mean() for s in stats]),
+            p_paired=np.asarray([(s[k, 3] >= s[k, 2]).mean() for s in stats]),
+            top1_obs=[s[k, 0] for s in stats],
+            top1_rep=[s[k, 1] for s in stats],
+            paired_obs=[s[k, 2] for s in stats],
+            paired_rep=[s[k, 3] for s in stats],
+            conditional=bool(k),
+        )
+        for k in (0, 1)
     )
 
 
@@ -186,10 +175,10 @@ def ppcheck(data: Dataset, chains, rng=None) -> PpcheckReport:
         chains: a GibbsChain or a sequence of them (one per candidate G).
         rng: numpy Generator driving the replicated datasets.
     """
-    return _run_checks(data, chains, rng, conditional=False)
+    return _ppchecks(data, chains, rng)[0]
 
 
 def ppcheck_cond(data: Dataset, chains, rng=None) -> PpcheckReport:
     """Depth-stratified variant: discrepancies are computed within each
     observed censoring depth and summed before comparison."""
-    return _run_checks(data, chains, rng, conditional=True)
+    return _ppchecks(data, chains, rng)[1]

@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import fileio
-from .assessment import ppcheck, ppcheck_cond
+from .assessment import _ppchecks
 from .data import Dataset, ORDERING, RANKING, ord_rank_switch, rank_summaries
-from .em import Hyperparams, _best_fits, _fan_out
+from .em import DEFAULT_TOL, Hyperparams, _best_fits, _fan_out
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
 from .gibbs import DEFAULT_N_BURN, DEFAULT_N_ITER, gibbs_run, init_from_map
@@ -222,12 +222,9 @@ def _cmd_simulate(opts: _Options) -> int:
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{params_path}: invalid JSON: {e}")
         try:
-            params = MixtureParams(
-                np.asarray(doc["supports"], dtype=np.float64),
-                np.asarray(doc["weights"], dtype=np.float64),
-            )
-        except KeyError as e:
-            raise ValidationError(f"{params_path}: missing {e}")
+            params = MixtureParams(doc["supports"], doc["weights"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"{params_path}: not a params file ({e})")
     else:
         params = MixtureParams.uniform(G, K)
     labels, data = sample_mixture(n, K, G, params, np.random.default_rng(seed))
@@ -256,7 +253,7 @@ def _cmd_fit_map(opts: _Options) -> int:
         raise ValidationError("--n-start must be >= 1")
     centered = opts.get("centered-start", default=False, cast=bool)
     max_iter = opts.get("max-iter", cast=int)
-    tol = opts.get("tol", default=1e-6, cast=float)
+    tol = opts.get("tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(opts)
     jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int)
     out = _out_dir(opts)
@@ -381,10 +378,8 @@ def _cmd_ppcheck(opts: _Options) -> int:
     chain_paths = opts.getlist("chain", required=True)
     seed = _seed(opts)
     chains = [fileio.read_chain_csv(p) for p in chain_paths]
-    ss = np.random.SeedSequence(seed)
-    r_plain, r_cond = [np.random.default_rng(c) for c in ss.spawn(2)]
-    plain = ppcheck(data, chains, r_plain)
-    cond = ppcheck_cond(data, chains, r_cond)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    plain, cond = _ppchecks(data, chains, rng)
     out = _out_dir(opts)
     fileio.write_ppcheck_csv(os.path.join(out, "ppcheck.csv"), plain, cond)
     fileio.write_ppcheck_json(os.path.join(out, "ppcheck.json"), plain, cond)

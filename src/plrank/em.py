@@ -50,8 +50,9 @@ def default_max_iter(G: int) -> int:
 class Hyperparams:
     """Gamma shapes (G x K), Gamma rates (G,), Dirichlet alphas (G,).
 
-    Scalars broadcast: Hyperparams(2.0, 0.5, 1.0, G=3, K=4) expands shape
-    to a full matrix and rate/alpha to vectors.
+    The constructor takes full arrays; Hyperparams.expand(2.0, 0.5, 1.0,
+    G=3, K=4) broadcasts scalars, expanding shape to a full matrix and
+    rate/alpha to vectors.
     """
 
     shape: np.ndarray

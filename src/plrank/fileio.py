@@ -24,6 +24,7 @@ from .data import (
     Dataset,
     ORDERING,
     RANKING,
+    binary_group_ind,
     ord_rank_switch,
     unit_to_freq,
     validate_ordering_matrix,
@@ -32,6 +33,7 @@ from .data import (
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
 from .gibbs import GibbsChain
+from .model import MixtureParams
 
 PREFLIB = "preflib"
 
@@ -50,9 +52,17 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------- datasets
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def read_sequence_csv(path) -> np.ndarray:
-    """Integer sequence matrix from CSV; a non-numeric first row is
-    treated as a header and skipped."""
+    """Integer sequence matrix from CSV; a first row holding a token that
+    is not a number is treated as a header and skipped."""
     rows = []
     lines = []
     with open(path, newline="") as fh:
@@ -65,7 +75,7 @@ def read_sequence_csv(path) -> np.ndarray:
                 try:
                     rows.append([int(c) for c in rec])
                 except ValueError:
-                    if i == 0:
+                    if i == 0 and not all(map(_is_number, rec)):
                         continue
                     raise ValidationError(
                         f"{path}: line {i + 1}: non-integer entry"
@@ -349,35 +359,33 @@ def read_map_json(path) -> MapFit:
         G = int(doc["n_components"])
         supports = np.asarray(doc["supports"], dtype=np.float64)
         weights = np.asarray(doc["weights"], dtype=np.float64)
-        raw = np.asarray(doc["supports_raw"], dtype=np.float64)
+        MixtureParams(supports, weights)  # positive supports, simplex weights
+        if supports.ndim != 2 or supports.shape[0] != G:
+            raise ValidationError("malformed supports")
         labels = np.asarray(doc["labels"], dtype=np.int64)
-        hyper = Hyperparams(
-            np.asarray(doc["hyper"]["shape"], dtype=np.float64),
-            np.asarray(doc["hyper"]["rate"], dtype=np.float64),
-            np.asarray(doc["hyper"]["alpha"], dtype=np.float64),
+        fin = doc.get("final_log_posts")
+        bic = doc.get("bic")
+        return MapFit(
+            supports=supports,
+            weights=weights,
+            supports_raw=np.asarray(doc["supports_raw"], dtype=np.float64),
+            responsibilities=binary_group_ind(labels, G).astype(np.float64),
+            labels=labels,
+            log_post_trace=np.asarray(doc["log_post_trace"], dtype=np.float64),
+            log_lik=float(doc["log_lik"]),
+            converged=bool(doc["converged"]),
+            n_iter_used=int(doc["n_iter_used"]),
+            bic=None if bic is None else float(bic),
+            hyper=Hyperparams(
+                np.asarray(doc["hyper"]["shape"], dtype=np.float64),
+                np.asarray(doc["hyper"]["rate"], dtype=np.float64),
+                np.asarray(doc["hyper"]["alpha"], dtype=np.float64),
+            ),
+            final_log_posts=None if fin is None else np.asarray(fin, dtype=np.float64),
+            best_start=doc.get("best_start"),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: not a fit file ({e})") from None
-    if supports.ndim != 2 or supports.shape[0] != G:
-        raise ValidationError(f"{path}: malformed supports")
-    onehot = np.zeros((labels.shape[0], G), dtype=np.float64)
-    onehot[np.arange(labels.shape[0]), labels - 1] = 1.0
-    fin = doc.get("final_log_posts")
-    return MapFit(
-        supports=supports,
-        weights=weights,
-        supports_raw=raw,
-        responsibilities=onehot,
-        labels=labels,
-        log_post_trace=np.asarray(doc["log_post_trace"], dtype=np.float64),
-        log_lik=float(doc["log_lik"]),
-        converged=bool(doc["converged"]),
-        n_iter_used=int(doc["n_iter_used"]),
-        bic=None if doc.get("bic") is None else float(doc["bic"]),
-        hyper=hyper,
-        final_log_posts=None if fin is None else np.asarray(fin, dtype=np.float64),
-        best_start=doc.get("best_start"),
-    )
 
 
 # ----------------------------------------------------------------- reports
@@ -406,24 +414,22 @@ def write_selection_json(path, report) -> None:
     )
 
 
-def ppcheck_rows(plain, cond=None) -> list[dict]:
-    rows = []
-    for i, g in enumerate(plain.g_values):
-        row = {
+def ppcheck_rows(plain, cond) -> list[dict]:
+    return [
+        {
             "G": int(g),
             "post_pred_pvalue_top1": float(plain.p_top1[i]),
             "post_pred_pvalue_paired": float(plain.p_paired[i]),
+            "post_pred_pvalue_top1_cond": float(cond.p_top1[i]),
+            "post_pred_pvalue_paired_cond": float(cond.p_paired[i]),
         }
-        if cond is not None:
-            row["post_pred_pvalue_top1_cond"] = float(cond.p_top1[i])
-            row["post_pred_pvalue_paired_cond"] = float(cond.p_paired[i])
-        rows.append(row)
-    return rows
+        for i, g in enumerate(plain.g_values)
+    ]
 
 
-def write_ppcheck_csv(path, plain, cond=None) -> None:
+def write_ppcheck_csv(path, plain, cond) -> None:
     _write_table_csv(path, ppcheck_rows(plain, cond))
 
 
-def write_ppcheck_json(path, plain, cond=None) -> None:
+def write_ppcheck_json(path, plain, cond) -> None:
     _write_json(path, {"checks": ppcheck_rows(plain, cond)})

@@ -97,6 +97,11 @@ def test_ppcheck_values_and_determinism():
     # p-values recompute from the stored draws with a weak inequality
     assert a.p_top1[0] == (a.top1_rep[0] >= a.top1_obs[0]).mean()
     assert a.p_paired[0] == (a.paired_rep[0] >= a.paired_obs[0]).mean()
+    # complete data form a single depth stratum, so both variants agree
+    c = ppcheck_cond(data, [chain], np.random.default_rng(9))
+    for name in ("top1_obs", "top1_rep", "paired_obs", "paired_rep"):
+        assert np.array_equal(getattr(a, name)[0], getattr(c, name)[0])
+    assert a.p_top1[0] == c.p_top1[0] and a.p_paired[0] == c.p_paired[0]
 
 
 def test_ppcheck_conditional_stratifies():

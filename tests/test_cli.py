@@ -291,3 +291,121 @@ def test_oversized_input_is_a_validation_error(tmp_path, capsys, fmt, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"]["type"] == "validation"
+
+
+def _ppcheck_inputs(tmp_path):
+    """Partial orderings (three depth strata) and chains at G=1 and G=2."""
+    from plrank import Dataset, gibbs_run, write_chain_csv
+    from plrank.fileio import write_sequence_csv
+    from oracles import random_partial_matrix
+
+    mat, _ = random_partial_matrix(np.random.default_rng(0), 120, 4)
+    src = tmp_path / "ord.csv"
+    write_sequence_csv(src, mat)
+    data = Dataset.from_orderings(mat)
+    chains = []
+    for G in (1, 2):
+        path = tmp_path / f"chain_G{G}.csv"
+        write_chain_csv(path, gibbs_run(data, G, n_iter=50, n_burn=10, rng=G))
+        chains.append(path)
+    args = ["--input", src, "--format", "ordering"]
+    for path in chains:
+        args += ["--chain", path]
+    return data, [read_chain_csv(p) for p in chains], args
+
+
+def test_ppcheck_simulates_one_replicate_per_draw(tmp_path, monkeypatch):
+    from plrank import assessment
+
+    _, chains, args = _ppcheck_inputs(tmp_path)
+    real = assessment._replicate_orderings
+    calls = []
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(assessment, "_replicate_orderings", counting)
+    out = tmp_path / "ppc"
+    assert run(["ppcheck", *args, "--seed", 13, "--out", out]) == 0
+    assert len(calls) == sum(c.n_kept for c in chains)
+
+
+def test_ppcheck_cli_matches_library_on_one_stream(tmp_path):
+    from plrank import ppcheck, ppcheck_cond
+    from plrank.fileio import ppcheck_rows
+
+    data, chains, args = _ppcheck_inputs(tmp_path)
+    out = tmp_path / "ppc"
+    assert run(["ppcheck", *args, "--seed", 13, "--out", out]) == 0
+    doc = json.loads((out / "ppcheck.json").read_text())
+
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence(13).spawn(1)[0])
+
+    plain = ppcheck(data, chains, stream())
+    cond = ppcheck_cond(data, chains, stream())
+    assert doc["checks"] == ppcheck_rows(plain, cond)
+
+
+def _assert_validation_exit(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d.pop("log_lik"),
+        lambda d: d.update(labels=[0] + d["labels"][1:]),
+        lambda d: d.update(labels=[3] + d["labels"][1:]),
+        lambda d: d.update(weights=[1.0]),
+        lambda d: d.update(supports="abc"),
+    ],
+    ids=["no-log-lik", "label-0", "label-above-G", "one-weight", "text"],
+)
+def test_malformed_fit_json_is_a_validation_error(tmp_path, capsys, corrupt):
+    data = tmp_path / "sim"
+    run(["simulate", "--n", 40, "--K", 3, "--G", 2, "--seed", 1, "--out", data])
+    src = ["--input", data / "orderings.csv", "--format", "ordering", "--G", 2]
+    fits = tmp_path / "fits"
+    assert run(["fit-map", *src, "--max-iter", 5, "--seed", 2,
+                "--parallel", 1, "--out", fits]) == 0
+    gibbs = tmp_path / "gibbs"
+    assert run(["fit-gibbs", *src, "--n-iter", 5, "--n-burn", 1, "--rate", 0.001,
+                "--seed", 3, "--parallel", 1, "--out", gibbs]) == 0
+    capsys.readouterr()
+    doc = json.loads((fits / "map_G2.json").read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_validation_exit(
+        capsys,
+        ["relabel", "--chain", gibbs / "chain_G2.csv", "--pivot", bad,
+         "--out", tmp_path / "rel"],
+    )
+    _assert_validation_exit(
+        capsys,
+        ["fit-gibbs", *src, "--n-iter", 5, "--n-burn", 1, "--seed", 3,
+         "--init-from", bad, "--parallel", 1, "--out", tmp_path / "g2"],
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"supports": "abc", "weights": [1.0]}',
+        '{"supports": [[1, 2, 3], [1, 2]], "weights": [0.5, 0.5]}',
+    ],
+)
+def test_malformed_params_json_is_a_validation_error(tmp_path, capsys, text):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    _assert_validation_exit(
+        capsys,
+        ["simulate", "--n", 10, "--K", 3, "--params", params, "--seed", 1,
+         "--out", tmp_path / "sim"],
+    )

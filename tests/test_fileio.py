@@ -68,6 +68,11 @@ def test_sequence_csv_malformed(tmp_path):
     bad.write_text("3,1,2\n\n1,2,-9223372036854775809\n")
     with pytest.raises(ValidationError, match="line 3: entry outside int64"):
         read_sequence_csv(bad)
+    # a numeric first row that int() rejects is an error, not a header
+    for first in ("1" * 5000 + ",2,3\n1,2,3\n", "1.0,2,3\n2,1,3\n"):
+        bad.write_text(first)
+        with pytest.raises(ValidationError, match="line 1"):
+            read_sequence_csv(bad)
 
 
 def test_preflib_golden():
