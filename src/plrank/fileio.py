@@ -33,7 +33,7 @@ from .data import (
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import MixtureParams
+from .model import MixtureParams, _check_mixture_arrays
 
 PREFLIB = "preflib"
 
@@ -281,13 +281,14 @@ def read_chain_csv(path) -> GibbsChain:
         raise ValidationError(f"{path}: non-numeric trace entry") from None
     if arr.shape[1] != len(expect):
         raise ValidationError(f"{path}: ragged trace rows")
-    L = arr.shape[0]
+    P, W = arr[:, : G * K], arr[:, G * K : G * K + G]
+    _check_mixture_arrays(P, W, f"{path}: ")
     return GibbsChain(
-        P=arr[:, : G * K],
-        W=arr[:, G * K : G * K + G],
+        P=P,
+        W=W,
         log_lik=arr[:, -2],
         deviance=arr[:, -1],
-        n_iter=L,
+        n_iter=arr.shape[0],
         n_burn=0,
         seed=None,
     )
@@ -362,15 +363,15 @@ def read_map_json(path) -> MapFit:
         MixtureParams(supports, weights)  # positive supports, simplex weights
         if supports.ndim != 2 or supports.shape[0] != G:
             raise ValidationError("malformed supports")
-        labels = np.asarray(doc["labels"], dtype=np.int64)
+        onehot = binary_group_ind(doc["labels"], G)
         fin = doc.get("final_log_posts")
         bic = doc.get("bic")
         return MapFit(
             supports=supports,
             weights=weights,
             supports_raw=np.asarray(doc["supports_raw"], dtype=np.float64),
-            responsibilities=binary_group_ind(labels, G).astype(np.float64),
-            labels=labels,
+            responsibilities=onehot.astype(np.float64),
+            labels=np.argmax(onehot, axis=1) + 1,
             log_post_trace=np.asarray(doc["log_post_trace"], dtype=np.float64),
             log_lik=float(doc["log_lik"]),
             converged=bool(doc["converged"]),

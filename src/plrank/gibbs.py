@@ -9,6 +9,11 @@ this makes every full conditional standard. One sweep updates, in order:
     supports    | times, memberships    ~ Gamma
     memberships | everything else       ~ categorical per unit
 
+The stage-time rates are read from the stage table of the current supports
+(model._stage_table): the membership step builds that table for every unit
+and component, and the next sweep's stage times take each unit's row under
+its own component from it, so one gather of remaining masses serves both.
+
 With a single component the weight and membership moves are skipped. The
 recorded trace stores supports normalized within component (the sampler
 itself runs on the unnormalized state), the mixture log-likelihood of the
@@ -28,7 +33,6 @@ from .model import (
     _availability_sums,
     _log_mixture,
     _one_row,
-    _remaining_mass,
     _stage_table,
     _table_logliks,
 )
@@ -78,21 +82,8 @@ def stage_rates(ordering_row, supports) -> np.ndarray:
     """Exponential rates of the latent stage times for one unit: the
     remaining support mass before each of its n_s selections."""
     row, p = _one_row(ordering_row, supports)
-    n_s = int((row != 0).sum())
-    return _unit_rates(Dataset.from_orderings(row[None, :]), p[None, :])[0, :n_s]
-
-
-def _unit_rates(data: Dataset, p_unit: np.ndarray) -> np.ndarray:
-    """Stage-time rates of every unit under its own support row.
-
-    p_unit is N x K, one support row per unit; the result is N x K, the
-    remaining mass before each stage, with the unranked mass beyond a
-    unit's depth.
-    """
-    mask = data.stage_mask
-    sel = np.take_along_axis(p_unit, np.where(mask, data.item_idx, 0), axis=1)
-    sel[~mask] = 0.0
-    return _remaining_mass(sel, ((1 - data.u) * p_unit).sum(axis=1))
+    rem = _stage_table(Dataset.from_orderings(row[None, :]), p[None, :])[1]
+    return rem[0, row != 0, 0]
 
 
 def init_from_map(fit: MapFit) -> dict:
@@ -179,19 +170,13 @@ def gibbs_run(
         if "z" in init and init["z"] is not None:
             z0 = np.asarray(init["z"])
             if z0.ndim == 2:
-                ok = (
-                    z0.shape == (N, G)
-                    and np.isin(z0, (0, 1)).all()
-                    and (z0.sum(axis=1) == 1).all()
-                )
-                if not ok:
+                onehot = np.isin(z0, (0, 1)).all() and (z0.sum(axis=1) == 1).all()
+                if z0.shape != (N, G) or not onehot:
                     raise ValidationError("init z must be one-hot N x G")
-                g_of_s = np.argmax(z0, axis=1)
-            else:
-                lab = np.asarray(z0, dtype=np.int64)
-                if lab.shape != (N,) or lab.min() < 1 or lab.max() > G:
-                    raise ValidationError("init z labels must be 1..G, length N")
-                g_of_s = lab - 1
+                z0 = np.argmax(z0, axis=1) + 1
+            if z0.shape != (N,):
+                raise ValidationError("init z labels must have length N")
+            g_of_s = np.argmax(binary_group_ind(z0, G), axis=1)
     if p is None:
         p = rng.uniform(0.01, 1.0, (G, K))
     if g_of_s is None:
@@ -200,9 +185,15 @@ def gibbs_run(
 
     # with every rate zero the posterior leaves the overall scale of the
     # supports free and the raw chain random-walks in it; the sweep kernel
-    # commutes with a global rescaling then, so projecting the state back
-    # to mean row total one between sweeps is exact, not an approximation
+    # commutes with a global rescaling then, so projecting the state (the
+    # supports and their stage table) back to mean row total one between
+    # sweeps is exact, not an approximation
     free_scale = bool(np.all(hyper.rate == 0.0))
+
+    # the stage times read their rates from the stage table of the current
+    # supports; the membership step of each sweep rebuilds it
+    rem = _stage_table(data, p)[1]
+    units = np.arange(N)
 
     L = n_iter - n_burn
     P_out = np.empty((L, G * K))
@@ -211,7 +202,8 @@ def gibbs_run(
 
     for sweep in range(1, n_iter + 1):
         if free_scale:
-            p = p * (G / p.sum())
+            scale = G / p.sum()
+            p, rem = p * scale, rem * scale
 
         # weights | memberships
         if G > 1:
@@ -219,7 +211,7 @@ def gibbs_run(
             w = rng.dirichlet(hyper.alpha + counts)
 
         # stage times | memberships, supports
-        y = rng.standard_exponential((N, K)) / _unit_rates(data, p[g_of_s])
+        y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
         y[~data.stage_mask] = 0.0
 
         # supports | times, memberships

@@ -32,10 +32,7 @@ class MixtureParams:
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
         if p.ndim != 2 or w.ndim != 1 or w.shape[0] != p.shape[0]:
             raise ValidationError("supports must be G x K with G weights")
-        if not np.isfinite(p).all() or (p <= 0).any():
-            raise ValidationError("supports must be positive and finite")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-            raise ValidationError("weights must be nonnegative and sum to 1")
+        _check_mixture_arrays(p, w)
         p = p.copy()
         w = w.copy()
         p.setflags(write=False)
@@ -61,6 +58,15 @@ class MixtureParams:
         return NormalizedParams(rows, self.weights.copy(), marginal)
 
 
+def _check_mixture_arrays(p: np.ndarray, w: np.ndarray, where: str = "") -> None:
+    """Supports p must be positive and finite, weights w nonnegative with
+    each row (last axis) summing to 1 within 1e-12; NaN fails both."""
+    if not ((0 < p) & (p < np.inf)).all():
+        raise ValidationError(f"{where}supports must be positive and finite")
+    if (w < 0).any() or not (np.abs(w.sum(axis=-1) - 1.0) <= 1e-12).all():
+        raise ValidationError(f"{where}weights must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedParams:
     """Presentation form: support rows on the simplex plus the
@@ -81,14 +87,12 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
 def _remaining_mass(sel: np.ndarray, unranked: np.ndarray) -> np.ndarray:
     """Support mass still available before each stage.
 
-    sel holds the support chosen at each stage (axis 1), zero beyond the
-    unit's depth, in any trailing shape: (N, K) for one support row per
-    unit, (N, K, G) for every component. unranked, shaped like sel without
-    the stage axis, is the summed support of the items the unit leaves
-    unranked. The result is the suffix sum of sel plus that mass: a sum
-    of positive terms, exact to rounding at late stages where the running
-    difference total - consumed cancels. Beyond a unit's depth it holds
-    the unranked mass.
+    sel (N, K, G) holds the support chosen at each stage under every
+    component, zero beyond the unit's depth; unranked (N, G) is the summed
+    support of the items the unit leaves unranked. The result is the
+    suffix sum of sel plus that mass: a sum of positive terms, exact to
+    rounding at late stages where the running difference total - consumed
+    cancels. Beyond a unit's depth it holds the unranked mass.
     """
     rem = np.cumsum(sel[:, ::-1], axis=1)[:, ::-1]
     rem += unranked[:, None]
@@ -101,12 +105,12 @@ def _stage_table(data: Dataset, p: np.ndarray):
     Returns (log_num, rem): log_num[s, g] sums log p[g, i] over the items
     unit s ranks, and rem[s, t, g] is the remaining mass before stage t
     under row g, set to 1 beyond the unit's depth so that its log adds 0.
+    The -1 pad of data.item_idx picks a zero row appended to the supports,
+    so stages beyond a unit's depth choose mass 0.
     """
-    mask = data.stage_mask
-    sel = p.T[np.where(mask, data.item_idx, 0)]
-    sel[~mask] = 0.0
+    sel = np.vstack([p.T, np.zeros(len(p))])[data.item_idx]
     rem = _remaining_mass(sel, (1 - data.u) @ p.T)
-    rem[~mask] = 1.0
+    rem[~data.stage_mask] = 1.0
     return data.u @ np.log(p).T, rem
 
 
@@ -121,13 +125,14 @@ def _availability_sums(data: Dataset, x: np.ndarray) -> np.ndarray:
     the item was still available: the prefix sum through the stage that
     chose it, or the full sum for an unranked item. Scattering prefix sums
     of nonnegative terms keeps the accumulation free of cancellation.
+    Through the -1 pad of data.item_idx, stages beyond a unit's depth
+    write to a spare column K, which is dropped.
     """
-    N, K = data.orderings.shape
     cum = np.cumsum(x, axis=1)
-    out = np.repeat(cum[np.arange(N), data.nranked - 1][:, None], K, axis=1)
-    rows, cols = np.nonzero(data.stage_mask)
-    out[rows, data.item_idx[rows, cols]] = cum[rows, cols]
-    return out
+    out = np.repeat(cum[:, -1:], x.shape[1] + 1, axis=1)
+    idx = data.item_idx.reshape(data.item_idx.shape + (1,) * (x.ndim - 2))
+    np.put_along_axis(out, idx, cum, axis=1)
+    return out[:, :-1]
 
 
 def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:

@@ -43,6 +43,21 @@ def ordering_row_loglik(items, p):
     return ll
 
 
+def stage_remainders_direct(items, p):
+    """Support mass still available before each stage of one top-t
+    ordering, as a correctly rounded sum (math.fsum) over the explicit
+    set of items not yet chosen.
+
+    items: 1-based item labels in preference order; p: positive supports.
+    """
+    avail = set(range(1, len(p) + 1))
+    out = []
+    for it in items:
+        out.append(math.fsum(float(p[j - 1]) for j in sorted(avail)))
+        avail.remove(it)
+    return np.array(out)
+
+
 def mixture_loglik_direct(supports, weights, orderings, nranked):
     """Observed-data mixture log-likelihood by brute force."""
     supports = np.asarray(supports, dtype=float)

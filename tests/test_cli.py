@@ -355,6 +355,22 @@ def _assert_validation_exit(capsys, argv):
     assert json.loads(err[0])["error"]["type"] == "validation"
 
 
+@pytest.fixture(scope="module")
+def fit_and_chain(tmp_path_factory):
+    """A simulated dataset with a G=2 MAP fit and a G=2 chain file."""
+    tmp = tmp_path_factory.mktemp("fit_and_chain")
+    data = tmp / "sim"
+    run(["simulate", "--n", 40, "--K", 3, "--G", 2, "--seed", 1, "--out", data])
+    src = ["--input", data / "orderings.csv", "--format", "ordering"]
+    fits = tmp / "fits"
+    assert run(["fit-map", *src, "--G", 2, "--max-iter", 5, "--seed", 2,
+                "--parallel", 1, "--out", fits]) == 0
+    gibbs = tmp / "gibbs"
+    assert run(["fit-gibbs", *src, "--G", 2, "--n-iter", 5, "--n-burn", 1,
+                "--rate", 0.001, "--seed", 3, "--parallel", 1, "--out", gibbs]) == 0
+    return src, fits / "map_G2.json", gibbs / "chain_G2.csv"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -363,32 +379,27 @@ def _assert_validation_exit(capsys, argv):
         lambda d: d.update(labels=[3] + d["labels"][1:]),
         lambda d: d.update(weights=[1.0]),
         lambda d: d.update(supports="abc"),
+        lambda d: d.update(labels=[1.5] + d["labels"][1:]),
     ],
-    ids=["no-log-lik", "label-0", "label-above-G", "one-weight", "text"],
+    ids=["no-log-lik", "label-0", "label-above-G", "one-weight", "text",
+         "label-fraction"],
 )
-def test_malformed_fit_json_is_a_validation_error(tmp_path, capsys, corrupt):
-    data = tmp_path / "sim"
-    run(["simulate", "--n", 40, "--K", 3, "--G", 2, "--seed", 1, "--out", data])
-    src = ["--input", data / "orderings.csv", "--format", "ordering", "--G", 2]
-    fits = tmp_path / "fits"
-    assert run(["fit-map", *src, "--max-iter", 5, "--seed", 2,
-                "--parallel", 1, "--out", fits]) == 0
-    gibbs = tmp_path / "gibbs"
-    assert run(["fit-gibbs", *src, "--n-iter", 5, "--n-burn", 1, "--rate", 0.001,
-                "--seed", 3, "--parallel", 1, "--out", gibbs]) == 0
+def test_malformed_fit_json_is_a_validation_error(
+    tmp_path, capsys, fit_and_chain, corrupt
+):
+    src, fit, chain = fit_and_chain
     capsys.readouterr()
-    doc = json.loads((fits / "map_G2.json").read_text())
+    doc = json.loads(fit.read_text())
     corrupt(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     _assert_validation_exit(
         capsys,
-        ["relabel", "--chain", gibbs / "chain_G2.csv", "--pivot", bad,
-         "--out", tmp_path / "rel"],
+        ["relabel", "--chain", chain, "--pivot", bad, "--out", tmp_path / "rel"],
     )
     _assert_validation_exit(
         capsys,
-        ["fit-gibbs", *src, "--n-iter", 5, "--n-burn", 1, "--seed", 3,
+        ["fit-gibbs", *src, "--G", 2, "--n-iter", 5, "--n-burn", 1, "--seed", 3,
          "--init-from", bad, "--parallel", 1, "--out", tmp_path / "g2"],
     )
 
@@ -408,4 +419,42 @@ def test_malformed_params_json_is_a_validation_error(tmp_path, capsys, text):
         capsys,
         ["simulate", "--n", 10, "--K", 3, "--params", params, "--seed", 1,
          "--out", tmp_path / "sim"],
+    )
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        (0, "-0.5"),
+        (1, "0"),
+        (2, "nan"),
+        (3, "inf"),
+        (6, "-0.1"),
+        (7, "nan"),
+        (7, "inf"),
+        (6, "shift"),
+    ],
+    ids=["support-negative", "support-zero", "support-nan", "support-inf",
+         "weight-negative", "weight-nan", "weight-inf", "weights-off-simplex"],
+)
+def test_malformed_chain_csv_is_a_validation_error(
+    tmp_path, capsys, fit_and_chain, column, value
+):
+    src, fit, chain = fit_and_chain
+    lines = chain.read_text().splitlines()
+    cells = lines[2].split(",")
+    # a shift of 1e-9 keeps the weight valid but moves its row off the simplex
+    cells[column] = repr(float(cells[column]) + 1e-9) if value == "shift" else value
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    _assert_validation_exit(
+        capsys, ["select", *src, "--map", fit, "--chain", bad, "--out", tmp_path / "s"]
+    )
+    _assert_validation_exit(
+        capsys, ["ppcheck", *src, "--chain", bad, "--seed", 4, "--out", tmp_path / "p"]
+    )
+    _assert_validation_exit(
+        capsys, ["relabel", "--chain", bad, "--pivot", fit, "--out", tmp_path / "r"]
     )

@@ -116,6 +116,12 @@ def test_init_validation():
             n_iter=10, n_burn=0, rng=1,
         )
     with pytest.raises(ValidationError):
+        gibbs_run(
+            data, 2,
+            init={"p": np.ones((2, 3)), "z": np.array([1.5, 2.0, 1.0, 2.9] + [1] * 6)},
+            n_iter=10, n_burn=0, rng=1,
+        )
+    with pytest.raises(ValidationError):
         gibbs_run(data, 1, n_iter=5, n_burn=5, rng=1)  # nothing kept
 
 

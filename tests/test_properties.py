@@ -21,9 +21,9 @@ from plrank import (
 from plrank.data import ORDERING, RANKING
 from plrank.errors import ValidationError
 from plrank.fileio import _MAX_PREFLIB_CELLS, parse_preflib_text
-from plrank.gibbs import _unit_rates, stage_rates
-from plrank.model import _log_mixture, component_stage_logliks
-from oracles import ordering_row_loglik
+from plrank.gibbs import stage_rates
+from plrank.model import _log_mixture, _stage_table, component_stage_logliks
+from oracles import ordering_row_loglik, stage_remainders_direct
 
 LOG_TINY = math.log(1e-300)
 
@@ -76,10 +76,24 @@ def test_sweep_rates_equal_stage_rates(case, rnd):
     mat, p = case
     data = Dataset.from_orderings(mat)
     g_of_s = np.array([rnd.randrange(p.shape[0]) for _ in range(mat.shape[0])])
-    rates = _unit_rates(data, p[g_of_s])
+    # the expression the sweep draws its stage times with
+    rates = _stage_table(data, p)[1][np.arange(mat.shape[0]), :, g_of_s]
     for s, row in enumerate(mat):
         want = stage_rates(row, p[g_of_s[s]])
         assert np.array_equal(rates[s, : want.shape[0]], want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordering_and_supports())
+def test_stage_rates_match_oracle(case):
+    mat, p = case
+    for row in mat:
+        items = [int(v) for v in row if v]
+        for g in range(p.shape[0]):
+            want = stage_remainders_direct(items, p[g])
+            got = stage_rates(row, p[g])
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-15 * want).all()
 
 
 @settings(max_examples=100, deadline=None)
