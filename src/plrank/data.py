@@ -13,7 +13,9 @@ rows are normalized to complete at ingestion and observed depths live in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +120,21 @@ def ord_rank_switch(data, format: str) -> np.ndarray:
     return out
 
 
+def _group_rows(arr: np.ndarray):
+    """Distinct rows of an integer matrix in lexicographic order, their
+    counts, and each row's distinct-row index, all read-only: one lexsort
+    over the columns, then a diff of neighbouring sorted rows."""
+    order = np.lexsort(arr.T[::-1])
+    ranked = arr[order]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    out = ranked[new], np.bincount(index), index
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _complete_penultimate(arr: np.ndarray) -> np.ndarray:
     """Fill the forced last item of rows ranking exactly K-1 items."""
     K = arr.shape[1]
@@ -167,6 +184,10 @@ class PartialRanking:
         return PartialOrdering(ord_rank_switch(self.entries, RANKING)[0])
 
 
+# Dataset.patterns: distinct rows (a Dataset), their counts, each unit's row
+Patterns = namedtuple("Patterns", "rows counts index")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """N units of partial orderings over K items.
@@ -206,6 +227,12 @@ class Dataset:
     @classmethod
     def from_rankings(cls, matrix) -> "Dataset":
         return cls.from_orderings(ord_rank_switch(matrix, RANKING))
+
+    @cached_property
+    def patterns(self) -> Patterns:
+        """Distinct rows (lexicographic), built on first use by the fitters."""
+        rows, counts, index = _group_rows(self.orderings)
+        return Patterns(Dataset.from_orderings(rows), counts, index)
 
     @property
     def n_units(self) -> int:
@@ -290,9 +317,10 @@ def unit_to_freq(data) -> FreqTable:
     """
     if isinstance(data, Dataset):
         data = data.orderings
-    arr = _as_int_matrix(data)
-    seq, cnt = np.unique(arr, axis=0, return_counts=True)
-    return FreqTable(seq, cnt)
+    seq, cnt, _ = _group_rows(_as_int_matrix(data))
+    table = object.__new__(FreqTable)  # distinct, positive counts: no re-check
+    table.__dict__.update(sequences=seq, counts=cnt)
+    return table
 
 
 def freq_to_unit(freq: FreqTable) -> np.ndarray:

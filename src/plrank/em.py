@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Patterns
 from .errors import NumericalError, ValidationError
 from .model import (
     MixtureParams,
@@ -118,22 +118,22 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
     return float(sup + wterm)
 
 
-def _e_step(weights: np.ndarray, table):
-    """Responsibilities, per-unit log mixture terms, and log-likelihood,
-    from the weights and the _stage_table of the current supports."""
-    scored, per_unit = _log_mixture(_table_logliks(*table), weights)
-    if not np.isfinite(per_unit).all():
-        bad = int(np.nonzero(~np.isfinite(per_unit))[0][0])
+def _e_step(params: MixtureParams, pat: Patterns):
+    """Responsibilities, log-likelihood and remaining-mass table (D x K x G)
+    of the parameters, on the D distinct rows of the pattern view pat."""
+    log_num, rem = _stage_table(pat.rows, params.supports)
+    scored, per_row = _log_mixture(_table_logliks(log_num, rem), params.weights)
+    if not np.isfinite(per_row).all():
+        bad = int(np.nonzero(~np.isfinite(per_row[pat.index]))[0][0])
         raise NumericalError(f"unit {bad} has no support under any component")
-    zhat = np.exp(scored - per_unit[:, None])
-    return zhat, per_unit, float(per_unit.sum())
+    return np.exp(scored - per_row[:, None]), float(pat.counts @ per_row), rem
 
 
-def _m_step(data: Dataset, hyper: Hyperparams, zhat: np.ndarray,
-            rem: np.ndarray) -> MixtureParams:
-    """Closed-form update from responsibilities and the remaining-mass
-    table rem (N x K x G) of the previous supports."""
-    N, G = zhat.shape
+def _m_step(pat: Patterns, hyper: Hyperparams, zhat, rem) -> MixtureParams:
+    """Closed-form update from an _e_step at the previous parameters; each
+    distinct row's terms count once per unit showing it."""
+    data, zhat = pat.rows, zhat * pat.counts[:, None]
+    N, G = pat.index.size, zhat.shape[1]
     numer = hyper.shape - 1.0 + zhat.T @ data.u
     if (numer < 0).any():
         g, i = np.argwhere(numer < 0)[0]
@@ -143,9 +143,8 @@ def _m_step(data: Dataset, hyper: Hyperparams, zhat: np.ndarray,
         )
     r = 1.0 / rem
     r[~data.stage_mask] = 0.0
-    denom = hyper.rate[:, None] + np.einsum(
-        "sg,sig->gi", zhat, _availability_sums(data, r)
-    )
+    avail = _availability_sums(data.item_idx, r)
+    denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_new = numer / denom
     tiny = ~np.isfinite(p_new) | (p_new <= SUPPORT_FLOOR)
@@ -178,9 +177,9 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
     """
     if hyper.n_components != params.n_components:
         raise ValidationError("hyper and params disagree on G")
-    table = _stage_table(data, params.supports)
-    zhat, _, _ = _e_step(params.weights, table)
-    return _m_step(data, hyper, zhat, table[1]), zhat
+    pat = data.patterns
+    zhat, _, rem = _e_step(params, pat)
+    return _m_step(pat, hyper, zhat, rem), zhat[pat.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +279,8 @@ def fit_map(
         raise ValidationError("hyper dimensions must match (G, K)")
     if max_iter is None:
         max_iter = default_max_iter(G)
+    if max_iter < 0:
+        raise ValidationError("max_iter must be >= 0")
     if init is None:
         if rng is None:
             rng = np.random.default_rng()
@@ -289,16 +290,13 @@ def fit_map(
             raise ValidationError("init dimensions must match (G, K)")
         params = init
 
+    pat = data.patterns
     trace = []
-    zhat = None
-    log_lik = -np.inf
     converged = False
     n_done = 0
     prev = None
     for it in range(max_iter + 1):
-        # one table per iteration serves the E-step and the M-step
-        table = _stage_table(data, params.supports)
-        zhat, _, log_lik = _e_step(params.weights, table)
+        zhat, log_lik, rem = _e_step(params, pat)
         lp = log_lik + log_prior(params, hyper)
         if not np.isfinite(lp):
             raise NumericalError(f"log posterior not finite at iteration {it}")
@@ -309,9 +307,10 @@ def fit_map(
         if it == max_iter:
             break
         prev = lp
-        params = _m_step(data, hyper, zhat, table[1])
+        params = _m_step(pat, hyper, zhat, rem)
         n_done = it + 1
 
+    zhat = zhat[pat.index]
     labels = np.argmax(zhat, axis=1) + 1
     norm = params.supports / params.supports.sum(axis=1, keepdims=True)
     fit_bic = bic(log_lik, data.n_items, G, data.n_units) if hyper.is_flat else None

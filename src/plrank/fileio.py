@@ -283,6 +283,8 @@ def read_chain_csv(path) -> GibbsChain:
         raise ValidationError(f"{path}: ragged trace rows")
     P, W = arr[:, : G * K], arr[:, G * K : G * K + G]
     _check_mixture_arrays(P, W, f"{path}: ")
+    if not np.isfinite(arr[:, -2:]).all():
+        raise ValidationError(f"{path}: log_lik and deviance must be finite")
     return GibbsChain(
         P=P,
         W=W,

@@ -1,18 +1,22 @@
 """Posterior sampling via conjugate data augmentation.
 
 Each observed sequence is augmented with independent exponential stage
-times whose rates are the remaining support mass at each selection stage;
-this makes every full conditional standard. One sweep updates, in order:
+times whose rates are the remaining support mass at each selection stage
+(Caron & Doucet 2012); this makes every full conditional standard. Units
+with the same ranking share their likelihood terms, so the state holds,
+per distinct row d of the data (Dataset.patterns, n_d units), the counts
+n_dg of its units in each component. One sweep updates, in order:
 
-    weights     | memberships           ~ Dirichlet
-    stage times | memberships, supports ~ Exponential
-    supports    | times, memberships    ~ Gamma
-    memberships | everything else       ~ categorical per unit
+    weights     | memberships        ~ Dirichlet(alpha + sum_d n_dg)
+    stage times | memberships, supp. ~ Gamma(n_dg) / rem[d, t, g] per cell
+    supports    | times, memberships ~ Gamma
+    memberships | weights, supports  ~ Multinomial(n_d, pi_d), times
+                                       integrated out
 
-The stage-time rates are read from the stage table of the current supports
-(model._stage_table): the membership step builds that table for every unit
-and component, and the next sweep's stage times take each unit's row under
-its own component from it, so one gather of remaining masses serves both.
+rem is the membership step's stage table (model._stage_table); pi_d and
+the log-likelihood share its mixture scores. The times are redrawn given
+the new memberships before anything reads them, so the two form one exact
+block move; with every count 1 the draws are the per-unit ones.
 
 With a single component the weight and membership moves are skipped. The
 recorded trace stores supports normalized within component (the sampler
@@ -28,7 +32,7 @@ import numpy as np
 
 from .data import Dataset, binary_group_ind
 from .em import Hyperparams, MapFit
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .model import (
     _availability_sums,
     _log_mixture,
@@ -95,26 +99,20 @@ def init_from_map(fit: MapFit) -> dict:
     }
 
 
-def _support_conditional(data: Dataset, z, y: np.ndarray, hyper: Hyperparams):
+def _support_conditional(data: Dataset, z, y, hyper: Hyperparams, cells=None):
     """Gamma (shape, rate) arrays of the support full conditional.
 
-    z may be one-hot (N, G) or 1-based labels (N,); y holds the latent
-    stage times, zero beyond each unit's depth.
+    Row r of y holds the stage times, zero beyond the depth, of one unit
+    that ranks as data row r and belongs to component z[r] (1-based labels,
+    or one-hot rows). With cells=(d, n), row r instead sums the times of
+    the n[r] units of data row d[r] in that component.
     """
     z = np.asarray(z)
-    if z.ndim == 2:
-        g_of_s = np.argmax(z, axis=1)
-    else:
-        g_of_s = np.asarray(z, dtype=np.int64) - 1
-    G = hyper.n_components
-    K = data.n_items
-    cell = (g_of_s[:, None] * K + np.arange(K)[None, :]).ravel()
-
-    def by_cell(v):
-        return np.bincount(cell, weights=v.ravel(), minlength=G * K).reshape(G, K)
-
-    shape = hyper.shape + by_cell(data.u)
-    rate = hyper.rate[:, None] + by_cell(_availability_sums(data, y))
+    g = np.argmax(z, axis=1) if z.ndim == 2 else np.asarray(z, dtype=np.int64) - 1
+    d, n = cells if cells is not None else (np.arange(g.size), np.ones(g.size))
+    member = np.eye(hyper.n_components)[g].T
+    shape = hyper.shape + member @ (n[:, None] * data.u[d])
+    rate = hyper.rate[:, None] + member @ _availability_sums(data.item_idx[d], y)
     return shape, rate
 
 
@@ -133,7 +131,8 @@ def gibbs_run(
     Args:
         data: partial ordering dataset.
         G: number of components.
-        hyper: prior; defaults to flat (shape 1, rate 0, alpha 1).
+        hyper: prior; defaults to flat (shape 1, rate 0, alpha 1). A zero
+            rate is sampled as the limit of small positive rates.
         init: optional dict with "p" (G x K positive supports) and "z"
             (N x G one-hot memberships or length-N 1-based labels); missing
             pieces are drawn uniformly. See init_from_map for seeding a
@@ -160,93 +159,74 @@ def gibbs_run(
     if rng is None or seed is not None:
         rng = np.random.default_rng(seed)
 
-    p = None
-    g_of_s = None
-    if init is not None:
-        if "p" in init and init["p"] is not None:
-            p = np.array(init["p"], dtype=np.float64)
-            if p.shape != (G, K) or (p <= 0).any() or not np.isfinite(p).all():
-                raise ValidationError("init p must be G x K positive supports")
-        if "z" in init and init["z"] is not None:
-            z0 = np.asarray(init["z"])
-            if z0.ndim == 2:
-                onehot = np.isin(z0, (0, 1)).all() and (z0.sum(axis=1) == 1).all()
-                if z0.shape != (N, G) or not onehot:
-                    raise ValidationError("init z must be one-hot N x G")
-                z0 = np.argmax(z0, axis=1) + 1
-            if z0.shape != (N,):
-                raise ValidationError("init z labels must have length N")
-            g_of_s = np.argmax(binary_group_ind(z0, G), axis=1)
-    if p is None:
+    init = init or {}
+    if init.get("p") is None:
         p = rng.uniform(0.01, 1.0, (G, K))
-    if g_of_s is None:
-        g_of_s = rng.integers(0, G, size=N) if G > 1 else np.zeros(N, dtype=np.int64)
+    else:
+        p = np.array(init["p"], dtype=np.float64)
+        if p.shape != (G, K) or (p <= 0).any() or not np.isfinite(p).all():
+            raise ValidationError("init p must be G x K positive supports")
+    z = init.get("z")
+    if z is None:
+        z = rng.integers(1, G + 1, size=N)
+    z = np.asarray(z)
+    if z.ndim == 2:
+        onehot = np.isin(z, (0, 1)).all() and (z.sum(axis=1) == 1).all()
+        if z.shape != (N, G) or not onehot:
+            raise ValidationError("init z must be one-hot N x G")
+        z = np.argmax(z, axis=1) + 1
+    if z.shape != (N,):
+        raise ValidationError("init z labels must have length N")
     w = np.full(G, 1.0 / G)
 
-    # with every rate zero the posterior leaves the overall scale of the
-    # supports free and the raw chain random-walks in it; the sweep kernel
-    # commutes with a global rescaling then, so projecting the state (the
-    # supports and their stage table) back to mean row total one between
-    # sweeps is exact, not an approximation
-    free_scale = bool(np.all(hyper.rate == 0.0))
+    # the membership state: per distinct row, its units' count per component
+    rows, counts, index = data.patterns
+    g0 = np.argmax(binary_group_ind(z, G), axis=1)
+    n_dg = np.bincount(index * G + g0, minlength=counts.size * G).reshape(-1, G)
 
-    # the stage times read their rates from the stage table of the current
-    # supports; the membership step of each sweep rebuilds it
-    rem = _stage_table(data, p)[1]
-    units = np.arange(N)
+    # the likelihood reads only the normalized supports and the weights, whose
+    # posterior is the same at every positive rate (a Gamma row normalizes to
+    # a Dirichlet independent of its scale): a zero rate is sampled at rate 1
+    rate = np.where(hyper.rate > 0, hyper.rate, 1.0)
+    hyper = Hyperparams(hyper.shape, rate, hyper.alpha)
 
-    L = n_iter - n_burn
-    P_out = np.empty((L, G * K))
-    W_out = np.empty((L, G))
-    ll_out = np.empty(L)
-
+    # stage-time cells: each row's top min(n_d, G) components by count hold
+    # all its units; a fixed cell count keeps the arrays one size, so the
+    # heap does not fragment and peak memory stays flat over a long chain
+    top = np.arange(G) < np.minimum(counts, G)[:, None]
+    d = np.nonzero(top)[0]
+    rem = _stage_table(rows, p)[1]  # rebuilt by each membership step
+    kept = []
     for sweep in range(1, n_iter + 1):
-        if free_scale:
-            scale = G / p.sum()
-            p, rem = p * scale, rem * scale
-
         # weights | memberships
         if G > 1:
-            counts = np.bincount(g_of_s, minlength=G)
-            w = rng.dirichlet(hyper.alpha + counts)
+            w = rng.dirichlet(hyper.alpha + n_dg.sum(axis=0))
 
-        # stage times | memberships, supports
-        y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
-        y[~data.stage_mask] = 0.0
+        # stage times | memberships, supports, summed per cell (shape 0: 0)
+        g = np.argsort(-n_dg, axis=1, kind="stable")[top]
+        n = n_dg[d, g]
+        y = rng.standard_gamma(n[:, None] * rows.stage_mask[d]) / rem[d, :, g]
 
         # supports | times, memberships
-        shape, rate = _support_conditional(data, g_of_s + 1, y, hyper)
-        bad = rate <= 0
-        if bad.any():
-            g_b, i_b = np.argwhere(bad)[0]
-            raise NumericalError(
-                f"degenerate support conditional at sweep {sweep}: rate "
-                f"{rate[g_b, i_b]:.3g} for component {g_b + 1}, item {i_b + 1}"
-            )
+        shape, rate = _support_conditional(rows, g + 1, y, hyper, cells=(d, n))
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
-        # memberships | weights, times, supports (and the log-likelihood,
-        # which shares the per-component stage tables)
-        log_num, rem = _stage_table(data, p)
-        ll = float(_log_mixture(_table_logliks(log_num, rem), w)[1].sum())
+        # memberships | weights, supports, and the log-likelihood
+        log_num, rem = _stage_table(rows, p)
+        scored, per_row = _log_mixture(_table_logliks(log_num, rem), w)
+        ll = float(counts @ per_row)
         if G > 1:
-            B = np.einsum("sk,skg->sg", y, rem)
-            with np.errstate(divide="ignore"):
-                log_w = np.log(w)
-            log_m = log_w[None, :] + log_num - B
-            g_of_s = np.argmax(log_m + rng.gumbel(size=(N, G)), axis=1)
+            n_dg = rng.multinomial(counts, np.exp(scored - per_row[:, None]))
 
         if sweep > n_burn:
-            k = sweep - n_burn - 1
-            P_out[k] = (p / p.sum(axis=1, keepdims=True)).reshape(-1)
-            W_out[k] = w
-            ll_out[k] = ll
+            kept.append(((p / p.sum(axis=1, keepdims=True)).ravel(), w, ll))
 
+    P, W, log_lik = map(np.array, zip(*kept))
     return GibbsChain(
-        P=P_out,
-        W=W_out,
-        log_lik=ll_out,
-        deviance=-2.0 * ll_out,
+        P=P,
+        W=W,
+        log_lik=log_lik,
+        deviance=-2.0 * log_lik,
         n_iter=n_iter,
         n_burn=n_burn,
         seed=int(seed) if seed is not None else None,

@@ -84,32 +84,18 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
         )
 
 
-def _remaining_mass(sel: np.ndarray, unranked: np.ndarray) -> np.ndarray:
-    """Support mass still available before each stage.
-
-    sel (N, K, G) holds the support chosen at each stage under every
-    component, zero beyond the unit's depth; unranked (N, G) is the summed
-    support of the items the unit leaves unranked. The result is the
-    suffix sum of sel plus that mass: a sum of positive terms, exact to
-    rounding at late stages where the running difference total - consumed
-    cancels. Beyond a unit's depth it holds the unranked mass.
-    """
-    rem = np.cumsum(sel[:, ::-1], axis=1)[:, ::-1]
-    rem += unranked[:, None]
-    return rem
-
-
 def _stage_table(data: Dataset, p: np.ndarray):
     """Per-component stage tables for supports p (G x K).
 
     Returns (log_num, rem): log_num[s, g] sums log p[g, i] over the items
-    unit s ranks, and rem[s, t, g] is the remaining mass before stage t
-    under row g, set to 1 beyond the unit's depth so that its log adds 0.
-    The -1 pad of data.item_idx picks a zero row appended to the supports,
-    so stages beyond a unit's depth choose mass 0.
+    unit s ranks; rem[s, t, g] is the support mass under row g left before
+    stage t, and 1 beyond the depth: with the unranked items in the -1 pad
+    of item_idx, one suffix sum of positive terms, exact where total -
+    consumed would cancel and independent of the other rows and components.
     """
-    sel = np.vstack([p.T, np.zeros(len(p))])[data.item_idx]
-    rem = _remaining_mass(sel, (1 - data.u) @ p.T)
+    idx = data.item_idx.copy()
+    idx[~data.stage_mask] = np.nonzero(data.u == 0)[1]
+    rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
     rem[~data.stage_mask] = 1.0
     return data.u @ np.log(p).T, rem
 
@@ -119,18 +105,18 @@ def _table_logliks(log_num: np.ndarray, rem: np.ndarray) -> np.ndarray:
     return log_num - np.log(rem).sum(axis=1)
 
 
-def _availability_sums(data: Dataset, x: np.ndarray) -> np.ndarray:
+def _availability_sums(item_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per item, the sum of per-stage values x (stages on axis 1, zero
-    beyond each unit's depth, any trailing shape) over the stages at which
+    beyond each row's depth, any trailing shape) over the stages at which
     the item was still available: the prefix sum through the stage that
     chose it, or the full sum for an unranked item. Scattering prefix sums
     of nonnegative terms keeps the accumulation free of cancellation.
-    Through the -1 pad of data.item_idx, stages beyond a unit's depth
-    write to a spare column K, which is dropped.
+    item_idx holds the rows' Dataset.item_idx; through its -1 pad, stages
+    beyond a row's depth write to a spare column K, which is dropped.
     """
     cum = np.cumsum(x, axis=1)
     out = np.repeat(cum[:, -1:], x.shape[1] + 1, axis=1)
-    idx = data.item_idx.reshape(data.item_idx.shape + (1,) * (x.ndim - 2))
+    idx = item_idx.reshape(item_idx.shape + (1,) * (x.ndim - 2))
     np.put_along_axis(out, idx, cum, axis=1)
     return out[:, :-1]
 
@@ -142,7 +128,7 @@ def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
     Unit s scores sum_t log p[chosen_t] - sum_t log(rem_t), where rem_t,
     the support mass still available before stage t, is the sum of the
     supports chosen from stage t on plus the supports of the items the
-    unit leaves unranked (see _remaining_mass).
+    unit leaves unranked (see _stage_table).
     """
     p = np.atleast_2d(np.asarray(supports, dtype=np.float64))
     return _table_logliks(*_stage_table(data, p))
@@ -191,16 +177,21 @@ def _log_mixture(comp: np.ndarray, weights: np.ndarray):
     return scored, per_unit[:, 0]
 
 
+def _pattern_logliks(params: MixtureParams, data: Dataset) -> np.ndarray:
+    """Log mixture density of each distinct row of the dataset."""
+    _check_params_data(params, data.n_items)
+    comp = component_stage_logliks(data.patterns.rows, params.supports)
+    return _log_mixture(comp, params.weights)[1]
+
+
 def mixture_logliks_per_unit(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Log mixture density of each unit's observed sequence (length N)."""
-    _check_params_data(params, data.n_items)
-    comp = component_stage_logliks(data, params.supports)
-    return _log_mixture(comp, params.weights)[1]
+    return _pattern_logliks(params, data)[data.patterns.index]
 
 
 def mixture_loglik(params: MixtureParams, data: Dataset) -> float:
     """Observed-data log-likelihood of the mixture on the dataset."""
-    return float(mixture_logliks_per_unit(params, data).sum())
+    return float(data.patterns.counts @ _pattern_logliks(params, data))
 
 
 def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):

@@ -165,3 +165,73 @@ def best_permutation_cost(vecs, ref):
             cost[g, h] = ((vecs[h] - ref[g]) ** 2).sum()
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].sum(), cols
+
+
+def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
+    """Reference sampler: the unit-level sweep the pattern sampler replaced.
+
+    Same target and block order (weights, stage times, supports,
+    memberships), but one exponential stage time per unit and stage, and
+    memberships drawn per unit given the stage times. init holds "p"
+    (G x K) and "z" (1-based labels); returns (P normalized per component,
+    W, log_lik) over the kept sweeps.
+    """
+    from plrank.gibbs import _support_conditional
+    from plrank.model import _log_mixture, _stage_table, _table_logliks
+
+    N, K = data.orderings.shape
+    p = np.array(init["p"], dtype=float)
+    g_of_s = np.asarray(init["z"]) - 1
+    w = np.full(G, 1.0 / G)
+    free_scale = bool(np.all(hyper.rate == 0.0))
+    rem = _stage_table(data, p)[1]
+    units = np.arange(N)
+    P, W, ll_out = [], [], []
+    for sweep in range(1, n_iter + 1):
+        if free_scale:
+            scale = G / p.sum()
+            p, rem = p * scale, rem * scale
+        if G > 1:
+            w = rng.dirichlet(hyper.alpha + np.bincount(g_of_s, minlength=G))
+        y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
+        y[~data.stage_mask] = 0.0
+        shape, rate = _support_conditional(data, g_of_s + 1, y, hyper)
+        if (rate <= 0).any():
+            raise ValueError(f"empty component at sweep {sweep}")
+        p = np.maximum(rng.standard_gamma(shape) / rate, 1e-300)
+        log_num, rem = _stage_table(data, p)
+        ll = float(_log_mixture(_table_logliks(log_num, rem), w)[1].sum())
+        if G > 1:
+            B = np.einsum("sk,skg->sg", y, rem)
+            with np.errstate(divide="ignore"):
+                log_m = np.log(w)[None, :] + log_num - B
+            g_of_s = np.argmax(log_m + rng.gumbel(size=(N, G)), axis=1)
+        if sweep > n_burn:
+            P.append((p / p.sum(axis=1, keepdims=True)).ravel())
+            W.append(w)
+            ll_out.append(ll)
+    return np.array(P), np.array(W), np.array(ll_out)
+
+
+def em_step_units(p, w, data, hyper):
+    """Reference EM iteration over every unit (no pattern grouping):
+    returns (supports, weights, responsibilities, log-likelihood), the
+    last two at the incoming parameters."""
+    from plrank.model import (
+        _availability_sums,
+        _log_mixture,
+        _stage_table,
+        _table_logliks,
+    )
+
+    log_num, rem = _stage_table(data, p)
+    scored, per_unit = _log_mixture(_table_logliks(log_num, rem), w)
+    zhat = np.exp(scored - per_unit[:, None])
+    N, G = zhat.shape
+    numer = hyper.shape - 1.0 + zhat.T @ data.u
+    r = 1.0 / rem
+    r[~data.stage_mask] = 0.0
+    avail = _availability_sums(data.item_idx, r)
+    denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
+    w_new = (hyper.alpha - 1.0 + zhat.sum(axis=0)) / (hyper.alpha.sum() - G + N)
+    return numer / denom, w_new / w_new.sum(), zhat, float(per_unit.sum())

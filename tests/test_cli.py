@@ -404,6 +404,15 @@ def test_malformed_fit_json_is_a_validation_error(
     )
 
 
+def test_negative_max_iter_is_a_validation_error(tmp_path, capsys, fit_and_chain):
+    src = fit_and_chain[0]
+    _assert_validation_exit(
+        capsys,
+        ["fit-map", *src, "--G", 2, "--max-iter", -1, "--seed", 2,
+         "--parallel", 1, "--out", tmp_path / "f"],
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -433,9 +442,12 @@ def test_malformed_params_json_is_a_validation_error(tmp_path, capsys, text):
         (7, "nan"),
         (7, "inf"),
         (6, "shift"),
+        (8, "-inf"),
+        (9, "nan"),
     ],
     ids=["support-negative", "support-zero", "support-nan", "support-inf",
-         "weight-negative", "weight-nan", "weight-inf", "weights-off-simplex"],
+         "weight-negative", "weight-nan", "weight-inf", "weights-off-simplex",
+         "log-lik-inf", "deviance-nan"],
 )
 def test_malformed_chain_csv_is_a_validation_error(
     tmp_path, capsys, fit_and_chain, column, value

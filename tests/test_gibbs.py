@@ -5,7 +5,6 @@ from plrank import (
     Dataset,
     Hyperparams,
     MixtureParams,
-    NumericalError,
     ValidationError,
     fit_map,
     gibbs_run,
@@ -125,17 +124,17 @@ def test_init_validation():
         gibbs_run(data, 1, n_iter=5, n_burn=5, rng=1)  # nothing kept
 
 
-def test_empty_component_with_improper_prior_fails_loudly():
+def test_empty_component_under_flat_prior_is_sampled():
+    # an empty component's normalized supports are drawn from their
+    # Dirichlet(c) prior, which a zero rate leaves proper
     rng = np.random.default_rng(6)
     mat, _ = random_partial_matrix(rng, 12, 3)
     data = Dataset.from_orderings(mat)
     init = {"p": np.ones((2, 3)), "z": np.ones(12, dtype=np.int64)}
-    with pytest.raises(NumericalError, match="degenerate support conditional"):
-        gibbs_run(data, 2, init=init, n_iter=10, n_burn=0, rng=2)
-    # a proper prior keeps the empty component sampleable
-    hyper = Hyperparams.expand(1.0, 0.5, 1.0, 2, 3)
-    chain = gibbs_run(data, 2, hyper=hyper, init=init, n_iter=10, n_burn=0, rng=2)
-    assert chain.n_kept == 10
+    for hyper in (None, Hyperparams.expand(1.0, 0.5, 1.0, 2, 3)):
+        chain = gibbs_run(data, 2, hyper=hyper, init=init, n_iter=10, n_burn=0, rng=2)
+        assert chain.n_kept == 10
+        assert np.isfinite(chain.P).all() and (chain.P > 0).all()
 
 
 def test_loglik_column_is_observed_data_loglik():
@@ -159,6 +158,16 @@ def test_two_item_posterior_shape():
     data = Dataset.from_orderings(np.array([[1, 0]]))
     hyper = Hyperparams.expand(1.0, 1.0, 1.0, 1, 2)
     chain = gibbs_run(data, 1, hyper=hyper, n_iter=21000, n_burn=1000, rng=31)
+    phi = chain.supports_3d()[:, 0, 0]
+    assert abs(phi.mean() - 2 / 3) < 0.01
+    assert abs((phi**2).mean() - 0.5) < 0.01
+
+
+def test_flat_prior_samples_the_zero_rate_limit():
+    # the normalized supports have the same posterior at every positive
+    # rate, so the flat prior must reproduce test_two_item_posterior_shape
+    data = Dataset.from_orderings(np.array([[1, 0]]))
+    chain = gibbs_run(data, 1, n_iter=21000, n_burn=1000, rng=31)
     phi = chain.supports_3d()[:, 0, 0]
     assert abs(phi.mean() - 2 / 3) < 0.01
     assert abs((phi**2).mean() - 0.5) < 0.01

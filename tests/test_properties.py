@@ -96,6 +96,24 @@ def test_stage_rates_match_oracle(case):
             assert (np.abs(got - want) <= 1e-15 * want).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda K: st.lists(
+            st.lists(st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]),
+                     min_size=K, max_size=K),
+            min_size=1, max_size=12,
+        )
+    )
+)
+def test_unit_to_freq_equals_unique(rows):
+    x = np.array(rows, dtype=np.int64)
+    table = unit_to_freq(x)
+    seq, counts = np.unique(x, axis=0, return_counts=True)
+    assert np.array_equal(table.sequences, seq)
+    assert np.array_equal(table.counts, counts)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 7).flatmap(lambda K: orderings(K, max_units=12)))
 def test_ingestion_round_trips(mat):
