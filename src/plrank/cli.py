@@ -57,11 +57,7 @@ class _Options:
             ENV_PREFIX + "CONFIG"
         )
         if cfg_path:
-            with open(cfg_path) as fh:
-                try:
-                    self.config = json.load(fh)
-                except json.JSONDecodeError as e:
-                    raise ValidationError(f"{cfg_path}: invalid JSON: {e}")
+            self.config = fileio._read_json(cfg_path)
             if not isinstance(self.config, dict):
                 raise ValidationError(f"{cfg_path}: config must be an object")
 
@@ -216,11 +212,7 @@ def _cmd_simulate(opts: _Options) -> int:
     out = _out_dir(opts)
     params_path = opts.get("params")
     if params_path:
-        with open(params_path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{params_path}: invalid JSON: {e}")
+        doc = fileio._read_json(params_path)
         try:
             params = MixtureParams(doc["supports"], doc["weights"])
         except (KeyError, TypeError, ValueError) as e:
@@ -229,10 +221,9 @@ def _cmd_simulate(opts: _Options) -> int:
         params = MixtureParams.uniform(G, K)
     labels, data = sample_mixture(n, K, G, params, np.random.default_rng(seed))
     fileio.write_sequence_csv(os.path.join(out, "orderings.csv"), data.orderings)
-    with open(os.path.join(out, "components.csv"), "w") as fh:
-        fh.write("component\n")
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+    fileio._write_csv(
+        os.path.join(out, "components.csv"), ["component"], labels[:, None].tolist()
+    )
     fileio._write_json(
         os.path.join(out, "params.json"),
         {
@@ -514,8 +505,6 @@ def main(argv=None) -> int:
         opts = _Options(args)
         return _COMMANDS[args.command](opts)
     except ValidationError as e:
-        return _fail(EXIT_VALIDATION, "validation", e)
-    except json.JSONDecodeError as e:
         return _fail(EXIT_VALIDATION, "validation", e)
     except NumericalError as e:
         return _fail(EXIT_NUMERICAL, "numerical", e)

@@ -114,10 +114,7 @@ def ord_rank_switch(data, format: str) -> np.ndarray:
         arr = validate_ranking_matrix(data)
     else:
         raise ValidationError(f"unknown format {format!r}")
-    out = np.zeros_like(arr)
-    rows, cols = np.nonzero(arr)
-    out[rows, arr[rows, cols] - 1] = cols + 1
-    return out
+    return rank_positions_of(arr, 0)
 
 
 def _group_rows(arr: np.ndarray):
@@ -126,7 +123,7 @@ def _group_rows(arr: np.ndarray):
     over the columns, then a diff of neighbouring sorted rows."""
     order = np.lexsort(arr.T[::-1])
     ranked = arr[order]
-    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     index = np.empty_like(order)
     index[order] = np.cumsum(new) - 1
     out = ranked[new], np.bincount(index), index
@@ -216,9 +213,7 @@ class Dataset:
         nranked = (arr != 0).sum(axis=1)
         item_idx = arr - 1
         stage_mask = arr != 0
-        u = np.zeros(arr.shape, dtype=np.int64)
-        rows, cols = np.nonzero(stage_mask)
-        u[rows, item_idx[rows, cols]] = 1
+        u = (rank_positions_of(arr, 0) != 0).astype(np.int64)
         gamma = u.sum(axis=0)
         for a in (arr, nranked, item_idx, stage_mask, u, gamma):
             a.setflags(write=False)
@@ -296,7 +291,7 @@ class FreqTable:
         cnt = cnt.astype(np.int64)
         if (cnt <= 0).any():
             raise ValidationError("counts must be positive")
-        if np.unique(seq, axis=0).shape[0] != seq.shape[0]:
+        if _group_rows(seq)[0].shape[0] != seq.shape[0]:
             raise ValidationError("sequences must be distinct")
         seq.setflags(write=False)
         cnt.setflags(write=False)
@@ -318,9 +313,7 @@ def unit_to_freq(data) -> FreqTable:
     if isinstance(data, Dataset):
         data = data.orderings
     seq, cnt, _ = _group_rows(_as_int_matrix(data))
-    table = object.__new__(FreqTable)  # distinct, positive counts: no re-check
-    table.__dict__.update(sequences=seq, counts=cnt)
-    return table
+    return FreqTable(seq, cnt)
 
 
 def freq_to_unit(freq: FreqTable) -> np.ndarray:
@@ -379,7 +372,7 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
     the observed prefix untouched. Equivalent to one stagewise draw per
     free position; implemented by sorting Gumbel-perturbed log weights.
     """
-    N, K = data.orderings.shape
+    K = data.n_items
     p = np.asarray(probitems, dtype=np.float64)
     if p.shape != (K,):
         raise ValidationError(f"probitems must have length {K}")
@@ -387,14 +380,21 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
         raise ValidationError("probitems must be positive and finite")
     if rng is None:
         rng = np.random.default_rng()
-    key = np.log(p)[None, :] + rng.gumbel(size=(N, K))
-    key[data.u.astype(bool)] = -np.inf  # ranked items never re-drawn
-    tail_items = np.argsort(-key, axis=1, kind="stable") + 1
+    # ranked items get -inf and sort last, so they are never re-drawn
+    tail_items = _gumbel_sort(np.where(data.u != 0, -np.inf, np.log(p)), rng)
     out = data.orderings.copy()
     pos = np.arange(K)[None, :] - data.nranked[:, None]
     fill = pos >= 0
     out[fill] = tail_items[fill.nonzero()[0], pos[fill]]
     return Dataset.from_orderings(out)
+
+
+def _gumbel_sort(log_weights: np.ndarray, rng) -> np.ndarray:
+    """1-based items of each row of an (n x K) log-weight matrix, sorted
+    by Gumbel-perturbed log weight: sampling without replacement with
+    probabilities proportional to the weights, -inf entries last."""
+    key = log_weights + rng.gumbel(size=log_weights.shape)
+    return np.argsort(-key, axis=1, kind="stable") + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,7 +461,8 @@ def _pair_counts(ranks: np.ndarray) -> np.ndarray:
 
 def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:
     """Rank matrix for a raw ordering matrix (zero-padded rows), unranked
-    items coded as `missing`."""
+    items coded as `missing`; with `missing` 0 this is the row-wise inverse
+    map, which also turns a ranking matrix back into orderings."""
     ranks = np.full(orderings.shape, missing, dtype=np.int64)
     rows, cols = np.nonzero(orderings)
     ranks[rows, orderings[rows, cols] - 1] = cols + 1

@@ -5,15 +5,18 @@ missing entries, with an optional header row. Preference profiles follow
 the line-oriented format with '#'-prefixed metadata and aggregated
 "count: item,item,..." preference lines. Chain traces are CSVs with
 columns p_1_1 ... p_G_K (component-major), w_1 ... w_G, log_lik,
-deviance. Fits and report tables are JSON; floats are written with full
-round-trip precision everywhere, so equal inputs and seeds give byte
-identical files.
+deviance. Fits are JSON, report tables CSV and JSON. Every CSV passes
+through one reader (_records) and one writer (_write_csv), every JSON
+file through _read_json and _write_json: lines end in CRLF, floats are
+written as .17g so equal inputs and seeds give byte identical files, and
+malformed input raises ValidationError naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -45,8 +48,75 @@ _NUM_ALTERNATIVES = re.compile(r"#\s*NUMBER\s+ALTERNATIVES\s*:\s*(\d+)", re.I)
 _MAX_PREFLIB_CELLS = 10_000_000
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# ------------------------------------------------------------- file forms
+
+
+def _records(path):
+    """(line number, stripped non-empty cells) of each non-blank CSV
+    record; a record the csv module rejects is an error naming its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for rec in reader:
+                cells = [c for c in map(str.strip, rec) if c]
+                if cells:
+                    yield reader.line_num, cells
+        except csv.Error as e:
+            raise ValidationError(f"{path}: line {reader.line_num}: {e}") from None
+
+
+def _matrix(path, records, dtype) -> np.ndarray:
+    """int64 or float64 matrix of numeric records; a non-number, a ragged
+    row or an entry outside int64 is an error naming its line."""
+    parse, kind = (int, "an integer") if dtype == np.int64 else (float, "a number")
+    lines, rows = [], []
+    for ln, cells in records:
+        try:
+            rows.append(list(map(parse, cells)))
+        except ValueError:
+            raise ValidationError(f"{path}: line {ln}: entry is not {kind}") from None
+        if len(cells) != len(rows[0]):
+            raise ValidationError(f"{path}: line {ln}: ragged row")
+        lines.append(ln)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        ln = next(
+            ln for ln, r in zip(lines, rows) if min(r) < info.min or max(r) > info.max
+        )
+        raise ValidationError(f"{path}: line {ln}: entry outside int64") from None
+
+
+def _write_csv(path, header, rows) -> None:
+    """CSV lines ending in CRLF: the header if given, then one line per
+    row, floats as .17g (full round-trip precision)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in r]
+            for r in rows
+        )
+
+
+def _read_json(path):
+    """Parsed JSON document; malformed JSON is an error naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{path}: invalid JSON: {e}") from None
+
+
+def _write_json(path, doc) -> None:
+    """JSON document, one-space indent, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------- datasets
@@ -61,49 +131,17 @@ def _is_number(token: str) -> bool:
 
 
 def read_sequence_csv(path) -> np.ndarray:
-    """Integer sequence matrix from CSV; a first row holding a token that
-    is not a number is treated as a header and skipped."""
-    rows = []
-    lines = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for i, rec in enumerate(reader):
-                rec = [c.strip() for c in rec if c.strip() != ""]
-                if not rec:
-                    continue
-                try:
-                    rows.append([int(c) for c in rec])
-                except ValueError:
-                    if i == 0 and not all(map(_is_number, rec)):
-                        continue
-                    raise ValidationError(
-                        f"{path}: line {i + 1}: non-integer entry"
-                    ) from None
-                lines.append(i + 1)
-        except csv.Error as e:
-            raise ValidationError(f"{path}: line {reader.line_num}: {e}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValidationError(f"{path}: ragged rows")
-    try:
-        return np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        info = np.iinfo(np.int64)
-        ln = next(
-            ln for ln, r in zip(lines, rows)
-            if not all(info.min <= v <= info.max for v in r)
-        )
-        raise ValidationError(f"{path}: line {ln}: entry outside int64") from None
+    """Integer sequence matrix from CSV; a line 1 holding a token that is
+    not a number is a header and skipped."""
+    records = _records(path)
+    first = next(records, None)
+    if first is not None and (first[0] != 1 or all(map(_is_number, first[1]))):
+        records = itertools.chain([first], records)
+    return _matrix(path, records, np.int64)
 
 
 def write_sequence_csv(path, matrix: np.ndarray) -> None:
-    arr = np.asarray(matrix, dtype=np.int64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerows(arr.tolist())
+    _write_csv(path, None, np.asarray(matrix, dtype=np.int64).tolist())
 
 
 def parse_preflib(path) -> Dataset:
@@ -239,15 +277,8 @@ def chain_header(G: int, K: int) -> list[str]:
 def write_chain_csv(path, chain) -> None:
     """Trace CSV: p columns component-major, then weights, log_lik,
     deviance; works for raw and relabeled chains."""
-    G, K = chain.n_components, chain.n_items
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(chain_header(G, K))
-        for l in range(chain.n_kept):
-            row = [_fmt(v) for v in chain.P[l]]
-            row += [_fmt(v) for v in chain.W[l]]
-            row += [_fmt(chain.log_lik[l]), _fmt(chain.deviance[l])]
-            writer.writerow(row)
+    trace = np.column_stack([chain.P, chain.W, chain.log_lik, chain.deviance])
+    _write_csv(path, chain_header(chain.n_components, chain.n_items), trace.tolist())
 
 
 def read_chain_csv(path) -> GibbsChain:
@@ -256,14 +287,8 @@ def read_chain_csv(path) -> GibbsChain:
     Sweep counts are reconstructed as n_iter = kept rows, n_burn = 0; the
     original run's bookkeeping is not stored in the CSV.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty chain file") from None
-        rows = [r for r in reader if r]
-    header = [h.strip() for h in header]
+    records = _records(path)
+    _, header = next(records, (None, []))
     w_cols = [h for h in header if re.fullmatch(r"w_\d+", h)]
     p_cols = [h for h in header if re.fullmatch(r"p_\d+_\d+", h)]
     G = len(w_cols)
@@ -273,14 +298,9 @@ def read_chain_csv(path) -> GibbsChain:
     expect = chain_header(G, K)
     if header != expect:
         raise ValidationError(f"{path}: unexpected column layout")
-    if not rows:
-        raise ValidationError(f"{path}: chain has no sweeps")
-    try:
-        arr = np.asarray([[float(c) for c in r] for r in rows])
-    except ValueError:
-        raise ValidationError(f"{path}: non-numeric trace entry") from None
+    arr = _matrix(path, records, np.float64)
     if arr.shape[1] != len(expect):
-        raise ValidationError(f"{path}: ragged trace rows")
+        raise ValidationError(f"{path}: rows do not match the header")
     P, W = arr[:, : G * K], arr[:, G * K : G * K + G]
     _check_mixture_arrays(P, W, f"{path}: ")
     if not np.isfinite(arr[:, -2:]).all():
@@ -298,12 +318,9 @@ def read_chain_csv(path) -> GibbsChain:
 
 def write_permutations_csv(path, relabeled) -> None:
     """Per-sweep relabeling log, 1-based component indices."""
-    G = relabeled.n_components
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep"] + [f"sigma_{g + 1}" for g in range(G)])
-        for l in range(relabeled.n_kept):
-            writer.writerow([l + 1] + [int(v) + 1 for v in relabeled.permutations[l]])
+    header = ["sweep"] + [f"sigma_{g + 1}" for g in range(relabeled.n_components)]
+    perms = (relabeled.permutations + 1).tolist()
+    _write_csv(path, header, [[l, *perm] for l, perm in enumerate(perms, start=1)])
 
 
 # ------------------------------------------------------------------- fits
@@ -336,13 +353,6 @@ def map_fit_to_dict(fit: MapFit) -> dict:
     }
 
 
-def _write_json(path, doc) -> None:
-    """JSON document, one-space indent, trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def write_map_json(path, fit: MapFit) -> None:
     _write_json(path, map_fit_to_dict(fit))
 
@@ -353,11 +363,7 @@ def read_map_json(path) -> MapFit:
     Soft responsibilities are not serialized; they are reconstructed as
     the one-hot encoding of the stored classification.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: invalid JSON: {e}") from None
+    doc = _read_json(path)
     try:
         G = int(doc["n_components"])
         supports = np.asarray(doc["supports"], dtype=np.float64)
@@ -395,16 +401,9 @@ def read_map_json(path) -> MapFit:
 
 
 def _write_table_csv(path, rows: list[dict]) -> None:
-    """Header from the first row's keys, then one line per row; floats
-    at full round-trip precision."""
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow(
-                [_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols]
-            )
+    """Header from the first row's keys, then one line per row."""
+    cols = list(rows[0])
+    _write_csv(path, cols, ([r[c] for c in cols] for r in rows))
 
 
 def write_selection_csv(path, report) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PartialOrdering, validate_ordering_matrix
+from .data import Dataset, PartialOrdering, _gumbel_sort, validate_ordering_matrix
 from .errors import ValidationError
 
 
@@ -219,9 +219,8 @@ def _gumbel_orderings(n: int, supports: np.ndarray, weights: np.ndarray, rng):
     """0-based component labels and the raw 1-based matrix of n complete
     orderings from the mixture (supports G x K, weights G), by sorting
     Gumbel-perturbed logs."""
-    G, K = supports.shape
+    G = supports.shape[0]
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
     labels = np.argmax(logw[None, :] + rng.gumbel(size=(n, G)), axis=1)
-    key = np.log(supports)[labels] + rng.gumbel(size=(n, K))
-    return labels, np.argsort(-key, axis=1, kind="stable") + 1
+    return labels, _gumbel_sort(np.log(supports)[labels], rng)

@@ -38,9 +38,7 @@ class RelabeledChain(GibbsChain):
 
 
 def _pivot_matrix(pivot, G: int, K: int) -> np.ndarray:
-    if isinstance(pivot, MapFit):
-        p, w = pivot.supports, pivot.weights
-    elif isinstance(pivot, NormalizedParams):
+    if isinstance(pivot, (MapFit, NormalizedParams)):
         p, w = pivot.supports, pivot.weights
     elif isinstance(pivot, MixtureParams):
         norm = pivot.normalized()

@@ -444,10 +444,12 @@ def test_malformed_params_json_is_a_validation_error(tmp_path, capsys, text):
         (6, "shift"),
         (8, "-inf"),
         (9, "nan"),
+        # longer than the csv module's field limit (131072 characters)
+        (0, "0." + "5" * 200000),
     ],
     ids=["support-negative", "support-zero", "support-nan", "support-inf",
          "weight-negative", "weight-nan", "weight-inf", "weights-off-simplex",
-         "log-lik-inf", "deviance-nan"],
+         "log-lik-inf", "deviance-nan", "oversized-field"],
 )
 def test_malformed_chain_csv_is_a_validation_error(
     tmp_path, capsys, fit_and_chain, column, value

@@ -174,6 +174,14 @@ def test_chain_csv_header_validated(tmp_path):
         read_chain_csv(path)
 
 
+def test_chain_csv_bad_cell_names_its_line(tmp_path):
+    path = tmp_path / "chain.csv"
+    head = "p_1_1,p_1_2,w_1,log_lik,deviance\n"
+    path.write_text(head + "0.5,0.5,1,-2,4\n\n0.5,x,1,-2,4\n")
+    with pytest.raises(ValidationError, match="line 4: entry is not a number"):
+        read_chain_csv(path)
+
+
 def test_map_json_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     mat, _ = random_partial_matrix(rng, 30, 4)
