@@ -508,8 +508,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_VALIDATION, "validation", e)
     except NumericalError as e:
         return _fail(EXIT_NUMERICAL, "numerical", e)
-    except UnicodeDecodeError as e:
-        return _fail(EXIT_IO, "io", e)
     except OSError as e:
         return _fail(EXIT_IO, "io", e)
 

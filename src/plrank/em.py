@@ -30,13 +30,7 @@ import numpy as np
 
 from .data import Dataset, Patterns
 from .errors import NumericalError, ValidationError
-from .model import (
-    MixtureParams,
-    _availability_sums,
-    _log_mixture,
-    _stage_table,
-    _table_logliks,
-)
+from .model import MixtureParams, _availability_sums, _log_mixture, _stage_table
 
 SUPPORT_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
@@ -121,8 +115,8 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
 def _e_step(params: MixtureParams, pat: Patterns):
     """Responsibilities, log-likelihood and remaining-mass table (D x K x G)
     of the parameters, on the D distinct rows of the pattern view pat."""
-    log_num, rem = _stage_table(pat.rows, params.supports)
-    scored, per_row = _log_mixture(_table_logliks(log_num, rem), params.weights)
+    comp, rem = _stage_table(pat.rows, params.supports)
+    scored, per_row = _log_mixture(comp, params.weights)
     if not np.isfinite(per_row).all():
         bad = int(np.nonzero(~np.isfinite(per_row[pat.index]))[0][0])
         raise NumericalError(f"unit {bad} has no support under any component")

@@ -9,7 +9,8 @@ deviance. Fits are JSON, report tables CSV and JSON. Every CSV passes
 through one reader (_records) and one writer (_write_csv), every JSON
 file through _read_json and _write_json: lines end in CRLF, floats are
 written as .17g so equal inputs and seeds give byte identical files, and
-malformed input raises ValidationError naming the file.
+input that is malformed or not UTF-8 raises ValidationError naming the
+file.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ _MAX_PREFLIB_CELLS = 10_000_000
 
 def _records(path):
     """(line number, stripped non-empty cells) of each non-blank CSV
-    record; a record the csv module rejects is an error naming its line."""
-    with open(path, newline="") as fh:
+    record; a record the csv module rejects is an error naming its line,
+    bytes that are not UTF-8 an error naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for rec in reader:
@@ -63,6 +65,8 @@ def _records(path):
                     yield reader.line_num, cells
         except csv.Error as e:
             raise ValidationError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
 def _matrix(path, records, dtype) -> np.ndarray:
@@ -103,13 +107,21 @@ def _write_csv(path, header, rows) -> None:
         )
 
 
+def _read_text(path) -> str:
+    """Whole UTF-8 file; other bytes are an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def _read_json(path):
     """Parsed JSON document; malformed JSON is an error naming the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: invalid JSON: {e}") from None
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}: invalid JSON: {e}") from None
 
 
 def _write_json(path, doc) -> None:
@@ -153,9 +165,7 @@ def parse_preflib(path) -> Dataset:
     but one item are completed at ingestion like any other top-(K-1)
     sequence.
     """
-    with open(path) as fh:
-        text = fh.read()
-    return parse_preflib_text(text, source=str(path))
+    return parse_preflib_text(_read_text(path), source=str(path))
 
 
 def parse_preflib_text(text: str, source: str = "<preflib>") -> Dataset:

@@ -33,13 +33,7 @@ import numpy as np
 from .data import Dataset, binary_group_ind
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
-from .model import (
-    _availability_sums,
-    _log_mixture,
-    _one_row,
-    _stage_table,
-    _table_logliks,
-)
+from .model import _availability_sums, _log_mixture, _one_row, _stage_table
 
 DEFAULT_N_ITER = 22000
 DEFAULT_N_BURN = 2000
@@ -212,8 +206,8 @@ def gibbs_run(
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
         # memberships | weights, supports, and the log-likelihood
-        log_num, rem = _stage_table(rows, p)
-        scored, per_row = _log_mixture(_table_logliks(log_num, rem), w)
+        comp, rem = _stage_table(rows, p)
+        scored, per_row = _log_mixture(comp, w)
         ll = float(counts @ per_row)
         if G > 1:
             n_dg = rng.multinomial(counts, np.exp(scored - per_row[:, None]))

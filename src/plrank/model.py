@@ -87,22 +87,18 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
 def _stage_table(data: Dataset, p: np.ndarray):
     """Per-component stage tables for supports p (G x K).
 
-    Returns (log_num, rem): log_num[s, g] sums log p[g, i] over the items
-    unit s ranks; rem[s, t, g] is the support mass under row g left before
-    stage t, and 1 beyond the depth: with the unranked items in the -1 pad
-    of item_idx, one suffix sum of positive terms, exact where total -
-    consumed would cancel and independent of the other rows and components.
+    Returns (comp, rem): comp[s, g] is the log-likelihood of unit s under
+    row g, the log supports of the items it ranks less the logs of rem;
+    rem[s, t, g] is the support mass under row g left before stage t, and
+    1 beyond the depth: with the unranked items in the -1 pad of item_idx,
+    one suffix sum of positive terms, exact where total - consumed would
+    cancel and independent of the other rows and components.
     """
     idx = data.item_idx.copy()
     idx[~data.stage_mask] = np.nonzero(data.u == 0)[1]
     rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
     rem[~data.stage_mask] = 1.0
-    return data.u @ np.log(p).T, rem
-
-
-def _table_logliks(log_num: np.ndarray, rem: np.ndarray) -> np.ndarray:
-    """(N, G) component log-likelihoods from a _stage_table."""
-    return log_num - np.log(rem).sum(axis=1)
+    return data.u @ np.log(p).T - np.log(rem).sum(axis=1), rem
 
 
 def _availability_sums(item_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -130,8 +126,7 @@ def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
     supports chosen from stage t on plus the supports of the items the
     unit leaves unranked (see _stage_table).
     """
-    p = np.atleast_2d(np.asarray(supports, dtype=np.float64))
-    return _table_logliks(*_stage_table(data, p))
+    return _stage_table(data, np.atleast_2d(np.asarray(supports, dtype=np.float64)))[0]
 
 
 def _one_row(ordering, supports):

@@ -154,8 +154,8 @@ def paired_counts_direct(orderings, nranked):
 
 def best_permutation_cost(vecs, ref):
     """Minimum total squared distance over all component permutations,
-    via scipy's assignment solver (independent of the exhaustive search
-    in the library)."""
+    via scipy's assignment solver (independent of the library's dynamic
+    program and of best_permutation_exhaustive)."""
     from scipy.optimize import linear_sum_assignment
 
     G = ref.shape[0]
@@ -165,6 +165,18 @@ def best_permutation_cost(vecs, ref):
             cost[g, h] = ((vecs[h] - ref[g]) ** 2).sum()
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].sum(), cols
+
+
+def best_permutation_exhaustive(cost):
+    """Every permutation sigma of one draw's G x G cost matrix, listed in
+    lexicographic order, with its total sum_g cost[g, sigma[g]]. Returns
+    (first permutation of least total, sorted totals), so callers can see
+    how close the runner-up comes."""
+    G = cost.shape[0]
+    perms = list(itertools.permutations(range(G)))
+    totals = [sum(cost[g, sigma[g]] for g in range(G)) for sigma in perms]
+    best = totals.index(min(totals))
+    return np.array(perms[best]), np.sort(totals)
 
 
 def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
@@ -177,7 +189,7 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
     W, log_lik) over the kept sweeps.
     """
     from plrank.gibbs import _support_conditional
-    from plrank.model import _log_mixture, _stage_table, _table_logliks
+    from plrank.model import _log_mixture, _stage_table
 
     N, K = data.orderings.shape
     p = np.array(init["p"], dtype=float)
@@ -199,9 +211,10 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
         if (rate <= 0).any():
             raise ValueError(f"empty component at sweep {sweep}")
         p = np.maximum(rng.standard_gamma(shape) / rate, 1e-300)
-        log_num, rem = _stage_table(data, p)
-        ll = float(_log_mixture(_table_logliks(log_num, rem), w)[1].sum())
+        comp, rem = _stage_table(data, p)
+        ll = float(_log_mixture(comp, w)[1].sum())
         if G > 1:
+            log_num = data.u @ np.log(p).T
             B = np.einsum("sk,skg->sg", y, rem)
             with np.errstate(divide="ignore"):
                 log_m = np.log(w)[None, :] + log_num - B
@@ -217,15 +230,10 @@ def em_step_units(p, w, data, hyper):
     """Reference EM iteration over every unit (no pattern grouping):
     returns (supports, weights, responsibilities, log-likelihood), the
     last two at the incoming parameters."""
-    from plrank.model import (
-        _availability_sums,
-        _log_mixture,
-        _stage_table,
-        _table_logliks,
-    )
+    from plrank.model import _availability_sums, _log_mixture, _stage_table
 
-    log_num, rem = _stage_table(data, p)
-    scored, per_unit = _log_mixture(_table_logliks(log_num, rem), w)
+    comp, rem = _stage_table(data, p)
+    scored, per_unit = _log_mixture(comp, w)
     zhat = np.exp(scored - per_unit[:, None])
     N, G = zhat.shape
     numer = hyper.shape - 1.0 + zhat.T @ data.u

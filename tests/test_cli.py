@@ -174,9 +174,20 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert "seed" in err["error"]["message"]
 
+    # bytes that are not UTF-8 are a validation failure naming the file,
+    # whichever reader meets them
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"\xff\xfe\x00bogus")
-    assert run(["summarize", "--input", bad, "--format", "ordering"]) in (2, 3)
+    bad.write_bytes(b"\xff\xfe\x00bogus\n")
+    for argv in (
+        ["summarize", "--input", bad, "--format", "ordering"],
+        ["summarize", "--input", bad, "--format", "preflib"],
+        ["relabel", "--chain", bad, "--pivot", bad, "--out", tmp_path / "r"],
+        ["simulate", "--config", bad, "--out", tmp_path / "s2"],
+    ):
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert str(bad) in err["error"]["message"]
 
 
 def test_option_precedence(tmp_path, monkeypatch):

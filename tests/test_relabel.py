@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,12 @@ from plrank import (
     pra_relabel,
 )
 from plrank.gibbs import GibbsChain
-from oracles import best_permutation_cost, random_partial_matrix
+from plrank.relabel import _best_assignment
+from oracles import (
+    best_permutation_cost,
+    best_permutation_exhaustive,
+    random_partial_matrix,
+)
 
 
 def _chain_from_profiles(profiles, weights, perm_per_sweep):
@@ -131,3 +138,88 @@ def test_component_cap():
     pivot = MixtureParams(np.full((G, K), 0.5), np.full(G, 1.0 / G))
     with pytest.raises(ValidationError):
         pra_relabel(chain, pivot)
+
+
+def _random_chain(rng, G, K, L):
+    P = rng.uniform(0.05, 1.0, size=(L, G * K))
+    W = rng.dirichlet(np.ones(G), size=L)
+    ll = rng.normal(size=L)
+    chain = GibbsChain(
+        P=P, W=W, log_lik=ll, deviance=-2 * ll, n_iter=L, n_burn=0, seed=None
+    )
+    pivot_p = rng.uniform(0.05, 1.0, size=(G, K))
+    return chain, MixtureParams(pivot_p, rng.dirichlet(np.ones(G)))
+
+
+@pytest.mark.parametrize("G", range(1, 7))
+def test_matches_exhaustive_search(G):
+    rng = np.random.default_rng(100 + G)
+    K, L = 4, 150
+    chain, pivot = _random_chain(rng, G, K, L)
+    out = pra_relabel(chain, pivot)
+
+    norm = pivot.normalized()
+    ref = np.hstack([norm.supports, norm.weights[:, None]])
+    P3 = chain.supports_3d()
+    near_ties = 0
+    for l in range(L):
+        rows = P3[l] / P3[l].sum(axis=1, keepdims=True)
+        vecs = np.hstack([rows, chain.W[l][:, None]])
+        cost = ((ref[:, None, :] - vecs[None, :, :]) ** 2).sum(axis=2)
+        want, totals = best_permutation_exhaustive(cost)
+        # summation order may decide a runner-up within rounding of the best
+        if totals.size > 1 and totals[1] - totals[0] <= 1e-12 * totals[0]:
+            near_ties += 1
+            continue
+        assert out.permutations[l].tolist() == want.tolist()
+    assert near_ties <= L // 50
+
+
+@pytest.mark.parametrize("G", range(1, 7))
+def test_integer_costs_break_ties_like_exhaustive_search(G):
+    # small integer costs add exactly in any order, so many permutations
+    # tie exactly and the lexicographic rule alone decides
+    rng = np.random.default_rng(200 + G)
+    cost = rng.integers(0, 3, size=(60, G, G)).astype(np.float64)
+    got = _best_assignment(cost)
+    for l in range(cost.shape[0]):
+        assert got[l].tolist() == best_permutation_exhaustive(cost[l])[0].tolist()
+
+
+def test_identical_components_tie_to_first_permutation():
+    a, b = [0.7, 0.2, 0.1], [0.1, 0.3, 0.6]
+    profiles = np.array([a, b, b])
+    weights = np.array([0.4, 0.3, 0.3])
+    chain = _chain_from_profiles(profiles, weights, [(1, 0, 2), (2, 1, 0), (0, 1, 2)])
+    pivot = MixtureParams(profiles, weights)
+    out = pra_relabel(chain, pivot)
+    # sources holding b tie for slots 1 and 2: the lower source goes first
+    assert out.permutations.tolist() == [[1, 0, 2], [2, 0, 1], [0, 1, 2]]
+    assert np.array_equal(out.P, np.tile(profiles.reshape(-1), (3, 1)))
+    again = pra_relabel(out, pivot)
+    assert np.all(again.permutations == np.arange(3)[None, :])
+
+
+def test_eight_components_small_memory():
+    chain, pivot = _random_chain(np.random.default_rng(8), 8, 10, 256)
+    tracemalloc.start()
+    try:
+        out = pra_relabel(chain, pivot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert (np.sort(out.permutations, axis=1) == np.arange(8)).all()
+
+
+def test_non_finite_draws_rejected():
+    # an overflowing distance would leave no finite optimum to follow
+    chain, pivot = _random_chain(np.random.default_rng(9), 3, 4, 5)
+    W = chain.W.copy()
+    W[2, 1] = np.inf
+    bad = GibbsChain(
+        P=chain.P, W=W, log_lik=chain.log_lik, deviance=chain.deviance,
+        n_iter=5, n_burn=0, seed=None,
+    )
+    with pytest.raises(ValidationError):
+        pra_relabel(bad, pivot)
