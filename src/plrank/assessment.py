@@ -12,19 +12,31 @@ mixture parameters through the weight-averaged marginal supports pbar:
 The posterior predictive p-value of a discrepancy X2 is the share of kept
 posterior draws whose replicated dataset scores at least as high as the
 observed one, both evaluated at that draw's parameters. Replicates keep
-each unit's observed depth: complete orderings are sampled from the
-mixture at the draw and truncated to the unit's n_s. The conditional
-variant stratifies units by depth, sums the per-stratum discrepancies,
-and compares those totals.
+each unit's observed depth: a unit of depth n_s gets the top n_s of an
+ordering drawn from the mixture at the draw. The conditional variant
+stratifies units by depth, sums the per-stratum discrepancies, and
+compares those totals.
+
+Within a depth-m stratum of n_m units the replicated top-m orderings are
+i.i.d. over the K!/(K-m)! top-m patterns, so the stratum's replicate is
+exactly Multinomial(n_m, pi) over the patterns, pi being their mixture
+probabilities. A stratum with K * K!/(K-m)! <= n_m is enumerated: its
+pattern counts are drawn directly and turned into top-1 and pair counts
+through per-pattern indicator tables, which are then no larger than the
+n_m x K replicate they replace. The other strata are simulated together,
+one complete ordering per unit truncated to its depth.
 
 Both variants share one replicate per kept draw, so the CLI's plain and
-conditional p-values come from one simulation pass. Counts are taken per
-stratum; the plain statistics score the pooled counts, which are the
-integer sums of the stratum counts.
+conditional p-values come from one pass. Counts are taken per stratum;
+the plain statistics score the pooled counts, which are the integer sums
+of the stratum counts.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +44,18 @@ import numpy as np
 from .data import Dataset, _pair_counts, paired_comparisons, rank_positions_of
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import MixtureParams, NormalizedParams, _gumbel_orderings
+from .model import (
+    MixtureParams,
+    NormalizedParams,
+    _gumbel_orderings,
+    _log_mixture,
+    _stage_table,
+)
+
+# Enumerated top-m orderings: the patterns (a Dataset, depth blocks stacked
+# in ascending depth, block b in rows starts[b]:starts[b+1]) with their
+# (P, K) first-place and (P, K*K) decided-pair indicator tables
+_PatternTables = namedtuple("_PatternTables", "rows starts top1 pairs")
 
 
 def _marginal_of(params) -> np.ndarray:
@@ -108,28 +131,114 @@ class PpcheckReport:
     conditional: bool
 
 
-def _check_one_chain(data: Dataset, chain: GibbsChain, rng, strata):
+def _pattern_tables(K: int, depths) -> _PatternTables:
+    """Every top-m ordering over K items for each depth m in turn, with
+    its first-place and decided-pair indicators; pairs use the rank coding
+    of _pair_counts, unranked items at K+1."""
+    blocks = []
+    for m in depths:
+        blk = np.zeros((math.perm(K, m), K), dtype=np.int64)
+        blk[:, :m] = list(itertools.permutations(range(1, K + 1), m))
+        blocks.append(blk)
+    rows = np.concatenate(blocks)
+    ranks = rank_positions_of(rows, K + 1)
+    pairs = ranks[:, :, None] < ranks[:, None, :]
+    return _PatternTables(
+        Dataset.from_orderings(rows),
+        np.cumsum([0] + [blk.shape[0] for blk in blocks]),
+        np.eye(K, dtype=np.int64)[rows[:, 0] - 1],
+        pairs.reshape(rows.shape[0], K * K).astype(np.int64),
+    )
+
+
+def _pattern_probs(tables: _PatternTables, p: np.ndarray, w: np.ndarray):
+    """Mixture probability of every pattern at supports p (G x K) and
+    weights w, renormalised within each depth block against rounding."""
+    pi = np.exp(_log_mixture(_stage_table(tables.rows, p)[0], w)[1])
+    mass = np.add.reduceat(pi, tables.starts[:-1])
+    return pi / np.repeat(mass, np.diff(tables.starts))
+
+
+@dataclass(frozen=True, eq=False)
+class _Strata:
+    """Depth strata of a dataset in ascending depth, with their sizes,
+    observed (top-1 counts, pair counts), and where each replicate comes
+    from: `exact` lists (stratum, row slice of `tables`) for enumerated
+    strata, `simulated` lists (stratum, positions) into one simulation of
+    the units whose depths are `sim_depths`, in data order."""
+
+    n_items: int
+    sizes: list
+    observed: list
+    exact: list
+    tables: _PatternTables | None
+    simulated: list
+    sim_depths: np.ndarray
+
+
+def _strata(data: Dataset) -> _Strata:
+    """Split the units by depth; a depth-m stratum of n_m units is
+    enumerated when K * K!/(K-m)! <= n_m, so that its pattern tables are
+    never larger than the n_m x K replicate they replace."""
+    K = data.n_items
+    ranks = data.to_rank_positions()
+    depths = np.unique(data.nranked)
+    units = [np.nonzero(data.nranked == m)[0] for m in depths]
+    sizes = [idx.shape[0] for idx in units]
+    observed = [
+        (np.bincount(data.item_idx[idx, 0], minlength=K), _pair_counts(ranks[idx]))
+        for idx in units
+    ]
+    enum = np.array([K * math.perm(K, int(m)) <= n for m, n in zip(depths, sizes)])
+    tables = _pattern_tables(K, depths[enum].tolist()) if enum.any() else None
+    exact = [
+        (j, slice(tables.starts[b], tables.starts[b + 1]))
+        for b, j in enumerate(np.nonzero(enum)[0])
+    ]
+    sim_depths = data.nranked[~np.isin(data.nranked, depths[enum])]
+    simulated = [
+        (j, np.nonzero(sim_depths == depths[j])[0]) for j in np.nonzero(~enum)[0]
+    ]
+    return _Strata(K, sizes, observed, exact, tables, simulated, sim_depths)
+
+
+def _replicate_counts(strata: _Strata, p: np.ndarray, w: np.ndarray, rng):
+    """(top-1 counts, pair counts) of one replicated dataset per stratum at
+    normalised supports p and weights w. Within a depth-m stratum the
+    replicated top-m orderings are i.i.d. over the top-m patterns, so an
+    enumerated stratum draws its pattern counts from Multinomial(n_m, pi);
+    the other strata share one simulation of their units."""
+    K = strata.n_items
+    out = [None] * len(strata.sizes)
+    if strata.simulated:
+        rep = _replicate_orderings(p, w, strata.sim_depths, rng)
+        ranks = rank_positions_of(rep, K + 1)
+        for j, pos in strata.simulated:
+            r = np.bincount(rep[pos, 0] - 1, minlength=K)
+            out[j] = (r, _pair_counts(ranks[pos]))
+    if strata.exact:
+        tab = strata.tables
+        pi = _pattern_probs(tab, p, w)
+        for j, rows in strata.exact:
+            c = rng.multinomial(strata.sizes[j], pi[rows])
+            out[j] = (c @ tab.top1[rows], (c @ tab.pairs[rows]).reshape(K, K))
+    return out
+
+
+def _check_one_chain(strata: _Strata, chain: GibbsChain, rng):
     """(2, 4, n_kept) statistics of one chain, plain then conditional, each
     holding top1 obs/rep and paired obs/rep, from one replicate per draw."""
-    N, K = data.orderings.shape
-    if chain.n_items != K:
+    if chain.n_items != strata.n_items:
         raise ValidationError("chain item count does not match the data")
-    # observed side: counts are fixed, expectations move with each draw
-    obs_ranks = data.to_rank_positions()
-    obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
-    obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
-    sizes = [idx.shape[0] for idx in strata]
-
+    obs_r, obs_tau = zip(*strata.observed)
+    N = sum(strata.sizes)
     stats = np.zeros((2, 4, chain.n_kept))
     for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
         p = p / p.sum(axis=1, keepdims=True)
         pbar = w @ p
-        rep = _replicate_orderings(p, w, data.nranked, rng)
-        rep_ranks = rank_positions_of(rep, K + 1)
-        rep_r = [np.bincount(rep[idx, 0] - 1, minlength=K) for idx in strata]
-        rep_tau = [_pair_counts(rep_ranks[idx]) for idx in strata]
+        rep_r, rep_tau = zip(*_replicate_counts(strata, p, w, rng))
         pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
-        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
+        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, strata.sizes)
         for k, groups in enumerate((pooled, per_stratum)):
             for r_o, r_x, tau_o, tau_x, n in groups:
                 stats[k, :, l] += (
@@ -142,7 +251,7 @@ def _check_one_chain(data: Dataset, chain: GibbsChain, rng, strata):
 
 
 def _ppchecks(data: Dataset, chains, rng=None):
-    """Plain and conditional reports from one simulation pass."""
+    """Plain and conditional reports from one replicate per kept draw."""
     if isinstance(chains, GibbsChain):
         chains = [chains]
     chains = list(chains)
@@ -150,8 +259,8 @@ def _ppchecks(data: Dataset, chains, rng=None):
         raise ValidationError("need at least one chain")
     if rng is None:
         rng = np.random.default_rng()
-    strata = [np.nonzero(data.nranked == m)[0] for m in np.unique(data.nranked)]
-    stats = [_check_one_chain(data, chain, rng, strata) for chain in chains]
+    strata = _strata(data)
+    stats = [_check_one_chain(strata, chain, rng) for chain in chains]
     return tuple(
         PpcheckReport(
             g_values=np.asarray([c.n_components for c in chains], dtype=np.int64),

@@ -243,3 +243,40 @@ def em_step_units(p, w, data, hyper):
     denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
     w_new = (hyper.alpha - 1.0 + zhat.sum(axis=0)) / (hyper.alpha.sum() - G + N)
     return numer / denom, w_new / w_new.sum(), zhat, float(per_unit.sum())
+
+
+def ppcheck_stats_simulated(data, chain, rng):
+    """Reference predictive-check statistics that simulate every unit: the
+    (2, 4, n_kept) array of plain then conditional top1 obs/rep and paired
+    obs/rep, one complete replicate per kept draw, counted per depth
+    stratum (the form the library keeps for strata it does not enumerate).
+    """
+    from plrank.assessment import _replicate_orderings, chi2_paired, chi2_top1
+    from plrank.data import _pair_counts, rank_positions_of
+
+    N, K = data.orderings.shape
+    strata = [np.nonzero(data.nranked == m)[0] for m in np.unique(data.nranked)]
+    obs_ranks = data.to_rank_positions()
+    obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
+    obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
+    sizes = [idx.shape[0] for idx in strata]
+
+    stats = np.zeros((2, 4, chain.n_kept))
+    for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
+        p = p / p.sum(axis=1, keepdims=True)
+        pbar = w @ p
+        rep = _replicate_orderings(p, w, data.nranked, rng)
+        rep_ranks = rank_positions_of(rep, K + 1)
+        rep_r = [np.bincount(rep[idx, 0] - 1, minlength=K) for idx in strata]
+        rep_tau = [_pair_counts(rep_ranks[idx]) for idx in strata]
+        pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
+        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
+        for k, groups in enumerate((pooled, per_stratum)):
+            for r_o, r_x, tau_o, tau_x, n in groups:
+                stats[k, :, l] += (
+                    chi2_top1(r_o, n, pbar),
+                    chi2_top1(r_x, n, pbar),
+                    chi2_paired(tau_o, pbar),
+                    chi2_paired(tau_x, pbar),
+                )
+    return stats

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,25 @@ from plrank import (
     sample_mixture,
 )
 from plrank.assessment import (
+    _pattern_probs,
+    _pattern_tables,
+    _ppchecks,
+    _replicate_counts,
     _replicate_orderings,
+    _strata,
     chi2_paired,
     chi2_top1,
     paired_discrepancy,
     top1_counts,
     top1_discrepancy,
 )
-from oracles import random_partial_matrix
+from plrank.data import _pair_counts, rank_positions_of
+from oracles import (
+    ordering_row_loglik,
+    paired_counts_direct,
+    ppcheck_stats_simulated,
+    random_partial_matrix,
+)
 
 
 def test_chi2_top1_hand():
@@ -137,3 +150,121 @@ def test_ppcheck_multiple_chains_and_validation():
     other = Dataset.from_orderings(np.array([[1, 2, 3, 4]]))
     with pytest.raises(ValidationError):
         ppcheck(other, [c1], np.random.default_rng(4))
+
+
+def _depth_rows(rng, K, sizes):
+    """Shuffled ordering matrix with sizes[m] random top-m rows per depth m."""
+    rows = []
+    for m, n in sizes.items():
+        for _ in range(n):
+            row = np.zeros(K, dtype=np.int64)
+            row[:m] = rng.permutation(K)[:m] + 1
+            rows.append(row)
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("K,depths", [(4, [1, 2, 4]), (5, [1, 2, 3, 5])])
+@pytest.mark.parametrize("G", [1, 2, 3])
+def test_pattern_probs_are_the_mixture_law(K, depths, G):
+    rng = np.random.default_rng(10 * K + G)
+    tab = _pattern_tables(K, depths)
+    p = rng.dirichlet(np.full(K, 2.0), size=G)
+    w = rng.dirichlet(np.full(G, 2.0))
+    pi = _pattern_probs(tab, p, w)
+    for b, m in enumerate(depths):
+        lo, hi = tab.starts[b], tab.starts[b + 1]
+        rows = tab.rows.orderings[lo:hi]
+        # the block is every top-m ordering, each once
+        assert hi - lo == math.perm(K, m)
+        assert (tab.rows.nranked[lo:hi] == m).all()
+        assert len({tuple(r) for r in rows}) == hi - lo
+        assert abs(pi[lo:hi].sum() - 1.0) <= 1e-12
+        want = [
+            sum(w[g] * math.exp(ordering_row_loglik(r[:m], p[g])) for g in range(G))
+            for r in rows
+        ]
+        assert np.allclose(pi[lo:hi], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("K,depths", [(4, [1, 2, 4]), (5, [1, 2, 3, 5])])
+def test_pattern_tables_count_like_the_rows(K, depths):
+    rng = np.random.default_rng(K)
+    tab = _pattern_tables(K, depths)
+    for _ in range(3):
+        c = rng.integers(0, 4, size=tab.rows.n_units)
+        rows = np.repeat(tab.rows.orderings, c, axis=0)
+        nranked = np.repeat(tab.rows.nranked, c)
+        top1 = np.zeros(K, dtype=np.int64)
+        for r in rows:
+            top1[r[0] - 1] += 1
+        assert np.array_equal(c @ tab.top1, top1)
+        tau = (c @ tab.pairs).reshape(K, K)
+        assert np.array_equal(tau, paired_counts_direct(rows, nranked))
+
+
+def test_strata_branch_rule():
+    # K=4: depth 1 enumerates at n >= 4*4, depth 2 at n >= 4*12, depth 4
+    # at n >= 4*24; the depth-2 stratum falls one unit short
+    rng = np.random.default_rng(3)
+    mat = _depth_rows(rng, 4, {1: 16, 2: 47, 4: 96})
+    data = Dataset.from_orderings(mat)
+    st = _strata(data)
+    assert st.sizes == [16, 47, 96]
+    assert [j for j, _ in st.exact] == [0, 2]
+    assert [j for j, _ in st.simulated] == [1]
+    assert np.array_equal(st.sim_depths, np.full(47, 2))
+    assert np.array_equal(st.simulated[0][1], np.arange(47))
+    ranks = data.to_rank_positions()
+    for j, m in enumerate((1, 2, 4)):
+        idx = data.nranked == m
+        top1 = np.bincount(mat[idx, 0] - 1, minlength=4)
+        assert np.array_equal(st.observed[j][0], top1)
+        assert np.array_equal(st.observed[j][1], _pair_counts(ranks[idx]))
+
+
+def test_multinomial_replicates_have_the_simulation_law():
+    # one depth-2 stratum of 60 units over K=4 is enumerated (4*12 <= 60);
+    # its replicate counts must follow the law of simulating the 60 units
+    rng = np.random.default_rng(8)
+    K, n, L = 4, 60, 2000
+    data = Dataset.from_orderings(_depth_rows(rng, K, {2: n}))
+    st = _strata(data)
+    assert [j for j, _ in st.exact] == [0] and not st.simulated
+    p = np.array([[0.5, 0.25, 0.15, 0.1], [0.1, 0.2, 0.3, 0.4]])
+    w = np.array([0.7, 0.3])
+    exact = np.empty((L, K + K * K))
+    simulated = np.empty((L, K + K * K))
+    for l in range(L):
+        (r, tau), = _replicate_counts(st, p, w, rng)
+        exact[l] = np.concatenate([r, tau.ravel()])
+        rep = _replicate_orderings(p, w, data.nranked, rng)
+        r = np.bincount(rep[:, 0] - 1, minlength=K)
+        tau = _pair_counts(rank_positions_of(rep, K + 1))
+        simulated[l] = np.concatenate([r, tau.ravel()])
+
+    def moments(x):
+        dev = x - x.mean(axis=0)
+        var = (dev**2).mean(axis=0)
+        m4 = (dev**4).mean(axis=0)
+        return x.mean(axis=0), var, var / L, (m4 - var**2) / L
+
+    m1, v1, se_m1, se_v1 = moments(exact)
+    m2, v2, se_m2, se_v2 = moments(simulated)
+    assert (np.abs(m1 - m2) <= 4 * np.sqrt(se_m1 + se_m2)).all()
+    assert (np.abs(v1 - v2) <= 4 * np.sqrt(se_v1 + se_v2)).all()
+
+
+def test_simulated_strata_keep_the_simulation_path():
+    # K=8 at depths 3 and 8 with N=150: no stratum reaches K * K!/(K-m)!,
+    # so every unit is simulated, on the same stream as simulating all
+    rng = np.random.default_rng(6)
+    data = Dataset.from_orderings(_depth_rows(rng, 8, {3: 80, 8: 70}))
+    assert not _strata(data).exact
+    chains = [gibbs_run(data, G, n_iter=30, n_burn=10, rng=G) for G in (1, 2)]
+    plain, cond = _ppchecks(data, chains, np.random.default_rng(21))
+    stream = np.random.default_rng(21)
+    for c, chain in enumerate(chains):
+        want = ppcheck_stats_simulated(data, chain, stream)
+        for k, rep in enumerate((plain, cond)):
+            got = (rep.top1_obs, rep.top1_rep, rep.paired_obs, rep.paired_rep)
+            assert np.array_equal(np.array([x[c] for x in got]), want[k])

@@ -329,14 +329,14 @@ def test_ppcheck_simulates_one_replicate_per_draw(tmp_path, monkeypatch):
     from plrank import assessment
 
     _, chains, args = _ppcheck_inputs(tmp_path)
-    real = assessment._replicate_orderings
+    real = assessment._replicate_counts
     calls = []
 
     def counting(*a):
         calls.append(a)
         return real(*a)
 
-    monkeypatch.setattr(assessment, "_replicate_orderings", counting)
+    monkeypatch.setattr(assessment, "_replicate_counts", counting)
     out = tmp_path / "ppc"
     assert run(["ppcheck", *args, "--seed", 13, "--out", out]) == 0
     assert len(calls) == sum(c.n_kept for c in chains)
