@@ -21,10 +21,11 @@ Within a depth-m stratum of n_m units the replicated top-m orderings are
 i.i.d. over the K!/(K-m)! top-m patterns, so the stratum's replicate is
 exactly Multinomial(n_m, pi) over the patterns, pi being their mixture
 probabilities. A stratum with K * K!/(K-m)! <= n_m is enumerated: its
-pattern counts are drawn directly and turned into top-1 and pair counts
-through per-pattern indicator tables, which are then no larger than the
-n_m x K replicate they replace. The other strata are simulated together,
-one complete ordering per unit truncated to its depth.
+pattern counts are drawn directly, and its top-1 and pair counts are
+those of the patterns weighted by their counts, at most n_m / K rows in
+place of n_m. Every other stratum simulates its own units, one complete
+ordering per unit truncated to depth m. Observed and replicated counts
+all come from one count kernel over rank matrices.
 
 Both variants share one replicate per kept draw, so the CLI's plain and
 conditional p-values come from one pass. Counts are taken per stratum;
@@ -52,10 +53,10 @@ from .model import (
     _stage_table,
 )
 
-# Enumerated top-m orderings: the patterns (a Dataset, depth blocks stacked
-# in ascending depth, block b in rows starts[b]:starts[b+1]) with their
-# (P, K) first-place and (P, K*K) decided-pair indicator tables
-_PatternTables = namedtuple("_PatternTables", "rows starts top1 pairs")
+# One depth stratum of the data: its depth m, its size n_m, its observed
+# (top-1, pair) counts, and its rows of the shared pattern table when it is
+# enumerated (None: its replicate is simulated unit by unit)
+_Stratum = namedtuple("_Stratum", "depth size observed rows")
 
 
 def _marginal_of(params) -> np.ndarray:
@@ -131,114 +132,72 @@ class PpcheckReport:
     conditional: bool
 
 
-def _pattern_tables(K: int, depths) -> _PatternTables:
-    """Every top-m ordering over K items for each depth m in turn, with
-    its first-place and decided-pair indicators; pairs use the rank coding
-    of _pair_counts, unranked items at K+1."""
-    blocks = []
-    for m in depths:
-        blk = np.zeros((math.perm(K, m), K), dtype=np.int64)
-        blk[:, :m] = list(itertools.permutations(range(1, K + 1), m))
-        blocks.append(blk)
-    rows = np.concatenate(blocks)
-    ranks = rank_positions_of(rows, K + 1)
-    pairs = ranks[:, :, None] < ranks[:, None, :]
-    return _PatternTables(
-        Dataset.from_orderings(rows),
-        np.cumsum([0] + [blk.shape[0] for blk in blocks]),
-        np.eye(K, dtype=np.int64)[rows[:, 0] - 1],
-        pairs.reshape(rows.shape[0], K * K).astype(np.int64),
-    )
+def _counts(ranks: np.ndarray, weights=None):
+    """(top-1 counts, pair counts) over the rows of a rank matrix, unranked
+    items coded K+1, row i counted weights[i] times (once by default)."""
+    first = ranks == 1
+    top1 = first.sum(axis=0) if weights is None else weights @ first
+    return top1, _pair_counts(ranks, weights)
 
 
-def _pattern_probs(tables: _PatternTables, p: np.ndarray, w: np.ndarray):
-    """Mixture probability of every pattern at supports p (G x K) and
-    weights w, renormalised within each depth block against rounding."""
-    pi = np.exp(_log_mixture(_stage_table(tables.rows, p)[0], w)[1])
-    mass = np.add.reduceat(pi, tables.starts[:-1])
-    return pi / np.repeat(mass, np.diff(tables.starts))
-
-
-@dataclass(frozen=True, eq=False)
-class _Strata:
-    """Depth strata of a dataset in ascending depth, with their sizes,
-    observed (top-1 counts, pair counts), and where each replicate comes
-    from: `exact` lists (stratum, row slice of `tables`) for enumerated
-    strata, `simulated` lists (stratum, positions) into one simulation of
-    the units whose depths are `sim_depths`, in data order."""
-
-    n_items: int
-    sizes: list
-    observed: list
-    exact: list
-    tables: _PatternTables | None
-    simulated: list
-    sim_depths: np.ndarray
-
-
-def _strata(data: Dataset) -> _Strata:
-    """Split the units by depth; a depth-m stratum of n_m units is
-    enumerated when K * K!/(K-m)! <= n_m, so that its pattern tables are
-    never larger than the n_m x K replicate they replace."""
+def _strata(data: Dataset):
+    """The depth strata of a dataset in ascending depth, and the shared
+    table of enumerated patterns: every top-m ordering of each enumerated
+    depth m, stacked in ascending depth, as a Dataset and its rank matrix
+    (None when no stratum is enumerated). A depth-m stratum of n_m units
+    is enumerated when K * K!/(K-m)! <= n_m, so that it counts at most
+    n_m / K pattern rows where a simulation would count n_m unit rows."""
     K = data.n_items
     ranks = data.to_rank_positions()
-    depths = np.unique(data.nranked)
-    units = [np.nonzero(data.nranked == m)[0] for m in depths]
-    sizes = [idx.shape[0] for idx in units]
-    observed = [
-        (np.bincount(data.item_idx[idx, 0], minlength=K), _pair_counts(ranks[idx]))
-        for idx in units
-    ]
-    enum = np.array([K * math.perm(K, int(m)) <= n for m, n in zip(depths, sizes)])
-    tables = _pattern_tables(K, depths[enum].tolist()) if enum.any() else None
-    exact = [
-        (j, slice(tables.starts[b], tables.starts[b + 1]))
-        for b, j in enumerate(np.nonzero(enum)[0])
-    ]
-    sim_depths = data.nranked[~np.isin(data.nranked, depths[enum])]
-    simulated = [
-        (j, np.nonzero(sim_depths == depths[j])[0]) for j in np.nonzero(~enum)[0]
-    ]
-    return _Strata(K, sizes, observed, exact, tables, simulated, sim_depths)
+    strata, blocks, lo = [], [], 0
+    for m in np.unique(data.nranked).tolist():
+        units = data.nranked == m
+        n, P, rows = int(units.sum()), math.perm(K, m), None
+        if K * P <= n:
+            blk = np.zeros((P, K), dtype=np.int64)
+            blk[:, :m] = list(itertools.permutations(range(1, K + 1), m))
+            blocks.append(blk)
+            rows, lo = slice(lo, lo + P), lo + P
+        strata.append(_Stratum(m, n, _counts(ranks[units]), rows))
+    if not blocks:
+        return strata, None
+    patterns = Dataset.from_orderings(np.concatenate(blocks))
+    return strata, (patterns, patterns.to_rank_positions())
 
 
-def _replicate_counts(strata: _Strata, p: np.ndarray, w: np.ndarray, rng):
+def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
     """(top-1 counts, pair counts) of one replicated dataset per stratum at
     normalised supports p and weights w. Within a depth-m stratum the
     replicated top-m orderings are i.i.d. over the top-m patterns, so an
     enumerated stratum draws its pattern counts from Multinomial(n_m, pi);
-    the other strata share one simulation of their units."""
-    K = strata.n_items
-    out = [None] * len(strata.sizes)
-    if strata.simulated:
-        rep = _replicate_orderings(p, w, strata.sim_depths, rng)
-        ranks = rank_positions_of(rep, K + 1)
-        for j, pos in strata.simulated:
-            r = np.bincount(rep[pos, 0] - 1, minlength=K)
-            out[j] = (r, _pair_counts(ranks[pos]))
-    if strata.exact:
-        tab = strata.tables
-        pi = _pattern_probs(tab, p, w)
-        for j, rows in strata.exact:
-            c = rng.multinomial(strata.sizes[j], pi[rows])
-            out[j] = (c @ tab.top1[rows], (c @ tab.pairs[rows]).reshape(K, K))
+    any other stratum simulates its own units."""
+    if table is not None:
+        patterns, ranks = table
+        pi = np.exp(_log_mixture(_stage_table(patterns, p)[0], w)[1])
+    out = []
+    for s in strata:
+        if s.rows is None:
+            rep = _replicate_orderings(p, w, np.full(s.size, s.depth), rng)
+            out.append(_counts(rank_positions_of(rep, p.shape[1] + 1)))
+        else:
+            q = pi[s.rows]
+            out.append(_counts(ranks[s.rows], rng.multinomial(s.size, q / q.sum())))
     return out
 
 
-def _check_one_chain(strata: _Strata, chain: GibbsChain, rng):
+def _check_one_chain(strata, table, chain: GibbsChain, rng):
     """(2, 4, n_kept) statistics of one chain, plain then conditional, each
     holding top1 obs/rep and paired obs/rep, from one replicate per draw."""
-    if chain.n_items != strata.n_items:
-        raise ValidationError("chain item count does not match the data")
-    obs_r, obs_tau = zip(*strata.observed)
-    N = sum(strata.sizes)
+    obs_r, obs_tau = zip(*(s.observed for s in strata))
+    sizes = [s.size for s in strata]
+    N = sum(sizes)
     stats = np.zeros((2, 4, chain.n_kept))
     for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
         p = p / p.sum(axis=1, keepdims=True)
         pbar = w @ p
-        rep_r, rep_tau = zip(*_replicate_counts(strata, p, w, rng))
+        rep_r, rep_tau = zip(*_replicate_counts(strata, table, p, w, rng))
         pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
-        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, strata.sizes)
+        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
         for k, groups in enumerate((pooled, per_stratum)):
             for r_o, r_x, tau_o, tau_x, n in groups:
                 stats[k, :, l] += (
@@ -257,10 +216,12 @@ def _ppchecks(data: Dataset, chains, rng=None):
     chains = list(chains)
     if not chains:
         raise ValidationError("need at least one chain")
+    if any(chain.n_items != data.n_items for chain in chains):
+        raise ValidationError("chain item count does not match the data")
     if rng is None:
         rng = np.random.default_rng()
-    strata = _strata(data)
-    stats = [_check_one_chain(strata, chain, rng) for chain in chains]
+    strata, table = _strata(data)
+    stats = [_check_one_chain(strata, table, chain, rng) for chain in chains]
     return tuple(
         PpcheckReport(
             g_values=np.asarray([c.n_components for c in chains], dtype=np.int64),

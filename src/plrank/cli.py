@@ -76,12 +76,16 @@ class _Options:
             return default
         if cast is bool:
             return _as_bool(val)
-        if cast is not None:
-            try:
-                return cast(val)
-            except (TypeError, ValueError):
-                raise ValidationError(f"--{name}: cannot parse {val!r}") from None
-        return val
+        # a config value is checked as its flag would be, from its text:
+        # JSON 20.9 or true is no integer, and 0 or a list is no path or name
+        if cast is None:
+            if not isinstance(val, str):
+                raise ValidationError(f"--{name}: expected a string, not {val!r}")
+            return val
+        try:
+            return cast(str(val))
+        except ValueError:
+            raise ValidationError(f"--{name}: cannot parse {val!r}") from None
 
     def getlist(self, name: str, required: bool = False):
         key = name.replace("-", "_")
@@ -91,7 +95,10 @@ class _Options:
             if env is not None:
                 val = [tok for tok in env.split(os.pathsep) if tok]
             elif key in self.config:
-                val = list(self.config[key])
+                val = self.config[key]
+                strings = isinstance(val, list) and all(isinstance(v, str) for v in val)
+                if not strings:
+                    raise ValidationError(f"--{name}: expected a JSON list of strings")
         if not val:
             if required:
                 raise ValidationError(f"missing required option --{name}")

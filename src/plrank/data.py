@@ -447,15 +447,20 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     return _pair_counts(data.to_rank_positions())
 
 
-def _pair_counts(ranks: np.ndarray) -> np.ndarray:
+def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
     """K x K counts of rows of a rank matrix placing item i strictly
-    before item j; code unranked items with a common rank beyond K so
-    that pairs a row leaves undecided count for neither side."""
+    before item j, row r counted weights[r] times (once by default); code
+    unranked items with a common rank beyond K so that pairs a row leaves
+    undecided count for neither side."""
     K = ranks.shape[1]
     tau = np.zeros((K, K), dtype=np.int64)
     for lo in range(0, ranks.shape[0], _PAIR_CHUNK):
         blk = ranks[lo : lo + _PAIR_CHUNK]
-        tau += (blk[:, :, None] < blk[:, None, :]).sum(axis=0)
+        before = blk[:, :, None] < blk[:, None, :]
+        if weights is None:
+            tau += before.sum(axis=0)
+        else:
+            tau += np.tensordot(weights[lo : lo + _PAIR_CHUNK], before, axes=1)
     return tau
 
 

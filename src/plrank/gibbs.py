@@ -93,17 +93,13 @@ def init_from_map(fit: MapFit) -> dict:
     }
 
 
-def _support_conditional(data: Dataset, z, y, hyper: Hyperparams, cells=None):
+def _support_conditional(data: Dataset, d, g, n, y, hyper: Hyperparams):
     """Gamma (shape, rate) arrays of the support full conditional.
 
-    Row r of y holds the stage times, zero beyond the depth, of one unit
-    that ranks as data row r and belongs to component z[r] (1-based labels,
-    or one-hot rows). With cells=(d, n), row r instead sums the times of
-    the n[r] units of data row d[r] in that component.
+    Row r of y sums the stage times, zero beyond the depth, of the n[r]
+    units that rank as data row d[r] and belong to component g[r]
+    (0-based); unit cells (d = arange(N), n = 1) give the per-unit form.
     """
-    z = np.asarray(z)
-    g = np.argmax(z, axis=1) if z.ndim == 2 else np.asarray(z, dtype=np.int64) - 1
-    d, n = cells if cells is not None else (np.arange(g.size), np.ones(g.size))
     member = np.eye(hyper.n_components)[g].T
     shape = hyper.shape + member @ (n[:, None] * data.u[d])
     rate = hyper.rate[:, None] + member @ _availability_sums(data.item_idx[d], y)
@@ -202,7 +198,7 @@ def gibbs_run(
         y = rng.standard_gamma(n[:, None] * rows.stage_mask[d]) / rem[d, :, g]
 
         # supports | times, memberships
-        shape, rate = _support_conditional(rows, g + 1, y, hyper, cells=(d, n))
+        shape, rate = _support_conditional(rows, d, g, n, y, hyper)
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
         # memberships | weights, supports, and the log-likelihood

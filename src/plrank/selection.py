@@ -72,6 +72,8 @@ class SelectionReport:
 
 
 def _point_deviance(point_estimate, fit, chain, data) -> float:
+    if point_estimate not in ("map", "mean", "median"):
+        raise ValidationError("point_estimate must be map, mean, or median")
     if point_estimate == "map":
         params = MixtureParams(fit.supports, fit.weights)
     else:
@@ -79,17 +81,9 @@ def _point_deviance(point_estimate, fit, chain, data) -> float:
             raise ValidationError(
                 f"point_estimate {point_estimate!r} needs the matching chain"
             )
-        P3 = chain.supports_3d()
-        if point_estimate == "mean":
-            p = P3.mean(axis=0)
-            w = chain.W.mean(axis=0)
-        elif point_estimate == "median":
-            p = np.median(P3, axis=0)
-            w = np.median(chain.W, axis=0)
-        else:
-            raise ValidationError("point_estimate must be map, mean, or median")
-        w = w / w.sum()
-        params = MixtureParams(p, w)
+        agg = np.mean if point_estimate == "mean" else np.median
+        w = agg(chain.W, axis=0)
+        params = MixtureParams(agg(chain.supports_3d(), axis=0), w / w.sum())
     return -2.0 * mixture_loglik(params, data)
 
 

@@ -207,7 +207,7 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
             w = rng.dirichlet(hyper.alpha + np.bincount(g_of_s, minlength=G))
         y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
         y[~data.stage_mask] = 0.0
-        shape, rate = _support_conditional(data, g_of_s + 1, y, hyper)
+        shape, rate = _support_conditional(data, units, g_of_s, np.ones(N), y, hyper)
         if (rate <= 0).any():
             raise ValueError(f"empty component at sweep {sweep}")
         p = np.maximum(rng.standard_gamma(shape) / rate, 1e-300)
@@ -248,14 +248,16 @@ def em_step_units(p, w, data, hyper):
 def ppcheck_stats_simulated(data, chain, rng):
     """Reference predictive-check statistics that simulate every unit: the
     (2, 4, n_kept) array of plain then conditional top1 obs/rep and paired
-    obs/rep, one complete replicate per kept draw, counted per depth
-    stratum (the form the library keeps for strata it does not enumerate).
+    obs/rep, one replicate per kept draw, simulated and counted stratum by
+    stratum in ascending depth (the form the library keeps for strata it
+    does not enumerate).
     """
     from plrank.assessment import _replicate_orderings, chi2_paired, chi2_top1
     from plrank.data import _pair_counts, rank_positions_of
 
     N, K = data.orderings.shape
-    strata = [np.nonzero(data.nranked == m)[0] for m in np.unique(data.nranked)]
+    depths = np.unique(data.nranked)
+    strata = [np.nonzero(data.nranked == m)[0] for m in depths]
     obs_ranks = data.to_rank_positions()
     obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
     obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
@@ -265,10 +267,11 @@ def ppcheck_stats_simulated(data, chain, rng):
     for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
         p = p / p.sum(axis=1, keepdims=True)
         pbar = w @ p
-        rep = _replicate_orderings(p, w, data.nranked, rng)
-        rep_ranks = rank_positions_of(rep, K + 1)
-        rep_r = [np.bincount(rep[idx, 0] - 1, minlength=K) for idx in strata]
-        rep_tau = [_pair_counts(rep_ranks[idx]) for idx in strata]
+        rep_r, rep_tau = [], []
+        for m, n in zip(depths, sizes):
+            rep = _replicate_orderings(p, w, np.full(n, m), rng)
+            rep_r.append(np.bincount(rep[:, 0] - 1, minlength=K))
+            rep_tau.append(_pair_counts(rank_positions_of(rep, K + 1)))
         pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
         per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
         for k, groups in enumerate((pooled, per_stratum)):

@@ -39,7 +39,7 @@ from plrank import (
     unit_to_freq,
     write_sequence_csv,
 )
-from plrank.assessment import _replicate_orderings
+from plrank.assessment import _replicate_counts, _replicate_orderings, _strata
 from plrank.fileio import (
     format_preflib,
     parse_preflib,
@@ -398,12 +398,14 @@ def test_c05a_conditional_moments():
     z_var = abs(W.var(ddof=1) - var_th) / se_var
 
     # support conditional: library (shape, rate) on a hand-fixed latent
-    # state, then the sweep's own draw form at n = 10^4
+    # state, given as the sweep gives it (one cell per unit, 0-based
+    # components), then the sweep's own draw form at n = 10^4
     hyper = Hyperparams.expand(1.5, 0.7, 1.0, 2, 3)
     yrng = np.random.default_rng(12)
     y = yrng.exponential(0.7, size=(5, 3))
     y[~data.stage_mask] = 0.0
-    shape, rate = _support_conditional(data, z0, y, hyper)
+    units = np.arange(5)
+    shape, rate = _support_conditional(data, units, z0 - 1, np.ones(5), y, hyper)
     n = 10_000
     draws = np.random.default_rng(314159).standard_gamma(
         np.broadcast_to(shape, (n, 2, 3))
@@ -566,6 +568,7 @@ def test_c07_ppc_calibration():
     inside = 0
     all_in_range = True
     depths_ok = True
+    totals_ok = True
     for rep in range(20):
         rng = np.random.default_rng(4000 + rep)
         supports = rng.dirichlet(np.full(4, 3.0))[None, :]
@@ -579,15 +582,23 @@ def test_c07_ppc_calibration():
         all_in_range &= 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
         inside += 0.05 < p1 < 0.95 and 0.05 < p2 < 0.95
         # replicated datasets keep each unit's censoring depth
-        rep_ord = _replicate_orderings(
-            chain.supports_3d()[-1], chain.W[-1], data.nranked, rng
-        )
+        p, w = chain.supports_3d()[-1], chain.W[-1]
+        rep_ord = _replicate_orderings(p, w, data.nranked, rng)
         depths_ok &= np.array_equal((rep_ord > 0).sum(axis=1), data.nranked)
+        # the replicate that ppcheck scores holds, per depth-m stratum, n_m
+        # first places and m(m-1)/2 + m(K-m) decided pairs per unit
+        strata, table = _strata(data)
+        out = _replicate_counts(strata, table, p / p.sum(axis=1)[:, None], w, rng)
+        for s, (r, tau) in zip(strata, out):
+            m = s.depth
+            pairs = s.size * (m * (m - 1) // 2 + m * (4 - m))
+            totals_ok &= r.sum() == s.size and tau.sum() == pairs
     _line(
         "criterion 7",
-        inside >= 18 and all_in_range and depths_ok,
+        inside >= 18 and all_in_range and depths_ok and totals_ok,
         f"{inside}/20 replications give interior p-values (need 18); "
-        f"p in [0,1]: {all_in_range}; replicate depths preserved: {depths_ok}",
+        f"p in [0,1]: {all_in_range}; replicate depths preserved: {depths_ok}; "
+        f"replicate stratum totals: {totals_ok}",
     )
 
 

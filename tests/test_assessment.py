@@ -13,8 +13,7 @@ from plrank import (
     sample_mixture,
 )
 from plrank.assessment import (
-    _pattern_probs,
-    _pattern_tables,
+    _counts,
     _ppchecks,
     _replicate_counts,
     _replicate_orderings,
@@ -163,43 +162,78 @@ def _depth_rows(rng, K, sizes):
     return np.array(rows)[rng.permutation(len(rows))]
 
 
+class _MultinomialSpy:
+    """Stands in for a Generator in _replicate_counts: records the (n, pi)
+    of every multinomial draw and hands it on to a real generator."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def multinomial(self, n, pvals):
+        self.calls.append((n, pvals))
+        return self.rng.multinomial(n, pvals)
+
+
+def _enumerated(rng, K, depths):
+    """Data whose depth strata are all just large enough to be enumerated."""
+    sizes = {m: K * math.perm(K, m) for m in depths}
+    data = Dataset.from_orderings(_depth_rows(rng, K, sizes))
+    strata, table = _strata(data)
+    assert [s.depth for s in strata] == depths
+    assert all(s.rows is not None for s in strata)
+    # the table's rank matrix is that of its patterns
+    assert np.array_equal(table[1], table[0].to_rank_positions())
+    return strata, table
+
+
 @pytest.mark.parametrize("K,depths", [(4, [1, 2, 4]), (5, [1, 2, 3, 5])])
 @pytest.mark.parametrize("G", [1, 2, 3])
 def test_pattern_probs_are_the_mixture_law(K, depths, G):
     rng = np.random.default_rng(10 * K + G)
-    tab = _pattern_tables(K, depths)
+    strata, table = _enumerated(rng, K, depths)
+    patterns = table[0]
     p = rng.dirichlet(np.full(K, 2.0), size=G)
     w = rng.dirichlet(np.full(G, 2.0))
-    pi = _pattern_probs(tab, p, w)
-    for b, m in enumerate(depths):
-        lo, hi = tab.starts[b], tab.starts[b + 1]
-        rows = tab.rows.orderings[lo:hi]
-        # the block is every top-m ordering, each once
-        assert hi - lo == math.perm(K, m)
-        assert (tab.rows.nranked[lo:hi] == m).all()
-        assert len({tuple(r) for r in rows}) == hi - lo
-        assert abs(pi[lo:hi].sum() - 1.0) <= 1e-12
+    spy = _MultinomialSpy(rng)
+    _replicate_counts(strata, table, p, w, spy)
+    assert len(spy.calls) == len(strata)
+    for s, (n, pi) in zip(strata, spy.calls):
+        m = s.depth
+        rows = patterns.orderings[s.rows]
+        # the stratum's rows of the table are every top-m ordering, each once
+        assert n == s.size
+        assert rows.shape[0] == math.perm(K, m)
+        assert (patterns.nranked[s.rows] == m).all()
+        assert len({tuple(r) for r in rows}) == rows.shape[0]
+        assert abs(pi.sum() - 1.0) <= 1e-12
         want = [
             sum(w[g] * math.exp(ordering_row_loglik(r[:m], p[g])) for g in range(G))
             for r in rows
         ]
-        assert np.allclose(pi[lo:hi], want, rtol=1e-12, atol=0)
+        assert np.allclose(pi, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("K,depths", [(4, [1, 2, 4]), (5, [1, 2, 3, 5])])
 def test_pattern_tables_count_like_the_rows(K, depths):
+    # the count kernel over pattern ranks weighted by counts c equals the
+    # counts of the rows repeated c times, for the whole table and per stratum
     rng = np.random.default_rng(K)
-    tab = _pattern_tables(K, depths)
-    for _ in range(3):
-        c = rng.integers(0, 4, size=tab.rows.n_units)
-        rows = np.repeat(tab.rows.orderings, c, axis=0)
-        nranked = np.repeat(tab.rows.nranked, c)
+    strata, (patterns, ranks) = _enumerated(rng, K, depths)
+    blocks = [slice(None)] + [s.rows for s in strata]
+    for rows in blocks * 2:
+        c = rng.integers(0, 4, size=ranks[rows].shape[0])
+        expanded = np.repeat(patterns.orderings[rows], c, axis=0)
+        nranked = np.repeat(patterns.nranked[rows], c)
         top1 = np.zeros(K, dtype=np.int64)
-        for r in rows:
+        for r in expanded:
             top1[r[0] - 1] += 1
-        assert np.array_equal(c @ tab.top1, top1)
-        tau = (c @ tab.pairs).reshape(K, K)
-        assert np.array_equal(tau, paired_counts_direct(rows, nranked))
+        r, tau = _counts(ranks[rows], c)
+        assert np.array_equal(r, top1)
+        assert np.array_equal(tau, paired_counts_direct(expanded, nranked))
+        # unweighted, each row counts once
+        r1, tau1 = _counts(ranks[rows])
+        assert np.array_equal(r1, _counts(ranks[rows], np.ones_like(c))[0])
+        assert np.array_equal(tau1, _pair_counts(ranks[rows]))
 
 
 def test_strata_branch_rule():
@@ -208,18 +242,26 @@ def test_strata_branch_rule():
     rng = np.random.default_rng(3)
     mat = _depth_rows(rng, 4, {1: 16, 2: 47, 4: 96})
     data = Dataset.from_orderings(mat)
-    st = _strata(data)
-    assert st.sizes == [16, 47, 96]
-    assert [j for j, _ in st.exact] == [0, 2]
-    assert [j for j, _ in st.simulated] == [1]
-    assert np.array_equal(st.sim_depths, np.full(47, 2))
-    assert np.array_equal(st.simulated[0][1], np.arange(47))
+    strata, table = _strata(data)
+    assert [s.depth for s in strata] == [1, 2, 4]
+    assert [s.size for s in strata] == [16, 47, 96]
+    assert [s.rows for s in strata] == [slice(0, 4), None, slice(4, 28)]
+    assert table[0].n_units == 28
     ranks = data.to_rank_positions()
-    for j, m in enumerate((1, 2, 4)):
-        idx = data.nranked == m
+    for s in strata:
+        idx = data.nranked == s.depth
         top1 = np.bincount(mat[idx, 0] - 1, minlength=4)
-        assert np.array_equal(st.observed[j][0], top1)
-        assert np.array_equal(st.observed[j][1], _pair_counts(ranks[idx]))
+        assert np.array_equal(s.observed[0], top1)
+        assert np.array_equal(s.observed[1], _pair_counts(ranks[idx]))
+    # both branches replicate n_m units of depth m per stratum: n_m first
+    # places and m(m-1)/2 + m(K-m) decided pairs per unit
+    p = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+    for _ in range(5):
+        out = _replicate_counts(strata, table, p, np.array([0.6, 0.4]), rng)
+        for s, (r, tau) in zip(strata, out):
+            m = s.depth
+            assert r.sum() == s.size
+            assert tau.sum() == s.size * (m * (m - 1) // 2 + m * (4 - m))
 
 
 def test_multinomial_replicates_have_the_simulation_law():
@@ -228,14 +270,14 @@ def test_multinomial_replicates_have_the_simulation_law():
     rng = np.random.default_rng(8)
     K, n, L = 4, 60, 2000
     data = Dataset.from_orderings(_depth_rows(rng, K, {2: n}))
-    st = _strata(data)
-    assert [j for j, _ in st.exact] == [0] and not st.simulated
+    strata, table = _strata(data)
+    assert [s.rows for s in strata] == [slice(0, 12)]
     p = np.array([[0.5, 0.25, 0.15, 0.1], [0.1, 0.2, 0.3, 0.4]])
     w = np.array([0.7, 0.3])
     exact = np.empty((L, K + K * K))
     simulated = np.empty((L, K + K * K))
     for l in range(L):
-        (r, tau), = _replicate_counts(st, p, w, rng)
+        (r, tau), = _replicate_counts(strata, table, p, w, rng)
         exact[l] = np.concatenate([r, tau.ravel()])
         rep = _replicate_orderings(p, w, data.nranked, rng)
         r = np.bincount(rep[:, 0] - 1, minlength=K)
@@ -256,10 +298,12 @@ def test_multinomial_replicates_have_the_simulation_law():
 
 def test_simulated_strata_keep_the_simulation_path():
     # K=8 at depths 3 and 8 with N=150: no stratum reaches K * K!/(K-m)!,
-    # so every unit is simulated, on the same stream as simulating all
+    # so every stratum simulates its units, on the same stream as the
+    # unit-by-unit reference that simulates stratum by stratum
     rng = np.random.default_rng(6)
     data = Dataset.from_orderings(_depth_rows(rng, 8, {3: 80, 8: 70}))
-    assert not _strata(data).exact
+    strata, table = _strata(data)
+    assert table is None and all(s.rows is None for s in strata)
     chains = [gibbs_run(data, G, n_iter=30, n_burn=10, rng=G) for G in (1, 2)]
     plain, cond = _ppchecks(data, chains, np.random.default_rng(21))
     stream = np.random.default_rng(21)

@@ -190,7 +190,7 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
         assert str(bad) in err["error"]["message"]
 
 
-def test_option_precedence(tmp_path, monkeypatch):
+def test_option_precedence(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 100, "n": 20, "K": 3}))
     # config alone supplies everything
@@ -210,6 +210,30 @@ def test_option_precedence(tmp_path, monkeypatch):
     # malformed config is a validation failure
     cfg.write_text("{not json")
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o4"]) == 2
+    capsys.readouterr()
+
+    def rejected(argv, doc, option):
+        cfg.write_text(json.dumps(doc))
+        assert run([*argv, "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and option in err["message"]
+
+    # config values are checked as their flags are: an integer option takes
+    # neither a fraction nor a boolean
+    sim = ["simulate", "--out", tmp_path / "o5"]
+    rejected(sim, {"n": 20.9, "K": 4, "seed": 1}, "--n")
+    rejected(sim, {"n": 20, "K": 4, "seed": True}, "--seed")
+    assert not (tmp_path / "o5").exists()
+    # a path takes a JSON string: 0 would read standard input
+    summ = ["summarize", "--format", "ordering", "--out", tmp_path / "o8"]
+    rejected(summ, {"input": 0}, "--input")
+    rejected(summ, {"input": ["ord.csv"]}, "--input")
+    # a repeatable option takes a JSON list of strings, never one string
+    data = tmp_path / "ord.csv"
+    data.write_text("1,2,3\n2,1,0\n")
+    ppc = ["ppcheck", "--input", data, "--format", "ordering", "--seed", 1]
+    rejected([*ppc, "--out", tmp_path / "o6"], {"chain": "chain_G1.csv"}, "--chain")
+    rejected([*ppc, "--out", tmp_path / "o7"], {"chain": ["a.csv", 2]}, "--chain")
 
 
 def test_parallel_runs_byte_identical(tmp_path):

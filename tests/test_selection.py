@@ -96,6 +96,9 @@ def test_point_estimate_mean_and_median():
         selection_criteria(
             [chain.deviance], [fit], data, point_estimate="mode", chains=[chain]
         )
+    # an unknown name is named as such, with or without chains
+    with pytest.raises(ValidationError, match="must be map, mean, or median"):
+        selection_criteria([chain.deviance], [fit], data, point_estimate="bogus")
 
 
 def test_row_layout_and_alignment_checks():
