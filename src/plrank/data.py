@@ -184,6 +184,9 @@ class PartialRanking:
 # Dataset.patterns: distinct rows (a Dataset), their counts, each unit's row
 Patterns = namedtuple("Patterns", "rows counts index")
 
+# Dataset._stages: the stage index the engine's tables are built from
+_Stages = namedtuple("_Stages", "items pad pos")
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -228,6 +231,25 @@ class Dataset:
         """Distinct rows (lexicographic), built on first use by the fitters."""
         rows, counts, index = _group_rows(self.orderings)
         return Patterns(Dataset.from_orderings(rows), counts, index)
+
+    @cached_property
+    def _stages(self) -> _Stages:
+        """Stage-major index of the rows, built on first use by the engine:
+        items[t, s] is the 0-based item row s takes at stage t, its
+        unranked items filling the pad in ascending order; pad lists the
+        cells beyond the depth, t >= nranked[s], as flat indices
+        t * n_units + s; pos[s, i] is the stage that holds item i in row
+        s, so that items[pos[s, i], s] == i."""
+        filled = self.item_idx.copy()
+        filled[~self.stage_mask] = np.nonzero(self.u == 0)[1]
+        out = _Stages(
+            np.ascontiguousarray(filled.T),
+            np.flatnonzero(~self.stage_mask.T),
+            np.argsort(filled, axis=1),
+        )
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     @property
     def n_units(self) -> int:
@@ -451,7 +473,8 @@ def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
     """K x K counts of rows of a rank matrix placing item i strictly
     before item j, row r counted weights[r] times (once by default); code
     unranked items with a common rank beyond K so that pairs a row leaves
-    undecided count for neither side."""
+    undecided count for neither side. Integer weights are summed by a
+    float64 matrix product, exact while they sum below 2**53."""
     K = ranks.shape[1]
     tau = np.zeros((K, K), dtype=np.int64)
     for lo in range(0, ranks.shape[0], _PAIR_CHUNK):
@@ -460,7 +483,9 @@ def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
         if weights is None:
             tau += before.sum(axis=0)
         else:
-            tau += np.tensordot(weights[lo : lo + _PAIR_CHUNK], before, axes=1)
+            w = np.asarray(weights[lo : lo + _PAIR_CHUNK], dtype=np.float64)
+            flat = before.reshape(blk.shape[0], K * K).astype(np.float64)
+            tau += (w @ flat).astype(np.int64).reshape(K, K)
     return tau
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +112,9 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
 
 
 def _e_step(params: MixtureParams, pat: Patterns):
-    """Responsibilities, log-likelihood and remaining-mass table (D x K x G)
-    of the parameters, on the D distinct rows of the pattern view pat."""
+    """Responsibilities (D x G), log-likelihood and stage-major
+    remaining-mass table (K x D x G) of the parameters, on the D distinct
+    rows of the pattern view pat."""
     comp, rem = _stage_table(pat.rows, params.supports)
     scored, per_row = _log_mixture(comp, params.weights)
     if not np.isfinite(per_row).all():
@@ -124,8 +124,9 @@ def _e_step(params: MixtureParams, pat: Patterns):
 
 
 def _m_step(pat: Patterns, hyper: Hyperparams, zhat, rem) -> MixtureParams:
-    """Closed-form update from an _e_step at the previous parameters; each
-    distinct row's terms count once per unit showing it."""
+    """Closed-form update from an _e_step at the previous parameters,
+    whose rem table it overwrites; each distinct row's terms count once
+    per unit showing it."""
     data, zhat = pat.rows, zhat * pat.counts[:, None]
     N, G = pat.index.size, zhat.shape[1]
     numer = hyper.shape - 1.0 + zhat.T @ data.u
@@ -135,9 +136,10 @@ def _m_step(pat: Patterns, hyper: Hyperparams, zhat, rem) -> MixtureParams:
             f"support update numerator negative for component {g + 1}, "
             f"item {i + 1}: shape {hyper.shape[g, i]} too small for the data"
         )
-    r = 1.0 / rem
-    r[~data.stage_mask] = 0.0
-    avail = _availability_sums(data.item_idx, r)
+    stages = data._stages
+    r = np.divide(1.0, rem, out=rem)
+    r.reshape(-1, G)[stages.pad] = 0.0
+    avail = _availability_sums(stages.pos, r)
     denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_new = numer / denom
@@ -359,6 +361,9 @@ def _fan_out(fn, jobs: list, n_jobs: int) -> list:
     """fn over jobs, in job order: across a pool of up to n_jobs processes
     when there is more than one of each, else serially in this process."""
     if n_jobs > 1 and len(jobs) > 1:
+        # imported here: the process pool module costs every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]

@@ -8,7 +8,7 @@ per distinct row d of the data (Dataset.patterns, n_d units), the counts
 n_dg of its units in each component. One sweep updates, in order:
 
     weights     | memberships        ~ Dirichlet(alpha + sum_d n_dg)
-    stage times | memberships, supp. ~ Gamma(n_dg) / rem[d, t, g] per cell
+    stage times | memberships, supp. ~ Gamma(n_dg) / rem[t, d, g] per cell
     supports    | times, memberships ~ Gamma
     memberships | weights, supports  ~ Multinomial(n_d, pi_d), times
                                        integrated out
@@ -81,7 +81,7 @@ def stage_rates(ordering_row, supports) -> np.ndarray:
     remaining support mass before each of its n_s selections."""
     row, p = _one_row(ordering_row, supports)
     rem = _stage_table(Dataset.from_orderings(row[None, :]), p[None, :])[1]
-    return rem[0, row != 0, 0]
+    return rem[row != 0, 0, 0]
 
 
 def init_from_map(fit: MapFit) -> dict:
@@ -96,14 +96,15 @@ def init_from_map(fit: MapFit) -> dict:
 def _support_conditional(data: Dataset, d, g, n, y, hyper: Hyperparams):
     """Gamma (shape, rate) arrays of the support full conditional.
 
-    Row r of y sums the stage times, zero beyond the depth, of the n[r]
-    units that rank as data row d[r] and belong to component g[r]
-    (0-based); unit cells (d = arange(N), n = 1) give the per-unit form.
+    Column r of y (K x cells, stage-major) sums the stage times, zero
+    beyond the depth, of the n[r] units that rank as data row d[r] and
+    belong to component g[r] (0-based); unit cells (d = arange(N), n = 1)
+    give the per-unit form. y is overwritten.
     """
     member = np.eye(hyper.n_components)[g].T
     shape = hyper.shape + member @ (n[:, None] * data.u[d])
-    rate = hyper.rate[:, None] + member @ _availability_sums(data.item_idx[d], y)
-    return shape, rate
+    avail = _availability_sums(data._stages.pos[d], y)
+    return shape, hyper.rate[:, None] + member @ avail
 
 
 def gibbs_run(
@@ -195,7 +196,10 @@ def gibbs_run(
         # stage times | memberships, supports, summed per cell (shape 0: 0)
         g = np.argsort(-n_dg, axis=1, kind="stable")[top]
         n = n_dg[d, g]
-        y = rng.standard_gamma(n[:, None] * rows.stage_mask[d]) / rem[d, :, g]
+        # Gamma draws come cell-major, the cells' rates rem[:, d, g]
+        # stage-major; y takes the rates' layout
+        y = rem[:, d, g]
+        np.divide(rng.standard_gamma(n[:, None] * rows.stage_mask[d]).T, y, out=y)
 
         # supports | times, memberships
         shape, rate = _support_conditional(rows, d, g, n, y, hyper)

@@ -6,6 +6,22 @@ support among the items still available. A G-component mixture draws the
 support vector per unit according to weights w. Likelihood code runs on
 unnormalized supports (scaling a component's row leaves every stagewise
 probability unchanged); normalization happens only when reporting.
+
+The engine's per-row tables are laid out so that every numpy pass runs
+along the long row axis. A dataset's stage index (Dataset._stages, built
+once) holds the item taken at each stage, stage-major, with the unranked
+items filled into the pad. _stage_table gathers the supports through it
+once and returns the remaining masses rem[t, d, g] stage-major (K x D x
+G); _availability_sums gathers prefix sums back by item; _log_mixture
+reduces over a contiguous leading component axis and hands back
+C-contiguous (D, G) scores.
+
+Results are fixed bit for bit, not just to rounding: the stage sums run in
+stage order and the component sums in component order, whatever the
+layout. Memory order matters as well, since numpy may add a reduction's
+or an einsum's terms in another order when an operand comes in another
+order (F-ordered responsibilities change the M-step's sum and the last
+digits of every fit); tables handed between kernels stay C-contiguous.
 """
 
 from __future__ import annotations
@@ -87,34 +103,41 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
 def _stage_table(data: Dataset, p: np.ndarray):
     """Per-component stage tables for supports p (G x K).
 
-    Returns (comp, rem): comp[s, g] is the log-likelihood of unit s under
-    row g, the log supports of the items it ranks less the logs of rem;
-    rem[s, t, g] is the support mass under row g left before stage t, and
-    1 beyond the depth: with the unranked items in the -1 pad of item_idx,
-    one suffix sum of positive terms, exact where total - consumed would
-    cancel and independent of the other rows and components.
+    Returns (comp, rem): comp[s, g] is the log-likelihood of row s under
+    support row g, the log supports of the items it ranks less the logs
+    of rem; rem[t, s, g], stage-major, is the support mass under row g
+    left before stage t, and 1 beyond the depth. With the unranked items
+    in the pad of the stage index (Dataset._stages), rem is one suffix sum
+    of positive terms, exact where total - consumed would cancel and
+    independent of the other rows and components.
     """
-    idx = data.item_idx.copy()
-    idx[~data.stage_mask] = np.nonzero(data.u == 0)[1]
-    rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
-    rem[~data.stage_mask] = 1.0
-    return data.u @ np.log(p).T - np.log(rem).sum(axis=1), rem
+    stages = data._stages
+    rem = np.take(p.T, stages.items, axis=0)
+    for t in range(rem.shape[0] - 2, -1, -1):
+        np.add(rem[t], rem[t + 1], out=rem[t])
+    rem.reshape(-1, rem.shape[2])[stages.pad] = 1.0
+    log_rem = np.log(rem[0])
+    term = np.empty_like(log_rem)
+    for t in range(1, rem.shape[0]):
+        log_rem += np.log(rem[t], out=term)
+    return np.subtract(data.u @ np.log(p).T, log_rem, out=log_rem), rem
 
 
-def _availability_sums(item_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per item, the sum of per-stage values x (stages on axis 1, zero
-    beyond each row's depth, any trailing shape) over the stages at which
-    the item was still available: the prefix sum through the stage that
-    chose it, or the full sum for an unranked item. Scattering prefix sums
-    of nonnegative terms keeps the accumulation free of cancellation.
-    item_idx holds the rows' Dataset.item_idx; through its -1 pad, stages
-    beyond a row's depth write to a spare column K, which is dropped.
+def _availability_sums(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row and item, the sum of per-stage values x (stages on axis 0,
+    rows on axis 1, zero beyond each row's depth, any trailing shape) over
+    the stages at which the item was still available: the prefix sum
+    through the stage that chose it, or the full sum for an unranked item.
+    Prefix sums of nonnegative terms keep the accumulation free of
+    cancellation; x is overwritten with them. pos holds the rows'
+    Dataset._stages.pos: an unranked item sits in the pad, where the
+    prefix sum is already the full sum. Returns (rows, K, trailing...).
     """
-    cum = np.cumsum(x, axis=1)
-    out = np.repeat(cum[:, -1:], x.shape[1] + 1, axis=1)
-    idx = item_idx.reshape(item_idx.shape + (1,) * (x.ndim - 2))
-    np.put_along_axis(out, idx, cum, axis=1)
-    return out[:, :-1]
+    for t in range(1, x.shape[0]):
+        np.add(x[t - 1], x[t], out=x[t])
+    rows = x.shape[1]
+    flat = pos * rows + np.arange(rows)[:, None]
+    return np.take(x.reshape((-1,) + x.shape[2:]), flat, axis=0)
 
 
 def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
@@ -154,22 +177,24 @@ def _log_mixture(comp: np.ndarray, weights: np.ndarray):
     """Weighted component scores and per-unit log mixture density.
 
     comp is (N, G) component log-likelihoods. Returns (scored, per_unit):
-    scored = comp + log w (a zero weight scores -inf), per_unit[s] =
-    log sum_g exp(scored[s, g]). The sum is taken around the row maximum
-    top, counted m times, as top + log(m) + log1p(rest), rest being the
-    other terms' sum relative to m exp(top) (Blanchard, Higham & Higham
-    2021). An all -inf row gives -inf and a NaN row gives NaN without a
-    special case.
+    scored = comp + log w, C-contiguous (a zero weight scores -inf),
+    per_unit[s] = log sum_g exp(scored[s, g]). The sum is taken around the
+    row maximum top, counted m times, as top + log(m) + log1p(rest), rest
+    being the other terms' sum relative to m exp(top) (Blanchard, Higham &
+    Higham 2021). Every reduction runs over the leading axis of a G x N
+    copy, in component order. An all -inf row gives -inf and a NaN row
+    gives NaN without a special case.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        scored = comp + np.log(weights)[None, :]
-        top = scored.max(axis=1, keepdims=True)
-        is_top = scored == top
-        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
-        rest = np.where(is_top, 0.0, np.exp(scored - top))
-        rest = rest.sum(axis=1, keepdims=True) / m
-        per_unit = np.log1p(rest) + np.log(m) + top
-    return scored, per_unit[:, 0]
+        scored = np.ascontiguousarray(comp + np.log(weights))
+        terms = scored.T.copy()
+        top = terms.max(axis=0)
+        is_top = terms == top
+        m = is_top.sum(axis=0, dtype=np.float64)
+        np.exp(np.subtract(terms, top, out=terms), out=terms)
+        terms[is_top] = 0.0
+        per_unit = np.log1p(terms.sum(axis=0) / m) + np.log(m) + top
+    return scored, per_unit
 
 
 def _pattern_logliks(params: MixtureParams, data: Dataset) -> np.ndarray:

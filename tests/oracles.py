@@ -1,14 +1,18 @@
 """Independent reference implementations used to check the library.
 
 Everything here is written the slow, obvious way (python loops, sets,
-enumeration) on purpose, so agreement with the vectorized library code is
-meaningful.
+enumeration, explicit availability indicators) on purpose, and none of it
+calls the library's stage, availability or mixture kernels, so agreement
+with the vectorized library code is meaningful. The *_rows_major
+functions are the exception by design: they keep the library's former
+row-major kernels, against which the current ones are pinned bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def random_partial_matrix(rng, n, K, allow_complete=True):
@@ -188,15 +192,13 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
     (G x K) and "z" (1-based labels); returns (P normalized per component,
     W, log_lik) over the kept sweeps.
     """
-    from plrank.gibbs import _support_conditional
-    from plrank.model import _log_mixture, _stage_table
-
     N, K = data.orderings.shape
     p = np.array(init["p"], dtype=float)
     g_of_s = np.asarray(init["z"]) - 1
     w = np.full(G, 1.0 / G)
     free_scale = bool(np.all(hyper.rate == 0.0))
-    rem = _stage_table(data, p)[1]
+    avail = stage_availability(data)
+    rem = stage_remainders_units(avail, data.stage_mask, p)
     units = np.arange(N)
     P, W, ll_out = [], [], []
     for sweep in range(1, n_iter + 1):
@@ -207,12 +209,16 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
             w = rng.dirichlet(hyper.alpha + np.bincount(g_of_s, minlength=G))
         y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
         y[~data.stage_mask] = 0.0
-        shape, rate = _support_conditional(data, units, g_of_s, np.ones(N), y, hyper)
+        member = np.eye(G)[g_of_s].T
+        shape = hyper.shape + member @ data.u
+        rate = hyper.rate[:, None] + member @ np.einsum("sti,st->si", avail, y)
         if (rate <= 0).any():
             raise ValueError(f"empty component at sweep {sweep}")
         p = np.maximum(rng.standard_gamma(shape) / rate, 1e-300)
-        comp, rem = _stage_table(data, p)
-        ll = float(_log_mixture(comp, w)[1].sum())
+        rem = stage_remainders_units(avail, data.stage_mask, p)
+        comp = data.u @ np.log(p).T - np.log(rem).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            ll = float(logsumexp(comp + np.log(w), axis=1).sum())
         if G > 1:
             log_num = data.u @ np.log(p).T
             B = np.einsum("sk,skg->sg", y, rem)
@@ -226,21 +232,78 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
     return np.array(P), np.array(W), np.array(ll_out)
 
 
+def stage_availability(data):
+    """(N, K, K) indicators A[s, t, i]: item i is still available at stage
+    t of unit s, t below its depth. From the rank positions: item i is
+    available at stage t when its 0-based position, K if unranked, is at
+    least t."""
+    K = data.n_items
+    pos = data.to_rank_positions(K + 1) - 1
+    stage = np.arange(K)[None, :, None]
+    return ((pos[:, None, :] >= stage) & data.stage_mask[:, :, None]).astype(float)
+
+
+def stage_remainders_units(avail, stage_mask, p):
+    """(N, K, G) support mass rem[s, t, g] = sum_i p[g, i] A[s, t, i]
+    still available before stage t of unit s, 1 beyond its depth."""
+    rem = np.einsum("sti,gi->stg", avail, p)
+    rem[~stage_mask] = 1.0
+    return rem
+
+
+def stage_table_rows_major(data, p):
+    """The engine's (comp, rem) stage table as the library built it
+    before rem became stage-major: rem is (D, K, G), its unranked items
+    filled into the pad on every call, one reversed cumsum along the
+    stages. Kept so that the stage-major engine can be pinned to it bit
+    for bit."""
+    idx = data.item_idx.copy()
+    idx[~data.stage_mask] = np.nonzero(data.u == 0)[1]
+    rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
+    rem[~data.stage_mask] = 1.0
+    return data.u @ np.log(p).T - np.log(rem).sum(axis=1), rem
+
+
+def availability_sums_rows_major(item_idx, x):
+    """Former availability sums, stages on axis 1 of x: prefix sums
+    scattered by item with put_along_axis, the -1 pad writing to a spare
+    column K that is dropped."""
+    cum = np.cumsum(x, axis=1)
+    out = np.repeat(cum[:, -1:], x.shape[1] + 1, axis=1)
+    idx = item_idx.reshape(item_idx.shape + (1,) * (x.ndim - 2))
+    np.put_along_axis(out, idx, cum, axis=1)
+    return out[:, :-1]
+
+
+def log_mixture_rows_major(comp, weights):
+    """Former log mixture density: every reduction over the last
+    (component) axis of the (N, G) scores."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scored = comp + np.log(weights)[None, :]
+        top = scored.max(axis=1, keepdims=True)
+        is_top = scored == top
+        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        rest = np.where(is_top, 0.0, np.exp(scored - top))
+        rest = rest.sum(axis=1, keepdims=True) / m
+        per_unit = np.log1p(rest) + np.log(m) + top
+    return scored, per_unit[:, 0]
+
+
 def em_step_units(p, w, data, hyper):
     """Reference EM iteration over every unit (no pattern grouping):
     returns (supports, weights, responsibilities, log-likelihood), the
     last two at the incoming parameters."""
-    from plrank.model import _availability_sums, _log_mixture, _stage_table
-
-    comp, rem = _stage_table(data, p)
-    scored, per_unit = _log_mixture(comp, w)
+    avail = stage_availability(data)
+    rem = stage_remainders_units(avail, data.stage_mask, p)
+    comp = data.u @ np.log(p).T - np.log(rem).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        scored = comp + np.log(w)
+    per_unit = logsumexp(scored, axis=1)
     zhat = np.exp(scored - per_unit[:, None])
     N, G = zhat.shape
     numer = hyper.shape - 1.0 + zhat.T @ data.u
-    r = 1.0 / rem
-    r[~data.stage_mask] = 0.0
-    avail = _availability_sums(data.item_idx, r)
-    denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
+    r = np.where(data.stage_mask[:, :, None], 1.0 / rem, 0.0)
+    denom = hyper.rate[:, None] + np.einsum("sg,sti,stg->gi", zhat, avail, r)
     w_new = (hyper.alpha - 1.0 + zhat.sum(axis=0)) / (hyper.alpha.sum() - G + N)
     return numer / denom, w_new / w_new.sum(), zhat, float(per_unit.sum())
 

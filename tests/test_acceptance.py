@@ -399,13 +399,14 @@ def test_c05a_conditional_moments():
 
     # support conditional: library (shape, rate) on a hand-fixed latent
     # state, given as the sweep gives it (one cell per unit, 0-based
-    # components), then the sweep's own draw form at n = 10^4
+    # components, stage-major times), then the sweep's own draw form at
+    # n = 10^4
     hyper = Hyperparams.expand(1.5, 0.7, 1.0, 2, 3)
     yrng = np.random.default_rng(12)
     y = yrng.exponential(0.7, size=(5, 3))
     y[~data.stage_mask] = 0.0
     units = np.arange(5)
-    shape, rate = _support_conditional(data, units, z0 - 1, np.ones(5), y, hyper)
+    shape, rate = _support_conditional(data, units, z0 - 1, np.ones(5), y.T.copy(), hyper)
     n = 10_000
     draws = np.random.default_rng(314159).standard_gamma(
         np.broadcast_to(shape, (n, 2, 3))

@@ -64,9 +64,9 @@ def test_support_conditional_matches_loop_oracle():
     for s in range(25):
         y[s, : depths[s]] = rng.exponential(size=depths[s])
     hyper = Hyperparams.expand(1.7, 0.4, 1.0, G, 5)
-    # unit cells: row s of y holds unit s's stage times
+    # unit cells: column s of the stage-major times holds unit s's
     g = np.argmax(z, axis=1)
-    a, b = _support_conditional(data, np.arange(25), g, np.ones(25), y, hyper)
+    a, b = _support_conditional(data, np.arange(25), g, np.ones(25), y.T.copy(), hyper)
     a2, b2 = support_conditional_direct(mat, depths, z, y, hyper.shape, hyper.rate)
     assert np.allclose(a, a2, atol=1e-12)
     assert np.allclose(b, b2, atol=1e-10)

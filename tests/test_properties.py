@@ -22,8 +22,19 @@ from plrank.data import ORDERING, RANKING
 from plrank.errors import ValidationError
 from plrank.fileio import _MAX_PREFLIB_CELLS, parse_preflib_text
 from plrank.gibbs import stage_rates
-from plrank.model import _log_mixture, _stage_table, component_stage_logliks
-from oracles import ordering_row_loglik, stage_remainders_direct
+from plrank.model import (
+    _availability_sums,
+    _log_mixture,
+    _stage_table,
+    component_stage_logliks,
+)
+from oracles import (
+    availability_sums_rows_major,
+    log_mixture_rows_major,
+    ordering_row_loglik,
+    stage_remainders_direct,
+    stage_table_rows_major,
+)
 
 LOG_TINY = math.log(1e-300)
 
@@ -77,10 +88,10 @@ def test_sweep_rates_equal_stage_rates(case, rnd):
     data = Dataset.from_orderings(mat)
     g_of_s = np.array([rnd.randrange(p.shape[0]) for _ in range(mat.shape[0])])
     # the expression the sweep draws its stage times with
-    rates = _stage_table(data, p)[1][np.arange(mat.shape[0]), :, g_of_s]
+    rates = _stage_table(data, p)[1][:, np.arange(mat.shape[0]), g_of_s]
     for s, row in enumerate(mat):
         want = stage_rates(row, p[g_of_s[s]])
-        assert np.array_equal(rates[s, : want.shape[0]], want)
+        assert np.array_equal(rates[: want.shape[0], s], want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,6 +105,76 @@ def test_stage_rates_match_oracle(case):
             got = stage_rates(row, p[g])
             assert got.shape == want.shape
             assert (np.abs(got - want) <= 1e-15 * want).all()
+
+
+@st.composite
+def stage_cases(draw):
+    """Orderings over K = 2..12 items at any depth 1..K, G = 1..4 support
+    rows spanning 1e-300..1e300 or of like sizes (where the order of a
+    sum shows in its last bits), and weights with zeros."""
+    K = draw(st.integers(2, 12))
+    G = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    rows = np.zeros((n, K), dtype=np.int64)
+    for s in range(n):
+        perm = draw(st.permutations(range(1, K + 1)))
+        d = draw(st.integers(1, K))
+        rows[s, :d] = perm[:d]
+    if draw(st.booleans()):
+        logp = np.array(draw(st.lists(st.floats(-690.0, 690.0), min_size=G * K,
+                                      max_size=G * K))).reshape(G, K)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        logp = np.random.default_rng(seed).uniform(-2.0, 2.0, (G, K))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=G, max_size=G)))
+    w[draw(st.integers(0, G - 1))] = 1.0
+    return rows, np.exp(logp), w / w.sum()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_cases())
+def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
+    # the engine's stage-major tables give the very bits of the former
+    # (D, K, G) formulation, with two exceptions of numpy's pairwise
+    # summation, which adds a contiguous run of 8 or more terms in blocks:
+    # - at G = 1 and K >= 8 the former table summed each row's log terms
+    #   along a contiguous stage axis, so comp may differ there in its last
+    #   bits (the stage-major loop adds in stage order, as the former table
+    #   did at every G >= 2);
+    # - at G >= 8 the former row-wise component sum of _log_mixture was
+    #   pairwise, so G stops at 4 here.
+    mat, p, w = case
+    data = Dataset.from_orderings(mat)
+    comp, rem = _stage_table(data, p)
+    ref_comp, ref_rem = stage_table_rows_major(data, p)
+    if p.shape[0] == 1 and mat.shape[1] >= 8:
+        scale = np.abs(np.log(ref_rem)).sum(axis=1) + np.abs(data.u @ np.log(p).T)
+        assert (np.abs(comp - ref_comp) <= 16 * np.finfo(float).eps * scale).all()
+    else:
+        assert _same_bits(comp, ref_comp)
+    assert _same_bits(rem.transpose(1, 0, 2), ref_rem)
+    assert comp.flags.c_contiguous
+
+    # the EM form (1 / rem, trailing component axis) and the sweep form
+    # (stage times per row and stage, no trailing axis)
+    r = np.where(data.stage_mask[:, :, None], 1.0 / ref_rem, 0.0)
+    y = r[:, :, 0] * np.arange(1, mat.shape[0] + 1)[:, None]
+    for x in (r, y):
+        got = _availability_sums(data._stages.pos, np.moveaxis(x, 1, 0).copy())
+        assert _same_bits(got, availability_sums_rows_major(data.item_idx, x))
+
+    scored, per_unit = _log_mixture(ref_comp, w)
+    ref_scored, ref_per_unit = log_mixture_rows_major(ref_comp, w)
+    assert _same_bits(scored, ref_scored)
+    assert _same_bits(per_unit, ref_per_unit)
+    assert scored.flags.c_contiguous
 
 
 @settings(max_examples=200, deadline=None)
