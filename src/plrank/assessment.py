@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _pair_counts, paired_comparisons, rank_positions_of
+from .data import Dataset, _check_cells, _pair_counts, paired_comparisons
+from .data import rank_positions_of
 from .errors import ValidationError
 from .gibbs import GibbsChain
 from .model import (
@@ -72,7 +73,7 @@ def _marginal_of(params) -> np.ndarray:
 
 def top1_counts(data: Dataset) -> np.ndarray:
     """Number of units placing each item first."""
-    return np.bincount(data.item_idx[:, 0], minlength=data.n_items)
+    return data.counts @ (data.item_idx[:, :1] == np.arange(data.n_items))
 
 
 def chi2_top1(r: np.ndarray, N: int, pbar: np.ndarray) -> float:
@@ -152,13 +153,17 @@ def _strata(data: Dataset):
     strata, blocks, lo = [], [], 0
     for m in np.unique(data.nranked).tolist():
         units = data.nranked == m
-        n, P, rows = int(units.sum()), math.perm(K, m), None
+        counts = data.counts[units]
+        n, P, rows = int(counts.sum()), math.perm(K, m), None
         if K * P <= n:
+            _check_cells(P, K, "patterns")
             blk = np.zeros((P, K), dtype=np.int64)
             blk[:, :m] = list(itertools.permutations(range(1, K + 1), m))
             blocks.append(blk)
             rows, lo = slice(lo, lo + P), lo + P
-        strata.append(_Stratum(m, n, _counts(ranks[units]), rows))
+        elif n > counts.size:
+            _check_cells(n, K)
+        strata.append(_Stratum(m, n, _counts(ranks[units], counts), rows))
     if not blocks:
         return strata, None
     patterns = Dataset.from_orderings(np.concatenate(blocks))

@@ -38,13 +38,18 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def _as_bool(val) -> bool:
+def _as_bool(name: str, val) -> bool:
+    """A JSON boolean, or one of the words of _BOOL_WORDS in any case."""
     if isinstance(val, bool):
         return val
-    return str(val).strip().lower() in _TRUE_WORDS
+    word = val.strip().lower() if isinstance(val, str) else None
+    if word not in _BOOL_WORDS:
+        raise ValidationError(f"--{name}: expected true or false, not {val!r}")
+    return _BOOL_WORDS[word]
 
 
 class _Options:
@@ -75,7 +80,7 @@ class _Options:
                 raise ValidationError(f"missing required option --{name}")
             return default
         if cast is bool:
-            return _as_bool(val)
+            return _as_bool(name, val)
         # a config value is checked as its flag would be, from its text:
         # JSON 20.9 or true is no integer, and 0 or a list is no path or name
         if cast is None:
@@ -151,39 +156,23 @@ def _cmd_convert(opts: _Options) -> int:
     path = opts.get("input", required=True)
     fmt = opts.get("format", required=True)
     out = opts.get("out", required=True)
-    to = opts.get("to")
-    if fmt == PREFLIB:
-        data = fileio.parse_preflib(path)
-        to = to or ORDERING
+    to = opts.get("to") or (RANKING if fmt == ORDERING else ORDERING)
+    if to not in (ORDERING, RANKING, PREFLIB):
+        raise ValidationError("--to must be ordering, ranking, or preflib")
+    if PREFLIB in (fmt, to):
+        data = fileio.read_dataset(path, fmt)
         fileio.write_dataset(out, data, to)
         n, k = data.n_units, data.n_items
     elif fmt in (ORDERING, RANKING):
+        # validated in its own format, written unchanged or switched
         matrix = fileio.read_sequence_csv(path)
-        if to is None:
-            to = RANKING if fmt == ORDERING else ORDERING
-        if to == fmt:
-            switched = (
-                ord_rank_switch(ord_rank_switch(matrix, fmt), _other(fmt))
-            )  # validate both ways, emit unchanged
-            fileio.write_sequence_csv(out, switched)
-        elif to == PREFLIB:
-            data = (
-                Dataset.from_orderings(matrix)
-                if fmt == ORDERING
-                else Dataset.from_rankings(matrix)
-            )
-            fileio.write_preflib(out, data)
-        else:
-            fileio.write_sequence_csv(out, ord_rank_switch(matrix, fmt))
+        switched = ord_rank_switch(matrix, fmt)
+        fileio.write_sequence_csv(out, matrix if to == fmt else switched)
         n, k = matrix.shape
     else:
         raise ValidationError("--format must be ordering, ranking, or preflib")
     print(f"convert: {n} rows, {k} items, {fmt} -> {to}: {out}")
     return EXIT_OK
-
-
-def _other(fmt: str) -> str:
-    return RANKING if fmt == ORDERING else ORDERING
 
 
 def _cmd_summarize(opts: _Options) -> int:

@@ -9,6 +9,7 @@ nonzero entries of an ordering form a prefix and the nonzero ranks form
 {1, ..., t}. Ranking the top K-1 items determines the last one, so such
 rows are normalized to complete at ingestion and observed depths live in
 {1, ..., K-2, K}.
+Row r of a dataset stands for counts[r] identical units.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ RANKING = "ranking"
 # chunk size for row-blocked pairwise scans, keeps N*K*K buffers small
 _PAIR_CHUNK = 4096
 
+# largest matrix built from counted rows, a profile's lines or expanded units
+# (80 MB of int64, far above the paper's data: APA is 15449 x 5)
+_MAX_CELLS = 10_000_000
+
 
 def _as_int_matrix(data) -> np.ndarray:
     """Coerce input to a 2-D int64 matrix, one row per unit."""
@@ -41,6 +46,33 @@ def _as_int_matrix(data) -> np.ndarray:
             raise ValidationError("sequence entries must be integers")
         arr = rounded
     return arr.astype(np.int64)
+
+
+def _check_cells(n: int, K: int, what: str = "units") -> None:
+    """Refuse an n x K matrix beyond _MAX_CELLS entries before allocating it."""
+    if n * K > _MAX_CELLS:
+        raise ValidationError(
+            f"{n} {what} x {K} items exceeds the limit of {_MAX_CELLS} entries"
+        )
+
+
+def _as_counts(counts, n_rows: int) -> np.ndarray:
+    """Read-only int64 row counts: positive integers aligned with the rows,
+    summing below 2**53. A float64 sum of positive integers is exact below
+    2**53 and at least 2**53 otherwise, so it checks every count too."""
+    try:
+        cnt = np.asarray(counts, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):
+        raise ValidationError("counts must be integers below 2**53") from None
+    if cnt.shape != (n_rows,):
+        raise ValidationError("counts must align with sequence rows")
+    if not ((cnt > 0) & (np.rint(cnt) == cnt)).all():
+        raise ValidationError("counts must be positive integers")
+    if cnt.sum() >= 2**53:
+        raise ValidationError("counts must sum below 2**53")
+    cnt = cnt.astype(np.int64)
+    cnt.setflags(write=False)
+    return cnt
 
 
 def _check_entry_range(arr: np.ndarray) -> None:
@@ -117,16 +149,18 @@ def ord_rank_switch(data, format: str) -> np.ndarray:
     return rank_positions_of(arr, 0)
 
 
-def _group_rows(arr: np.ndarray):
-    """Distinct rows of an integer matrix in lexicographic order, their
-    counts, and each row's distinct-row index, all read-only: one lexsort
-    over the columns, then a diff of neighbouring sorted rows."""
+def _group_rows(arr: np.ndarray, weights=None):
+    """Distinct rows of an integer matrix in lexicographic order, the sum
+    of their rows' integer weights (their number by default), and each
+    row's distinct-row index, all read-only: one lexsort over the columns,
+    then a diff of neighbouring sorted rows."""
     order = np.lexsort(arr.T[::-1])
     ranked = arr[order]
     new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     index = np.empty_like(order)
     index[order] = np.cumsum(new) - 1
-    out = ranked[new], np.bincount(index), index
+    w = np.ones_like(order) if weights is None else weights[order]
+    out = ranked[new], np.add.reduceat(w, np.flatnonzero(new)), index
     for a in out:
         a.setflags(write=False)
     return out
@@ -181,8 +215,9 @@ class PartialRanking:
         return PartialOrdering(ord_rank_switch(self.entries, RANKING)[0])
 
 
-# Dataset.patterns: distinct rows (a Dataset), their counts, each unit's row
-Patterns = namedtuple("Patterns", "rows counts index")
+# Dataset.patterns: the distinct rows (a Dataset counting each row's units)
+# and the distinct-row index of each row of the dataset
+Patterns = namedtuple("Patterns", "rows index")
 
 # Dataset._stages: the stage index the engine's tables are built from
 _Stages = namedtuple("_Stages", "items pad pos")
@@ -190,19 +225,20 @@ _Stages = namedtuple("_Stages", "items pad pos")
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """N units of partial orderings over K items.
+    """Rows of partial orderings over K items, row s counting counts[s] units.
 
     Construct through from_orderings or from_rankings, which validate,
     normalize depth-(K-1) rows to complete, and precompute the indexing
     arrays the likelihood code relies on:
 
-        item_idx[s, t]   0-based item chosen by unit s at stage t (-1 pad)
+        item_idx[s, t]   0-based item chosen by row s at stage t (-1 pad)
         stage_mask[s, t] True for t < nranked[s]
-        u[s, i]          1 if item i+1 appears in unit s's ranked prefix
-        gamma[i]         number of units ranking item i+1
+        u[s, i]          1 if item i+1 appears in row s's ranked prefix
+        gamma[i]         number of units ranking item i+1, counts @ u
     """
 
     orderings: np.ndarray
+    counts: np.ndarray
     nranked: np.ndarray
     item_idx: np.ndarray
     stage_mask: np.ndarray
@@ -210,27 +246,30 @@ class Dataset:
     gamma: np.ndarray
 
     @classmethod
-    def from_orderings(cls, matrix) -> "Dataset":
+    def from_orderings(cls, matrix, counts=None) -> "Dataset":
         arr = validate_ordering_matrix(matrix)
+        n = arr.shape[0]
+        counts = np.ones(n, dtype=np.int64) if counts is None else _as_counts(counts, n)
         arr = _complete_penultimate(arr)
         nranked = (arr != 0).sum(axis=1)
         item_idx = arr - 1
         stage_mask = arr != 0
         u = (rank_positions_of(arr, 0) != 0).astype(np.int64)
-        gamma = u.sum(axis=0)
-        for a in (arr, nranked, item_idx, stage_mask, u, gamma):
+        gamma = counts @ u
+        for a in (arr, counts, nranked, item_idx, stage_mask, u, gamma):
             a.setflags(write=False)
-        return cls(arr, nranked, item_idx, stage_mask, u, gamma)
+        return cls(arr, counts, nranked, item_idx, stage_mask, u, gamma)
 
     @classmethod
-    def from_rankings(cls, matrix) -> "Dataset":
-        return cls.from_orderings(ord_rank_switch(matrix, RANKING))
+    def from_rankings(cls, matrix, counts=None) -> "Dataset":
+        return cls.from_orderings(ord_rank_switch(matrix, RANKING), counts)
 
     @cached_property
     def patterns(self) -> Patterns:
-        """Distinct rows (lexicographic), built on first use by the fitters."""
-        rows, counts, index = _group_rows(self.orderings)
-        return Patterns(Dataset.from_orderings(rows), counts, index)
+        """Distinct rows (lexicographic) with their units' counts, built on
+        first use by the fitters."""
+        rows, counts, index = _group_rows(self.orderings, self.counts)
+        return Patterns(Dataset.from_orderings(rows, counts), index)
 
     @cached_property
     def _stages(self) -> _Stages:
@@ -253,7 +292,7 @@ class Dataset:
 
     @property
     def n_units(self) -> int:
-        return self.orderings.shape[0]
+        return int(self.counts.sum())
 
     @property
     def n_items(self) -> int:
@@ -303,20 +342,10 @@ class FreqTable:
 
     def __post_init__(self):
         seq = _as_int_matrix(self.sequences)
-        cnt = np.asarray(self.counts)
-        if cnt.ndim != 1 or cnt.shape[0] != seq.shape[0]:
-            raise ValidationError("counts must align with sequence rows")
-        if not np.issubdtype(cnt.dtype, np.integer):
-            if not np.array_equal(np.rint(cnt), cnt):
-                raise ValidationError("counts must be integers")
-            cnt = np.rint(cnt)
-        cnt = cnt.astype(np.int64)
-        if (cnt <= 0).any():
-            raise ValidationError("counts must be positive")
+        cnt = _as_counts(self.counts, seq.shape[0])
         if _group_rows(seq)[0].shape[0] != seq.shape[0]:
             raise ValidationError("sequences must be distinct")
         seq.setflags(write=False)
-        cnt.setflags(write=False)
         object.__setattr__(self, "sequences", seq)
         object.__setattr__(self, "counts", cnt)
 
@@ -328,13 +357,14 @@ class FreqTable:
 def unit_to_freq(data) -> FreqTable:
     """Aggregate unit-level sequences into a frequency table.
 
-    Accepts a Dataset or a raw matrix in either format; rows are compared
-    as plain integer sequences. Distinct rows come out in lexicographic
-    order with their multiplicities.
+    Accepts a Dataset (its rows counted by its counts) or a raw matrix in
+    either format; rows are compared as plain integer sequences. Distinct
+    rows come out in lexicographic order with their multiplicities.
     """
+    weights = None
     if isinstance(data, Dataset):
-        data = data.orderings
-    seq, cnt, _ = _group_rows(_as_int_matrix(data))
+        data, weights = data.orderings, data.counts
+    seq, cnt, _ = _group_rows(_as_int_matrix(data), weights)
     return FreqTable(seq, cnt)
 
 
@@ -342,6 +372,15 @@ def freq_to_unit(freq: FreqTable) -> np.ndarray:
     """Expand a frequency table to unit level, each sequence replicated
     count times in table order."""
     return np.repeat(freq.sequences, freq.counts, axis=0)
+
+
+def _units(data: Dataset) -> Dataset:
+    """The dataset with one row per unit: itself when every count is 1,
+    else each row repeated counts[s] times, within _MAX_CELLS entries."""
+    if data.n_units == data.orderings.shape[0]:
+        return data
+    _check_cells(data.n_units, data.n_items)
+    return Dataset.from_orderings(np.repeat(data.orderings, data.counts, axis=0))
 
 
 def make_partial(data: Dataset, nranked=None, probcens=None, rng=None):
@@ -353,11 +392,12 @@ def make_partial(data: Dataset, nranked=None, probcens=None, rng=None):
     probability of keeping the row complete (ranking the top K-1 items
     already determines the full list).
 
-    Returns (censored Dataset, realized depths). Depth K-1 requests are
-    normalized to K like any other ingestion.
+    Returns (censored Dataset, realized depths), one row per unit. Depth
+    K-1 requests are normalized to K like any other ingestion.
     """
     if not data.is_complete:
         raise ValidationError("make_partial expects complete orderings")
+    data = _units(data)
     N, K = data.orderings.shape
     if (nranked is None) == (probcens is None):
         raise ValidationError("pass exactly one of nranked or probcens")
@@ -393,6 +433,7 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
     replacement with probabilities proportional to `probitems`, leaving
     the observed prefix untouched. Equivalent to one stagewise draw per
     free position; implemented by sorting Gumbel-perturbed log weights.
+    Returns one row per unit.
     """
     K = data.n_items
     p = np.asarray(probitems, dtype=np.float64)
@@ -400,6 +441,7 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
         raise ValidationError(f"probitems must have length {K}")
     if (p <= 0).any() or not np.isfinite(p).all():
         raise ValidationError("probitems must be positive and finite")
+    data = _units(data)
     if rng is None:
         rng = np.random.default_rng()
     # ranked items get -inf and sort last, so they are never re-drawn
@@ -421,7 +463,8 @@ def _gumbel_sort(log_weights: np.ndarray, rng) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RankSummaries:
-    """Descriptive summaries of a partial ordering dataset."""
+    """Descriptive summaries of a partial ordering dataset; nranked holds
+    the depth of each dataset row, the other fields count units."""
 
     nranked: np.ndarray
     nranked_distr: dict
@@ -439,13 +482,12 @@ def rank_summaries(data: Dataset) -> RankSummaries:
     (units leaving it unranked do not contribute); an item no unit ever
     ranks gets nan.
     """
-    N, K = data.orderings.shape
-    depths, depth_counts = np.unique(data.nranked, return_counts=True)
-    nranked_distr = {int(d): int(c) for d, c in zip(depths, depth_counts)}
-    missing_pos = (N - data.gamma).astype(np.int64)
-    rows, cols = np.nonzero(data.stage_mask)
-    items = data.item_idx[rows, cols]
-    marginal = np.bincount(cols * K + items, minlength=K * K).reshape(K, K)
+    K = data.n_items
+    per_depth = np.bincount(data.nranked, weights=data.counts)
+    nranked_distr = {d: int(c) for d, c in enumerate(per_depth.tolist()) if c}
+    missing_pos = data.n_units - data.gamma
+    ranks = data.to_rank_positions()
+    marginal = np.stack([data.counts @ (ranks == t) for t in range(1, K + 1)])
     rank_sum = (marginal * (np.arange(1, K + 1)[:, None])).sum(axis=0)
     with np.errstate(invalid="ignore"):
         mean_rank = np.where(data.gamma > 0, rank_sum / data.gamma, np.nan)
@@ -466,7 +508,7 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     item j+1: both ranked with i before j, or i ranked while j is not.
     Units ranking neither item leave the pair undecided.
     """
-    return _pair_counts(data.to_rank_positions())
+    return _pair_counts(data.to_rank_positions(), data.counts)
 
 
 def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
@@ -512,14 +554,14 @@ def binary_group_ind(labels, G: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Membership indicators u (N x K) and per-item totals gamma (K,)."""
+    """Membership indicators u (rows x K) and per-item unit totals gamma (K,)."""
 
     u: np.ndarray
     gamma: np.ndarray
 
 
 def sufficient_stats(data: Dataset) -> SufficientStats:
-    """Binary prefix-membership matrix and its column sums.
+    """Binary prefix-membership matrix and its column sums over units.
 
     The stagewise availability indicators are intentionally not stored;
     use available_items on a row to materialize the per-stage choice sets

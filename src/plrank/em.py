@@ -119,16 +119,16 @@ def _e_step(params: MixtureParams, pat: Patterns):
     scored, per_row = _log_mixture(comp, params.weights)
     if not np.isfinite(per_row).all():
         bad = int(np.nonzero(~np.isfinite(per_row[pat.index]))[0][0])
-        raise NumericalError(f"unit {bad} has no support under any component")
-    return np.exp(scored - per_row[:, None]), float(pat.counts @ per_row), rem
+        raise NumericalError(f"row {bad} has no support under any component")
+    return np.exp(scored - per_row[:, None]), float(pat.rows.counts @ per_row), rem
 
 
-def _m_step(pat: Patterns, hyper: Hyperparams, zhat, rem) -> MixtureParams:
-    """Closed-form update from an _e_step at the previous parameters,
-    whose rem table it overwrites; each distinct row's terms count once
-    per unit showing it."""
-    data, zhat = pat.rows, zhat * pat.counts[:, None]
-    N, G = pat.index.size, zhat.shape[1]
+def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem) -> MixtureParams:
+    """Closed-form update from an _e_step on the distinct rows data at the
+    previous parameters, whose rem table it overwrites; each row's terms
+    count once per unit showing it."""
+    zhat = zhat * data.counts[:, None]
+    N, G = data.n_units, zhat.shape[1]
     numer = hyper.shape - 1.0 + zhat.T @ data.u
     if (numer < 0).any():
         g, i = np.argwhere(numer < 0)[0]
@@ -169,13 +169,13 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
     """One EM iteration.
 
     Returns (updated params, responsibilities), the responsibilities being
-    those computed at the *incoming* parameters.
+    those computed at the *incoming* parameters, one row per dataset row.
     """
     if hyper.n_components != params.n_components:
         raise ValidationError("hyper and params disagree on G")
     pat = data.patterns
     zhat, _, rem = _e_step(params, pat)
-    return _m_step(pat, hyper, zhat, rem), zhat[pat.index]
+    return _m_step(pat.rows, hyper, zhat, rem), zhat[pat.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +184,9 @@ class MapFit:
 
     supports rows are normalized to sum 1 for reporting; supports_raw
     keeps the final unnormalized state (meaningful when rate > 0).
+    responsibilities and labels have one row per dataset row, shared by
+    its counts[s] units, so they give the same component sizes as one
+    label per unit.
     log_post_trace holds the log posterior at the initial point and after
     every iteration, up to an additive constant.
     """
@@ -229,8 +232,8 @@ def _draw_init(rng, G: int, K: int) -> MixtureParams:
 
 def _draw_centered_init(rng, data: Dataset, G: int) -> MixtureParams:
     """Starting supports jittered around observed first-place shares."""
-    N, K = data.orderings.shape
-    first = np.bincount(data.item_idx[:, 0], minlength=K) / N
+    N, K = data.n_units, data.n_items
+    first = np.bincount(data.item_idx[:, 0], weights=data.counts, minlength=K) / N
     base = first + 0.5 / N
     supports = base[None, :] * rng.uniform(0.5, 1.5, (G, K))
     return MixtureParams(supports, np.full(G, 1.0 / G))
@@ -303,7 +306,7 @@ def fit_map(
         if it == max_iter:
             break
         prev = lp
-        params = _m_step(pat, hyper, zhat, rem)
+        params = _m_step(pat.rows, hyper, zhat, rem)
         n_done = it + 1
 
     zhat = zhat[pat.index]

@@ -28,11 +28,11 @@ from .data import (
     Dataset,
     ORDERING,
     RANKING,
+    _check_cells,
+    _group_rows,
+    _units,
     binary_group_ind,
     ord_rank_switch,
-    unit_to_freq,
-    validate_ordering_matrix,
-    validate_ranking_matrix,
 )
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
@@ -42,11 +42,6 @@ from .model import MixtureParams, _check_mixture_arrays
 PREFLIB = "preflib"
 
 _NUM_ALTERNATIVES = re.compile(r"#\s*NUMBER\s+ALTERNATIVES\s*:\s*(\d+)", re.I)
-
-# largest units x items matrix a preference profile may expand to (80 MB of
-# int64), far above the paper's data (APA: 15449 x 5); the counts multiply
-# a profile's size, so without a bound a one-line file can ask for terabytes
-_MAX_PREFLIB_CELLS = 10_000_000
 
 
 # ------------------------------------------------------------- file forms
@@ -161,9 +156,9 @@ def parse_preflib(path) -> Dataset:
 
     Metadata lines start with '#'; "# NUMBER ALTERNATIVES: K" fixes the
     item count (otherwise the largest item id seen is used). Preference
-    lines read "count: i1,i2,..." with 1-based item ids. Rows ranking all
-    but one item are completed at ingestion like any other top-(K-1)
-    sequence.
+    lines read "count: i1,i2,..." with 1-based item ids; each becomes one
+    row counting its units. Rows ranking all but one item are completed at
+    ingestion like any other top-(K-1) sequence.
     """
     return parse_preflib_text(_read_text(path), source=str(path))
 
@@ -187,8 +182,6 @@ def parse_preflib_text(text: str, source: str = "<preflib>") -> Dataset:
             count = int(head.strip())
         except ValueError:
             raise ValidationError(f"{source}: line {ln}: bad count") from None
-        if count < 1:
-            raise ValidationError(f"{source}: line {ln}: count must be >= 1")
         try:
             items = [int(tok.strip()) for tok in tail.split(",") if tok.strip()]
         except ValueError:
@@ -207,36 +200,29 @@ def parse_preflib_text(text: str, source: str = "<preflib>") -> Dataset:
         K = max_seen
     elif max_seen > K:
         raise ValidationError(f"{source}: item id {max_seen} exceeds K={K}")
-    n_units = sum(c for c, _ in prefs)
-    if n_units * K > _MAX_PREFLIB_CELLS:
-        raise ValidationError(
-            f"{source}: {n_units} units x {K} items exceeds the limit of "
-            f"{_MAX_PREFLIB_CELLS} entries"
-        )
-    matrix = np.zeros((n_units, K), dtype=np.int64)
-    row = 0
-    for count, items in prefs:
-        matrix[row : row + count, : len(items)] = items
-        row += count
-    return Dataset.from_orderings(matrix)
+    try:
+        _check_cells(len(prefs), K, "lines")
+        matrix = np.zeros((len(prefs), K), dtype=np.int64)
+        for row, (_, items) in zip(matrix, prefs):
+            row[: len(items)] = items
+        return Dataset.from_orderings(matrix, [c for c, _ in prefs])
+    except ValidationError as e:
+        raise ValidationError(f"{source}: {e}") from None
 
 
 def format_preflib(data, title: str = "rankings") -> str:
     """Serialize a dataset as an aggregated preference profile; distinct
-    rows are emitted in lexicographic order."""
-    if isinstance(data, Dataset):
-        matrix = data.orderings
-    else:
-        matrix = validate_ordering_matrix(data)
-    freq = unit_to_freq(matrix)
-    K = matrix.shape[1]
+    rows are emitted in lexicographic order with their units' counts."""
+    if not isinstance(data, Dataset):
+        data = Dataset.from_orderings(data)
+    rows, counts, _ = _group_rows(data.orderings, data.counts)
     out = io.StringIO()
     out.write(f"# TITLE: {title}\n")
-    out.write(f"# NUMBER ALTERNATIVES: {K}\n")
-    out.write(f"# NUMBER VOTERS: {int(freq.counts.sum())}\n")
-    for seq, cnt in zip(freq.sequences, freq.counts):
-        ranked = [str(int(v)) for v in seq if v != 0]
-        out.write(f"{int(cnt)}: {','.join(ranked)}\n")
+    out.write(f"# NUMBER ALTERNATIVES: {data.n_items}\n")
+    out.write(f"# NUMBER VOTERS: {data.n_units}\n")
+    for seq, cnt in zip(rows.tolist(), counts.tolist()):
+        ranked = [str(v) for v in seq if v != 0]
+        out.write(f"{cnt}: {','.join(ranked)}\n")
     return out.getvalue()
 
 
@@ -265,10 +251,11 @@ def read_dataset(path, format: str, K: int | None = None) -> Dataset:
 
 
 def write_dataset(path, data: Dataset, format: str = ORDERING) -> None:
+    """Write a dataset; the CSV formats hold one row per unit."""
     if format == ORDERING:
-        write_sequence_csv(path, data.orderings)
+        write_sequence_csv(path, _units(data).orderings)
     elif format == RANKING:
-        write_sequence_csv(path, ord_rank_switch(data.orderings, ORDERING))
+        write_sequence_csv(path, ord_rank_switch(_units(data).orderings, ORDERING))
     elif format == PREFLIB:
         write_preflib(path, data)
     else:

@@ -125,9 +125,10 @@ def gibbs_run(
         hyper: prior; defaults to flat (shape 1, rate 0, alpha 1). A zero
             rate is sampled as the limit of small positive rates.
         init: optional dict with "p" (G x K positive supports) and "z"
-            (N x G one-hot memberships or length-N 1-based labels); missing
-            pieces are drawn uniformly. See init_from_map for seeding a
-            chain at a MAP fit.
+            (one-hot memberships or 1-based labels, one per dataset row:
+            row s puts all counts[s] of its units in its component);
+            missing pieces are drawn uniformly. See init_from_map for
+            seeding a chain at a MAP fit.
         n_iter: total sweeps; n_burn: sweeps discarded from the front.
         rng: numpy Generator, or an int seed (recorded on the chain).
         K: optional cross-check on the number of items.
@@ -171,9 +172,11 @@ def gibbs_run(
     w = np.full(G, 1.0 / G)
 
     # the membership state: per distinct row, its units' count per component
-    rows, counts, index = data.patterns
+    rows, index = data.patterns
+    counts = rows.counts
     g0 = np.argmax(binary_group_ind(z, G), axis=1)
-    n_dg = np.bincount(index * G + g0, minlength=counts.size * G).reshape(-1, G)
+    n_dg = np.bincount(index * G + g0, weights=data.counts, minlength=counts.size * G)
+    n_dg = n_dg.astype(np.int64).reshape(-1, G)
 
     # the likelihood reads only the normalized supports and the weights, whose
     # posterior is the same at every positive rate (a Gamma row normalizes to

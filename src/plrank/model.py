@@ -205,13 +205,14 @@ def _pattern_logliks(params: MixtureParams, data: Dataset) -> np.ndarray:
 
 
 def mixture_logliks_per_unit(params: MixtureParams, data: Dataset) -> np.ndarray:
-    """Log mixture density of each unit's observed sequence (length N)."""
+    """Log mixture density of each dataset row's sequence, one entry per
+    row: row s stands for counts[s] units, each with this density."""
     return _pattern_logliks(params, data)[data.patterns.index]
 
 
 def mixture_loglik(params: MixtureParams, data: Dataset) -> float:
-    """Observed-data log-likelihood of the mixture on the dataset."""
-    return float(data.patterns.counts @ _pattern_logliks(params, data))
+    """Observed-data log-likelihood of the mixture on the dataset's units."""
+    return float(data.patterns.rows.counts @ _pattern_logliks(params, data))
 
 
 def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):

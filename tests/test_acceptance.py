@@ -111,7 +111,8 @@ def test_c01_round_trip_exactness(tmp_path):
         # preflib round trip: multiset of rows, then canonical idempotence
         write_preflib(pl_path, data)
         got = parse_preflib(pl_path)
-        assert sorted(got.orderings.tolist()) == sorted(mat.tolist())
+        units = np.repeat(got.orderings, got.counts, axis=0)
+        assert sorted(units.tolist()) == sorted(mat.tolist())
         text = format_preflib(got)
         assert format_preflib(parse_preflib_text(text)) == text
     elapsed = time.perf_counter() - t0

@@ -264,6 +264,19 @@ def test_strata_branch_rule():
             assert tau.sum() == s.size * (m * (m - 1) // 2 + m * (4 - m))
 
 
+def test_counted_strata_stay_within_the_cell_limit():
+    # counts let a one-line dataset hold a stratum of 10**7 or more units:
+    # its replicate would need 10! pattern rows (enumerated, 10 * 10! <= n)
+    # or n unit rows (simulated), each beyond the cell limit
+    row = [list(range(1, 11))]
+    for n in (4 * 10**7, 10**7):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            _strata(Dataset.from_orderings(row, [n]))
+    # the same row counted below the limit is simulated unit by unit
+    strata, table = _strata(Dataset.from_orderings(row, [10**5]))
+    assert table is None and strata[0].size == 10**5
+
+
 def test_multinomial_replicates_have_the_simulation_law():
     # one depth-2 stratum of 60 units over K=4 is enumerated (4*12 <= 60);
     # its replicate counts must follow the law of simulating the 60 units

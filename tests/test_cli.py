@@ -22,6 +22,11 @@ def test_convert_both_directions(tmp_path):
     assert rank.read_text() == "2,4,1,3,5\n0,1,0,0,0\n"
     assert run(["convert", "--input", rank, "--format", "ranking", "--out", back]) == 0
     assert back.read_text() == src.read_text()
+    # an unknown target is an error, not a silent switch
+    bad = tmp_path / "bad.csv"
+    argv = ["convert", "--input", src, "--format", "ordering", "--to", "foo"]
+    assert run([*argv, "--out", bad]) == 2
+    assert not bad.exists()
 
 
 def test_convert_preflib(tmp_path):
@@ -236,6 +241,40 @@ def test_option_precedence(tmp_path, monkeypatch, capsys):
     rejected([*ppc, "--out", tmp_path / "o7"], {"chain": ["a.csv", 2]}, "--chain")
 
 
+def test_centered_start_takes_only_boolean_words(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "ord.csv"
+    data.write_text("1,2,3\n2,1,0\n3,0,0\n1,3,2\n")
+    cfg = tmp_path / "cfg.json"
+
+    def fit(tag, *extra):
+        argv = ["fit-map", "--input", data, "--format", "ordering", "--G", 2,
+                "--max-iter", 5, "--seed", 1, "--parallel", 1, "--out", tmp_path / tag]
+        code = run([*argv, *extra])
+        if code == 0:
+            return (tmp_path / tag / "map_G2.json").read_bytes()
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1
+        msg = json.loads(err[0])["error"]
+        assert msg["type"] == "validation" and "--centered-start" in msg["message"]
+        assert not (tmp_path / tag).exists()
+        return None
+
+    plain, centered = fit("plain"), fit("flag", "--centered-start")
+    assert plain != centered
+    # through the environment: the words in any case, nothing else
+    for word, want in (("TRUE", centered), (" yes ", centered), ("On", centered),
+                       ("1", centered), ("Off", plain), ("no", plain), ("0", plain),
+                       ("false", plain), ("treu", None), ("maybe", None), ("2", None)):
+        monkeypatch.setenv("PLRANK_CENTERED_START", word)
+        assert fit(f"env-{word.strip()}") == want, word
+    monkeypatch.delenv("PLRANK_CENTERED_START")
+    # through a config file: JSON booleans and the same words
+    for value, want in ((True, centered), (False, plain), ("yes", centered),
+                        (5, None), (1, None), ("maybe", None), (None, plain)):
+        cfg.write_text(json.dumps({"centered_start": value}))
+        assert fit(f"cfg-{value}", "--config", cfg) == want, value
+
+
 def test_parallel_runs_byte_identical(tmp_path):
     data = tmp_path / "sim"
     run(["simulate", "--n", 60, "--K", 3, "--G", 2, "--seed", 9, "--out", data])
@@ -315,7 +354,8 @@ def test_cli_import_leaves_scipy_out():
     "fmt, text",
     [
         ("ordering", "1,2,3\n2,99999999999999999999,1\n"),
-        ("preflib", "# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n"),
+        # a count at or above 2**53, past where float64 sums are exact
+        ("preflib", "# NUMBER ALTERNATIVES: 3\n10000000000000000: 1,2\n"),
         ("preflib", "1: 1,4000000000\n"),
     ],
 )

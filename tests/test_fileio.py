@@ -79,15 +79,17 @@ def test_preflib_golden():
     text = "# NUMBER ALTERNATIVES: 3\n3: 2,1\n"
     data = parse_preflib_text(text)
     # top-2 of 3 determines the last place, so each row completes
-    assert data.orderings.tolist() == [[2, 1, 3]] * 3
-    assert data.nranked.tolist() == [3, 3, 3]
+    units = np.repeat(data.orderings, data.counts, axis=0)
+    assert units.tolist() == [[2, 1, 3]] * 3
+    assert np.repeat(data.nranked, data.counts).tolist() == [3, 3, 3]
 
 
 def test_preflib_without_item_count_header():
     data = parse_preflib_text("1: 4,2\n2: 1\n")
     assert data.n_items == 4
     assert data.n_units == 3
-    assert data.orderings.tolist() == [[4, 2, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
+    units = np.repeat(data.orderings, data.counts, axis=0)
+    assert units.tolist() == [[4, 2, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
 
 
 def test_preflib_errors():
@@ -101,9 +103,14 @@ def test_preflib_errors():
         parse_preflib_text("not a line\n")
     with pytest.raises(ValidationError):
         parse_preflib_text("")
-    # the size check comes before the matrix is allocated
-    with pytest.raises(ValidationError, match="exceeds the limit"):
-        parse_preflib_text("# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n")
+    # a line is one row counting its units, whatever the count
+    data = parse_preflib_text("# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n")
+    assert data.orderings.tolist() == [[1, 2, 3]]
+    assert data.n_units == 10**11
+    # counts must sum below 2**53, where float64 sums are exact
+    with pytest.raises(ValidationError, match="below 2"):
+        parse_preflib_text(f"{2**52}: 1,2\n{2**52}: 2,1\n")
+    # the size check (lines x items) comes before the matrix is allocated
     with pytest.raises(ValidationError, match="exceeds the limit"):
         parse_preflib_text("1: 1,4000000000\n")
 
@@ -117,7 +124,7 @@ def test_preflib_round_trip(tmp_path):
     back = parse_preflib(path)
     # aggregation reorders units; compare as multisets of rows
     a = np.array(sorted(data.orderings.tolist()))
-    b = np.array(sorted(back.orderings.tolist()))
+    b = np.array(sorted(np.repeat(back.orderings, back.counts, axis=0).tolist()))
     assert np.array_equal(a, b)
     # a second pass through the canonical form is byte-stable
     assert format_preflib(back, title="profile") == format_preflib(
@@ -139,7 +146,7 @@ def test_read_write_dataset_formats(tmp_path):
     write_dataset(path, data, "preflib")
     back = read_dataset(path, "preflib")
     assert np.array_equal(
-        np.array(sorted(back.orderings.tolist())),
+        np.array(sorted(np.repeat(back.orderings, back.counts, axis=0).tolist())),
         np.array(sorted(data.orderings.tolist())),
     )
     with pytest.raises(ValidationError):

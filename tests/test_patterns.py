@@ -56,11 +56,11 @@ def test_pattern_view_groups_rows():
     mat, _ = random_partial_matrix(rng, 300, 4)
     data = Dataset.from_orderings(mat)
     assert "patterns" not in vars(data)  # built on first use only
-    rows, counts, index = data.patterns
+    rows, index = data.patterns
     assert data.patterns is data.patterns
     want, want_counts = np.unique(mat, axis=0, return_counts=True)
     assert np.array_equal(rows.orderings, want)
-    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(rows.counts, want_counts)
     assert np.array_equal(rows.orderings[index], data.orderings)
 
 
@@ -73,7 +73,7 @@ def _rel(a, b):
 def test_likelihood_and_em_match_unit_reference(shape, n):
     params, data = shaped_data(shape, n, seed=11)
     G, K = params.supports.shape
-    assert data.patterns.counts.shape[0] < n
+    assert data.patterns.rows.counts.shape[0] < n
     hyper = Hyperparams.expand(1.0, 0.001, 1.0, G, K)
     p, w = params.supports, params.weights
 
@@ -148,7 +148,8 @@ def test_pattern_sampler_matches_exact_posterior():
     K, G, c = 3, 2, 1.5
     params = MixtureParams(np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]), [0.5, 0.5])
     _, data = sample_mixture(40, K, G, params, np.random.default_rng(1))
-    rows, counts, _ = data.patterns
+    rows = data.patterns.rows
+    counts = rows.counts
     rng = np.random.default_rng(0)
     M = 100_000
     theta = rng.dirichlet(np.full(K, c), size=(M, G))

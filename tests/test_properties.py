@@ -12,15 +12,24 @@ from scipy.special import logsumexp
 
 from plrank import (
     Dataset,
+    Hyperparams,
+    MixtureParams,
+    em_step,
+    fit_map,
     freq_to_unit,
+    gibbs_run,
+    mixture_loglik,
     ord_rank_switch,
+    ppcheck,
+    ppcheck_cond,
+    rank_summaries,
     read_dataset,
     unit_to_freq,
     write_dataset,
 )
-from plrank.data import ORDERING, RANKING
+from plrank.data import _MAX_CELLS, ORDERING, RANKING
 from plrank.errors import ValidationError
-from plrank.fileio import _MAX_PREFLIB_CELLS, parse_preflib_text
+from plrank.fileio import parse_preflib_text
 from plrank.gibbs import stage_rates
 from plrank.model import (
     _availability_sums,
@@ -217,6 +226,74 @@ def test_ingestion_round_trips(mat):
 
 
 @st.composite
+def weighted_and_params(draw):
+    """A dataset with counts (rows may repeat), the same units one per row,
+    and mixture parameters, hyperparameters and labels per row."""
+    K = draw(st.integers(3, 5))
+    G = draw(st.integers(1, 2))
+    mat = draw(orderings(K, max_units=8))
+    counts = np.array(
+        draw(st.lists(st.integers(1, 6), min_size=len(mat), max_size=len(mat)))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = MixtureParams(rng.gamma(2.0, 1.0, (G, K)), rng.dirichlet(np.ones(G)))
+    hyper = Hyperparams.expand(draw(st.sampled_from([1.5, 2.0])), 0.5, 1.5, G, K)
+    labels = rng.integers(1, G + 1, len(mat))
+    weighted = Dataset.from_orderings(mat, counts)
+    units = Dataset.from_orderings(np.repeat(mat, counts, axis=0))
+    return weighted, units, params, hyper, labels
+
+
+def _same_report(a, b):
+    for field in ("p_top1", "p_paired"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for field in ("top1_obs", "top1_rep", "paired_obs", "paired_rep"):
+        assert all(map(np.array_equal, getattr(a, field), getattr(b, field)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_and_params())
+def test_weighted_rows_equal_their_units(case):
+    # a dataset with counts and its unit expansion give the same numbers
+    # bit for bit; per-row outputs expand to the per-unit ones
+    weighted, units, params, hyper, labels = case
+    counts = weighted.counts
+    G = params.n_components
+    assert weighted.n_units == units.n_units
+    assert mixture_loglik(params, weighted) == mixture_loglik(params, units)
+
+    sw, su = rank_summaries(weighted), rank_summaries(units)
+    assert sw.nranked_distr == su.nranked_distr
+    for field in ("missing_pos", "mean_rank", "marginal_rank_distr",
+                  "pairedcomparisons"):
+        assert np.array_equal(getattr(sw, field), getattr(su, field), equal_nan=True)
+
+    (pw, zw), (pu, zu) = em_step(params, weighted, hyper), em_step(params, units, hyper)
+    assert np.array_equal(pw.supports, pu.supports)
+    assert np.array_equal(pw.weights, pu.weights)
+    assert np.array_equal(np.repeat(zw, counts, axis=0), zu)
+
+    fw = fit_map(weighted, G, hyper=hyper, init=params, max_iter=5, tol=0.0)
+    fu = fit_map(units, G, hyper=hyper, init=params, max_iter=5, tol=0.0)
+    for field in ("supports_raw", "weights", "log_post_trace"):
+        assert np.array_equal(getattr(fw, field), getattr(fu, field))
+    assert fw.log_lik == fu.log_lik
+    zw = np.repeat(fw.responsibilities, counts, axis=0)
+    assert np.array_equal(zw, fu.responsibilities)
+    assert np.array_equal(np.repeat(fw.labels, counts), fu.labels)
+
+    run = dict(hyper=hyper, n_iter=12, n_burn=2, rng=3)
+    cw = gibbs_run(weighted, G, init={"z": labels}, **run)
+    cu = gibbs_run(units, G, init={"z": np.repeat(labels, counts)}, **run)
+    for field in ("P", "W", "log_lik"):
+        assert np.array_equal(getattr(cw, field), getattr(cu, field))
+
+    rw, ru = np.random.default_rng(4), np.random.default_rng(4)
+    _same_report(ppcheck(weighted, cw, rng=rw), ppcheck(units, cu, rng=ru))
+    _same_report(ppcheck_cond(weighted, cw, rng=rw), ppcheck_cond(units, cu, rng=ru))
+
+
+@st.composite
 def mixture_scores(draw):
     """(N, G) component scores with ties, across magnitudes 1e-6..1e4,
     sometimes with an all -inf row, and weights with zeros."""
@@ -256,7 +333,7 @@ def test_log_mixture_equals_logsumexp(case):
 # Fuzzing the parsers: malformed input must raise ValidationError and
 # nothing else. Numbers are either small or beyond every size limit, so no
 # example allocates more than a few kilobytes.
-_HUGE = st.integers(_MAX_PREFLIB_CELLS + 1, 2**70)
+_HUGE = st.integers(_MAX_CELLS + 1, 2**70)
 _NUMBER = (st.integers(-2, 12) | _HUGE | _HUGE.map(lambda v: -v)).map(str)
 _JUNK = st.text(alphabet=st.characters(max_codepoint=127), max_size=12)
 
@@ -298,6 +375,7 @@ def test_csv_parsing_fails_only_with_validation_error(tmp_path, text):
 @given(_joined(_PREFLIB_LINE, "\n", 8))
 @example("# NUMBER ALTERNATIVES: 3\n100000000000: 1,2\n")
 @example("1: 1,4000000000\n")
+@example("1" + "0" * 400 + ": 1,2\n")
 def test_preflib_parsing_fails_only_with_validation_error(text):
     try:
         parse_preflib_text(text)
