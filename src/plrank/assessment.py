@@ -73,7 +73,7 @@ def _marginal_of(params) -> np.ndarray:
 
 def top1_counts(data: Dataset) -> np.ndarray:
     """Number of units placing each item first."""
-    return data.counts @ (data.item_idx[:, :1] == np.arange(data.n_items))
+    return data.counts @ (data.orderings[:, :1] == np.arange(1, data.n_items + 1))
 
 
 def chi2_top1(r: np.ndarray, N: int, pbar: np.ndarray) -> float:

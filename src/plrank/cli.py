@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fileio
 from .assessment import _ppchecks
-from .data import Dataset, ORDERING, RANKING, ord_rank_switch, rank_summaries
+from .data import Dataset, ORDERING, RANKING, rank_summaries
 from .em import DEFAULT_TOL, Hyperparams, _best_fits, _fan_out
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
@@ -66,7 +66,8 @@ class _Options:
             if not isinstance(self.config, dict):
                 raise ValidationError(f"{cfg_path}: config must be an object")
 
-    def get(self, name: str, default=None, cast=None, required: bool = False):
+    def get(self, name: str, default=None, cast=None, required: bool = False,
+            least=None):
         key = name.replace("-", "_")
         val = getattr(self.args, key, None)
         if val is None:
@@ -88,9 +89,12 @@ class _Options:
                 raise ValidationError(f"--{name}: expected a string, not {val!r}")
             return val
         try:
-            return cast(str(val))
+            val = cast(str(val))
         except ValueError:
             raise ValidationError(f"--{name}: cannot parse {val!r}") from None
+        if least is not None and val < least:
+            raise ValidationError(f"--{name} must be >= {least}")
+        return val
 
     def getlist(self, name: str, required: bool = False):
         key = name.replace("-", "_")
@@ -127,10 +131,8 @@ def _out_dir(opts: _Options) -> str:
 
 
 def _g_range(opts: _Options) -> list[int]:
-    G = opts.get("G", cast=int, required=True)
+    G = opts.get("G", cast=int, required=True, least=1)
     g_max = opts.get("G-max", cast=int)
-    if G < 1:
-        raise ValidationError("--G must be >= 1")
     if g_max is None:
         return [G]
     if g_max < G:
@@ -146,7 +148,7 @@ def _hyper(opts: _Options, G: int, K: int) -> Hyperparams:
 
 
 def _seed(opts: _Options) -> int:
-    return opts.get("seed", cast=int, required=True)
+    return opts.get("seed", cast=int, required=True, least=0)
 
 
 # ------------------------------------------------------------- subcommands
@@ -159,19 +161,9 @@ def _cmd_convert(opts: _Options) -> int:
     to = opts.get("to") or (RANKING if fmt == ORDERING else ORDERING)
     if to not in (ORDERING, RANKING, PREFLIB):
         raise ValidationError("--to must be ordering, ranking, or preflib")
-    if PREFLIB in (fmt, to):
-        data = fileio.read_dataset(path, fmt)
-        fileio.write_dataset(out, data, to)
-        n, k = data.n_units, data.n_items
-    elif fmt in (ORDERING, RANKING):
-        # validated in its own format, written unchanged or switched
-        matrix = fileio.read_sequence_csv(path)
-        switched = ord_rank_switch(matrix, fmt)
-        fileio.write_sequence_csv(out, matrix if to == fmt else switched)
-        n, k = matrix.shape
-    else:
-        raise ValidationError("--format must be ordering, ranking, or preflib")
-    print(f"convert: {n} rows, {k} items, {fmt} -> {to}: {out}")
+    data = fileio.read_dataset(path, fmt)
+    fileio.write_dataset(out, data, to)
+    print(f"convert: {data.n_units} rows, {data.n_items} items, {fmt} -> {to}: {out}")
     return EXIT_OK
 
 
@@ -235,14 +227,12 @@ def _cmd_simulate(opts: _Options) -> int:
 def _cmd_fit_map(opts: _Options) -> int:
     data = _load_data(opts)
     g_list = _g_range(opts)
-    n_start = opts.get("n-start", default=1, cast=int)
-    if n_start < 1:
-        raise ValidationError("--n-start must be >= 1")
+    n_start = opts.get("n-start", default=1, cast=int, least=1)
     centered = opts.get("centered-start", default=False, cast=bool)
     max_iter = opts.get("max-iter", cast=int)
     tol = opts.get("tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(opts)
-    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int)
+    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int, least=1)
     out = _out_dir(opts)
 
     per_g = np.random.SeedSequence(seed).spawn(len(g_list))
@@ -276,7 +266,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
     n_iter = opts.get("n-iter", default=DEFAULT_N_ITER, cast=int)
     n_burn = opts.get("n-burn", default=DEFAULT_N_BURN, cast=int)
     seed = _seed(opts)
-    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int)
+    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int, least=1)
     init_from = opts.get("init-from")
     out = _out_dir(opts)
 

@@ -228,20 +228,18 @@ class Dataset:
     """Rows of partial orderings over K items, row s counting counts[s] units.
 
     Construct through from_orderings or from_rankings, which validate,
-    normalize depth-(K-1) rows to complete, and precompute the indexing
-    arrays the likelihood code relies on:
+    normalize depth-(K-1) rows to complete, and precompute:
 
-        item_idx[s, t]   0-based item chosen by row s at stage t (-1 pad)
-        stage_mask[s, t] True for t < nranked[s]
-        u[s, i]          1 if item i+1 appears in row s's ranked prefix
-        gamma[i]         number of units ranking item i+1, counts @ u
+        nranked[s]  depth of row s, its number of nonzero entries
+        u[s, i]     1 if item i+1 appears in row s's ranked prefix
+        gamma[i]    number of units ranking item i+1, counts @ u
+
+    The engine's stage index (_stages) is built from them on first use.
     """
 
     orderings: np.ndarray
     counts: np.ndarray
     nranked: np.ndarray
-    item_idx: np.ndarray
-    stage_mask: np.ndarray
     u: np.ndarray
     gamma: np.ndarray
 
@@ -252,13 +250,11 @@ class Dataset:
         counts = np.ones(n, dtype=np.int64) if counts is None else _as_counts(counts, n)
         arr = _complete_penultimate(arr)
         nranked = (arr != 0).sum(axis=1)
-        item_idx = arr - 1
-        stage_mask = arr != 0
         u = (rank_positions_of(arr, 0) != 0).astype(np.int64)
         gamma = counts @ u
-        for a in (arr, counts, nranked, item_idx, stage_mask, u, gamma):
+        for a in (arr, counts, nranked, u, gamma):
             a.setflags(write=False)
-        return cls(arr, counts, nranked, item_idx, stage_mask, u, gamma)
+        return cls(arr, counts, nranked, u, gamma)
 
     @classmethod
     def from_rankings(cls, matrix, counts=None) -> "Dataset":
@@ -277,14 +273,15 @@ class Dataset:
         items[t, s] is the 0-based item row s takes at stage t, its
         unranked items filling the pad in ascending order; pad lists the
         cells beyond the depth, t >= nranked[s], as flat indices
-        t * n_units + s; pos[s, i] is the stage that holds item i in row
-        s, so that items[pos[s, i], s] == i."""
-        filled = self.item_idx.copy()
-        filled[~self.stage_mask] = np.nonzero(self.u == 0)[1]
+        t * n_rows + s; pos[s, i] is the stage that holds item i in row
+        s, so that items[pos[s, i], s] == i. A filled row is a complete
+        ordering, so pos is its rank positions less one."""
+        filled = self.orderings.copy()
+        filled[filled == 0] = np.nonzero(self.u == 0)[1] + 1
         out = _Stages(
-            np.ascontiguousarray(filled.T),
-            np.flatnonzero(~self.stage_mask.T),
-            np.argsort(filled, axis=1),
+            np.ascontiguousarray(filled.T) - 1,
+            np.flatnonzero(self.orderings.T == 0),
+            rank_positions_of(filled, 0) - 1,
         )
         for a in out:
             a.setflags(write=False)
@@ -357,30 +354,35 @@ class FreqTable:
 def unit_to_freq(data) -> FreqTable:
     """Aggregate unit-level sequences into a frequency table.
 
-    Accepts a Dataset (its rows counted by its counts) or a raw matrix in
-    either format; rows are compared as plain integer sequences. Distinct
+    Accepts a Dataset, whose table is its patterns.rows, or a raw matrix
+    in either format; rows are compared as plain integer sequences. Distinct
     rows come out in lexicographic order with their multiplicities.
     """
-    weights = None
     if isinstance(data, Dataset):
-        data, weights = data.orderings, data.counts
-    seq, cnt, _ = _group_rows(_as_int_matrix(data), weights)
+        rows = data.patterns.rows
+        return FreqTable(rows.orderings, rows.counts)
+    seq, cnt, _ = _group_rows(_as_int_matrix(data))
     return FreqTable(seq, cnt)
+
+
+def _repeat_rows(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row r of matrix repeated counts[r] times, within _MAX_CELLS entries."""
+    _check_cells(int(counts.sum()), matrix.shape[1])
+    return np.repeat(matrix, counts, axis=0)
 
 
 def freq_to_unit(freq: FreqTable) -> np.ndarray:
     """Expand a frequency table to unit level, each sequence replicated
-    count times in table order."""
-    return np.repeat(freq.sequences, freq.counts, axis=0)
+    count times in table order, within 10^7 entries (units x K)."""
+    return _repeat_rows(freq.sequences, freq.counts)
 
 
 def _units(data: Dataset) -> Dataset:
     """The dataset with one row per unit: itself when every count is 1,
-    else each row repeated counts[s] times, within _MAX_CELLS entries."""
+    else each row repeated counts[s] times."""
     if data.n_units == data.orderings.shape[0]:
         return data
-    _check_cells(data.n_units, data.n_items)
-    return Dataset.from_orderings(np.repeat(data.orderings, data.counts, axis=0))
+    return Dataset.from_orderings(_repeat_rows(data.orderings, data.counts))
 
 
 def make_partial(data: Dataset, nranked=None, probcens=None, rng=None):
@@ -534,11 +536,12 @@ def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
 def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:
     """Rank matrix for a raw ordering matrix (zero-padded rows), unranked
     items coded as `missing`; with `missing` 0 this is the row-wise inverse
-    map, which also turns a ranking matrix back into orderings."""
-    ranks = np.full(orderings.shape, missing, dtype=np.int64)
-    rows, cols = np.nonzero(orderings)
-    ranks[rows, orderings[rows, cols] - 1] = cols + 1
-    return ranks
+    map, which also turns a ranking matrix back into orderings. One scatter
+    along the rows: a zero entry writes to a spare last column, dropped."""
+    n, K = orderings.shape
+    ranks = np.full((n, K + 1), missing, dtype=np.int64)
+    ranks[np.arange(n)[:, None], orderings - 1] = np.arange(1, K + 1)
+    return ranks[:, :K]
 
 
 def binary_group_ind(labels, G: int) -> np.ndarray:

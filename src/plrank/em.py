@@ -233,7 +233,7 @@ def _draw_init(rng, G: int, K: int) -> MixtureParams:
 def _draw_centered_init(rng, data: Dataset, G: int) -> MixtureParams:
     """Starting supports jittered around observed first-place shares."""
     N, K = data.n_units, data.n_items
-    first = np.bincount(data.item_idx[:, 0], weights=data.counts, minlength=K) / N
+    first = np.bincount(data.orderings[:, 0] - 1, weights=data.counts, minlength=K) / N
     base = first + 0.5 / N
     supports = base[None, :] * rng.uniform(0.5, 1.5, (G, K))
     return MixtureParams(supports, np.full(G, 1.0 / G))
@@ -280,6 +280,8 @@ def fit_map(
         max_iter = default_max_iter(G)
     if max_iter < 0:
         raise ValidationError("max_iter must be >= 0")
+    if np.isnan(tol):
+        raise ValidationError("tol must be a number, not nan")
     if init is None:
         if rng is None:
             rng = np.random.default_rng()

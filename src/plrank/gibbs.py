@@ -93,17 +93,17 @@ def init_from_map(fit: MapFit) -> dict:
     }
 
 
-def _support_conditional(data: Dataset, d, g, n, y, hyper: Hyperparams):
+def _support_conditional(cells: Dataset, g, n, y, hyper: Hyperparams):
     """Gamma (shape, rate) arrays of the support full conditional.
 
     Column r of y (K x cells, stage-major) sums the stage times, zero
-    beyond the depth, of the n[r] units that rank as data row d[r] and
-    belong to component g[r] (0-based); unit cells (d = arange(N), n = 1)
-    give the per-unit form. y is overwritten.
+    beyond the depth, of the n[r] units that rank as row r of cells and
+    belong to component g[r] (0-based); a dataset of units with n = 1
+    gives the per-unit form. y is overwritten.
     """
     member = np.eye(hyper.n_components)[g].T
-    shape = hyper.shape + member @ (n[:, None] * data.u[d])
-    avail = _availability_sums(data._stages.pos[d], y)
+    shape = hyper.shape + member @ (n[:, None] * cells.u)
+    avail = _availability_sums(cells._stages.pos, y)
     return shape, hyper.rate[:, None] + member @ avail
 
 
@@ -185,10 +185,13 @@ def gibbs_run(
     hyper = Hyperparams(hyper.shape, rate, hyper.alpha)
 
     # stage-time cells: each row's top min(n_d, G) components by count hold
-    # all its units; a fixed cell count keeps the arrays one size, so the
-    # heap does not fragment and peak memory stays flat over a long chain
+    # all its units, cell r ranking as row d[r]; a fixed cell count keeps
+    # the arrays one size, so the heap does not fragment and peak memory
+    # stays flat over a long chain, and the cells' index is built once
     top = np.arange(G) < np.minimum(counts, G)[:, None]
     d = np.nonzero(top)[0]
+    cells = Dataset.from_orderings(rows.orderings[d])
+    ranked = cells.orderings != 0
     rem = _stage_table(rows, p)[1]  # rebuilt by each membership step
     kept = []
     for sweep in range(1, n_iter + 1):
@@ -202,10 +205,10 @@ def gibbs_run(
         # Gamma draws come cell-major, the cells' rates rem[:, d, g]
         # stage-major; y takes the rates' layout
         y = rem[:, d, g]
-        np.divide(rng.standard_gamma(n[:, None] * rows.stage_mask[d]).T, y, out=y)
+        np.divide(rng.standard_gamma(n[:, None] * ranked).T, y, out=y)
 
         # supports | times, memberships
-        shape, rate = _support_conditional(rows, d, g, n, y, hyper)
+        shape, rate = _support_conditional(cells, g, n, y, hyper)
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
         # memberships | weights, supports, and the log-likelihood

@@ -66,6 +66,8 @@ class MixtureParams:
 
     @classmethod
     def uniform(cls, G: int, K: int) -> "MixtureParams":
+        if G < 1 or K < 1:
+            raise ValidationError(f"need G >= 1 and K >= 1, not G={G}, K={K}")
         return cls(np.full((G, K), 1.0 / K), np.full(G, 1.0 / G))
 
     def normalized(self) -> "NormalizedParams":

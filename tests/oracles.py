@@ -197,8 +197,9 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
     g_of_s = np.asarray(init["z"]) - 1
     w = np.full(G, 1.0 / G)
     free_scale = bool(np.all(hyper.rate == 0.0))
+    ranked = data.orderings != 0
     avail = stage_availability(data)
-    rem = stage_remainders_units(avail, data.stage_mask, p)
+    rem = stage_remainders_units(avail, ranked, p)
     units = np.arange(N)
     P, W, ll_out = [], [], []
     for sweep in range(1, n_iter + 1):
@@ -208,14 +209,14 @@ def gibbs_run_units(data, G, hyper, init, n_iter, n_burn, rng):
         if G > 1:
             w = rng.dirichlet(hyper.alpha + np.bincount(g_of_s, minlength=G))
         y = rng.standard_exponential((N, K)) / rem[units, :, g_of_s]
-        y[~data.stage_mask] = 0.0
+        y[~ranked] = 0.0
         member = np.eye(G)[g_of_s].T
         shape = hyper.shape + member @ data.u
         rate = hyper.rate[:, None] + member @ np.einsum("sti,st->si", avail, y)
         if (rate <= 0).any():
             raise ValueError(f"empty component at sweep {sweep}")
         p = np.maximum(rng.standard_gamma(shape) / rate, 1e-300)
-        rem = stage_remainders_units(avail, data.stage_mask, p)
+        rem = stage_remainders_units(avail, ranked, p)
         comp = data.u @ np.log(p).T - np.log(rem).sum(axis=1)
         with np.errstate(divide="ignore"):
             ll = float(logsumexp(comp + np.log(w), axis=1).sum())
@@ -240,14 +241,16 @@ def stage_availability(data):
     K = data.n_items
     pos = data.to_rank_positions(K + 1) - 1
     stage = np.arange(K)[None, :, None]
-    return ((pos[:, None, :] >= stage) & data.stage_mask[:, :, None]).astype(float)
+    ranked = data.orderings != 0
+    return ((pos[:, None, :] >= stage) & ranked[:, :, None]).astype(float)
 
 
-def stage_remainders_units(avail, stage_mask, p):
+def stage_remainders_units(avail, ranked, p):
     """(N, K, G) support mass rem[s, t, g] = sum_i p[g, i] A[s, t, i]
-    still available before stage t of unit s, 1 beyond its depth."""
+    still available before stage t of unit s, 1 beyond its depth (where
+    ranked[s, t] is False)."""
     rem = np.einsum("sti,gi->stg", avail, p)
-    rem[~stage_mask] = 1.0
+    rem[~ranked] = 1.0
     return rem
 
 
@@ -257,10 +260,11 @@ def stage_table_rows_major(data, p):
     filled into the pad on every call, one reversed cumsum along the
     stages. Kept so that the stage-major engine can be pinned to it bit
     for bit."""
-    idx = data.item_idx.copy()
-    idx[~data.stage_mask] = np.nonzero(data.u == 0)[1]
+    ranked = data.orderings != 0
+    idx = data.orderings - 1
+    idx[~ranked] = np.nonzero(data.u == 0)[1]
     rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
-    rem[~data.stage_mask] = 1.0
+    rem[~ranked] = 1.0
     return data.u @ np.log(p).T - np.log(rem).sum(axis=1), rem
 
 
@@ -294,7 +298,8 @@ def em_step_units(p, w, data, hyper):
     returns (supports, weights, responsibilities, log-likelihood), the
     last two at the incoming parameters."""
     avail = stage_availability(data)
-    rem = stage_remainders_units(avail, data.stage_mask, p)
+    ranked = data.orderings != 0
+    rem = stage_remainders_units(avail, ranked, p)
     comp = data.u @ np.log(p).T - np.log(rem).sum(axis=1)
     with np.errstate(divide="ignore"):
         scored = comp + np.log(w)
@@ -302,7 +307,7 @@ def em_step_units(p, w, data, hyper):
     zhat = np.exp(scored - per_unit[:, None])
     N, G = zhat.shape
     numer = hyper.shape - 1.0 + zhat.T @ data.u
-    r = np.where(data.stage_mask[:, :, None], 1.0 / rem, 0.0)
+    r = np.where(ranked[:, :, None], 1.0 / rem, 0.0)
     denom = hyper.rate[:, None] + np.einsum("sg,sti,stg->gi", zhat, avail, r)
     w_new = (hyper.alpha - 1.0 + zhat.sum(axis=0)) / (hyper.alpha.sum() - G + N)
     return numer / denom, w_new / w_new.sum(), zhat, float(per_unit.sum())
@@ -322,7 +327,7 @@ def ppcheck_stats_simulated(data, chain, rng):
     depths = np.unique(data.nranked)
     strata = [np.nonzero(data.nranked == m)[0] for m in depths]
     obs_ranks = data.to_rank_positions()
-    obs_r = [np.bincount(data.item_idx[idx, 0], minlength=K) for idx in strata]
+    obs_r = [np.bincount(data.orderings[idx, 0] - 1, minlength=K) for idx in strata]
     obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
     sizes = [idx.shape[0] for idx in strata]
 

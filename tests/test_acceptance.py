@@ -82,11 +82,14 @@ def _line(name, ok, detail):
 
 def test_c01_round_trip_exactness(tmp_path):
     rng = np.random.default_rng(202608)
-    ord_path = tmp_path / "o.csv"
-    rank_path = tmp_path / "r.csv"
-    pl_path = tmp_path / "p.txt"
     t0 = time.perf_counter()
-    for _ in range(1000):
+    for i in range(1000):
+        # fresh paths: rewriting one file truncates it, and a file truncated
+        # to zero is flushed to disk when it is closed (ext4), a cost that
+        # varies with the machine's load
+        ord_path = tmp_path / f"o{i}.csv"
+        rank_path = tmp_path / f"r{i}.csv"
+        pl_path = tmp_path / f"p{i}.txt"
         K = int(rng.integers(3, 11))
         n = int(rng.integers(2, 22))
         mat, _ = random_partial_matrix(rng, n, K)
@@ -405,9 +408,8 @@ def test_c05a_conditional_moments():
     hyper = Hyperparams.expand(1.5, 0.7, 1.0, 2, 3)
     yrng = np.random.default_rng(12)
     y = yrng.exponential(0.7, size=(5, 3))
-    y[~data.stage_mask] = 0.0
-    units = np.arange(5)
-    shape, rate = _support_conditional(data, units, z0 - 1, np.ones(5), y.T.copy(), hyper)
+    y[data.orderings == 0] = 0.0
+    shape, rate = _support_conditional(data, z0 - 1, np.ones(5), y.T.copy(), hyper)
     n = 10_000
     draws = np.random.default_rng(314159).standard_gamma(
         np.broadcast_to(shape, (n, 2, 3))

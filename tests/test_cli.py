@@ -29,6 +29,20 @@ def test_convert_both_directions(tmp_path):
     assert not bad.exists()
 
 
+def test_convert_completes_depth_k_minus_1(tmp_path):
+    # a row ranking K-1 items determines the last one and is written
+    # complete, in either target format
+    src = tmp_path / "ord.csv"
+    src.write_text("1,2,0\n3,0,0\n")
+    rank = tmp_path / "rank.csv"
+    same = tmp_path / "same.csv"
+    assert run(["convert", "--input", src, "--format", "ordering", "--out", rank]) == 0
+    assert rank.read_text() == "1,2,3\n0,0,1\n"
+    argv = ["convert", "--input", src, "--format", "ordering", "--to", "ordering"]
+    assert run([*argv, "--out", same]) == 0
+    assert same.read_text() == "1,2,3\n3,0,0\n"
+
+
 def test_convert_preflib(tmp_path):
     src = tmp_path / "profile.txt"
     src.write_text("# NUMBER ALTERNATIVES: 3\n2: 1,2,3\n1: 2\n")
@@ -547,3 +561,43 @@ def test_malformed_chain_csv_is_a_validation_error(
     _assert_validation_exit(
         capsys, ["relabel", "--chain", bad, "--pivot", fit, "--out", tmp_path / "r"]
     )
+
+
+_SIM = ["simulate", "--n", 10]
+_FIT = ["fit-map", "DATA", "--G", 1]
+_GIBBS = ["fit-gibbs", "DATA", "--G", 1, "--n-iter", 5, "--n-burn", 1]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([*_SIM, "--K", 0, "--seed", 1], "K=0"),
+        ([*_SIM, "--K", 3, "--G", 0, "--seed", 1], "G=0"),
+        ([*_SIM, "--K", 3, "--G", -1, "--seed", 1], "G=-1"),
+        ([*_SIM, "--K", 3, "--seed", -1], "--seed"),
+        ([*_FIT, "--seed", -1, "--parallel", 1], "--seed"),
+        ([*_GIBBS, "--seed", -1, "--parallel", 1], "--seed"),
+        (["ppcheck", "DATA", "--chain", "CHAIN", "--seed", -1], "--seed"),
+        ([*_FIT, "--seed", 1, "--tol", "nan", "--parallel", 1], "tol"),
+        ([*_FIT, "--seed", 1, "--parallel", 0], "--parallel"),
+        ([*_FIT, "--seed", 1, "--parallel", -3], "--parallel"),
+        ([*_GIBBS, "--seed", 1, "--parallel", 0], "--parallel"),
+    ],
+    ids=["simulate-K-0", "simulate-G-0", "simulate-G-negative",
+         "simulate-seed", "fit-map-seed", "fit-gibbs-seed", "ppcheck-seed",
+         "fit-map-tol-nan", "fit-map-parallel-0", "fit-map-parallel-negative",
+         "fit-gibbs-parallel-0"],
+)
+def test_out_of_range_option_is_one_json_error(
+    tmp_path, capsys, fit_and_chain, argv, named
+):
+    src, _, chain = fit_and_chain
+    place = {"DATA": src, "CHAIN": [chain]}
+    argv = [a for x in argv for a in place.get(x, [x])]
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])["error"]
+    assert doc["type"] == "validation"
+    assert named in doc["message"]

@@ -120,6 +120,14 @@ def test_freq_round_trip_and_order():
     assert back.n_units == 6
 
 
+def test_freq_to_unit_is_bounded():
+    # 3,000,000 units of 5 items are 15M entries, past the 10^7 limit; the
+    # table itself is one row
+    table = FreqTable(np.array([[1, 2, 3, 4, 5]]), np.array([3_000_000]))
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        freq_to_unit(table)
+
+
 def test_unit_to_freq_shuffled_recovery():
     rng = np.random.default_rng(3)
     mat, _ = random_partial_matrix(rng, 200, 5)

@@ -66,7 +66,7 @@ def test_support_conditional_matches_loop_oracle():
     hyper = Hyperparams.expand(1.7, 0.4, 1.0, G, 5)
     # unit cells: column s of the stage-major times holds unit s's
     g = np.argmax(z, axis=1)
-    a, b = _support_conditional(data, np.arange(25), g, np.ones(25), y.T.copy(), hyper)
+    a, b = _support_conditional(data, g, np.ones(25), y.T.copy(), hyper)
     a2, b2 = support_conditional_direct(mat, depths, z, y, hyper.shape, hyper.rate)
     assert np.allclose(a, a2, atol=1e-12)
     assert np.allclose(b, b2, atol=1e-10)

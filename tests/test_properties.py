@@ -173,11 +173,11 @@ def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
 
     # the EM form (1 / rem, trailing component axis) and the sweep form
     # (stage times per row and stage, no trailing axis)
-    r = np.where(data.stage_mask[:, :, None], 1.0 / ref_rem, 0.0)
+    r = np.where(data.orderings[:, :, None] != 0, 1.0 / ref_rem, 0.0)
     y = r[:, :, 0] * np.arange(1, mat.shape[0] + 1)[:, None]
     for x in (r, y):
         got = _availability_sums(data._stages.pos, np.moveaxis(x, 1, 0).copy())
-        assert _same_bits(got, availability_sums_rows_major(data.item_idx, x))
+        assert _same_bits(got, availability_sums_rows_major(data.orderings - 1, x))
 
     scored, per_unit = _log_mixture(ref_comp, w)
     ref_scored, ref_per_unit = log_mixture_rows_major(ref_comp, w)
@@ -202,6 +202,40 @@ def test_unit_to_freq_equals_unique(rows):
     seq, counts = np.unique(x, axis=0, return_counts=True)
     assert np.array_equal(table.sequences, seq)
     assert np.array_equal(table.counts, counts)
+
+
+@st.composite
+def counted_datasets(draw):
+    """A Dataset over 2..7 items whose rows (which may repeat) count 1..6
+    units each."""
+    mat = draw(st.integers(2, 7).flatmap(lambda K: orderings(K, max_units=8)))
+    counts = draw(st.lists(st.integers(1, 6), min_size=len(mat), max_size=len(mat)))
+    return Dataset.from_orderings(mat, counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counted_datasets())
+def test_counted_rows_freq_table_and_stage_index(data):
+    # a counted dataset's frequency table is its distinct rows, which are
+    # the distinct units with their multiplicities
+    table = unit_to_freq(data)
+    rows = data.patterns.rows
+    assert np.array_equal(table.sequences, rows.orderings)
+    assert np.array_equal(table.counts, rows.counts)
+    units = np.repeat(data.orderings, data.counts, axis=0)
+    seq, counts = np.unique(units, axis=0, return_counts=True)
+    assert np.array_equal(table.sequences, seq)
+    assert np.array_equal(table.counts, counts)
+
+    # the stage index: the ranked prefix at its stages, pos inverting items
+    # row by row, and pad exactly the cells t >= nranked[s]
+    stages = data._stages
+    n, K = data.orderings.shape
+    ranked = data.orderings != 0
+    assert np.array_equal(stages.items.T[ranked], data.orderings[ranked] - 1)
+    assert (stages.items[stages.pos, np.arange(n)[:, None]] == np.arange(K)).all()
+    beyond = np.arange(K)[:, None] >= data.nranked[None, :]
+    assert np.array_equal(stages.pad, np.flatnonzero(beyond))
 
 
 @settings(max_examples=100, deadline=None)
