@@ -24,8 +24,10 @@ probabilities. A stratum with K * K!/(K-m)! <= n_m is enumerated: its
 pattern counts are drawn directly, and its top-1 and pair counts are
 those of the patterns weighted by their counts, at most n_m / K rows in
 place of n_m. Every other stratum simulates its own units, one complete
-ordering per unit truncated to depth m. Observed and replicated counts
-all come from one count kernel over rank matrices.
+ordering per unit drawn by exponential race (the law of sequential
+choice), of which the pairs decided by its top m are counted. Observed
+and replicated counts all come from one count kernel over filled
+orderings.
 
 Both variants share one replicate per kept draw, so the CLI's plain and
 conditional p-values come from one pass. Counts are taken per stratum;
@@ -42,15 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_cells, _pair_counts, paired_comparisons
-from .data import rank_positions_of
+from .data import Dataset, _check_cells, _order_counts, paired_comparisons
 from .errors import ValidationError
 from .gibbs import GibbsChain
 from .model import (
     MixtureParams,
     NormalizedParams,
-    _gumbel_orderings,
     _log_mixture,
+    _mixture_race,
     _stage_table,
 )
 
@@ -110,7 +111,7 @@ def paired_discrepancy(data: Dataset, params) -> float:
 
 def _replicate_orderings(supports, weights, nranked, rng):
     """Complete orderings from the mixture, truncated to given depths."""
-    _, orderings = _gumbel_orderings(nranked.shape[0], supports, weights, rng)
+    orderings = _mixture_race(nranked.shape[0], supports, weights, rng)[1] + 1
     orderings[np.arange(supports.shape[1])[None, :] >= nranked[:, None]] = 0
     return orderings
 
@@ -133,23 +134,15 @@ class PpcheckReport:
     conditional: bool
 
 
-def _counts(ranks: np.ndarray, weights=None):
-    """(top-1 counts, pair counts) over the rows of a rank matrix, unranked
-    items coded K+1, row i counted weights[i] times (once by default)."""
-    first = ranks == 1
-    top1 = first.sum(axis=0) if weights is None else weights @ first
-    return top1, _pair_counts(ranks, weights)
-
-
 def _strata(data: Dataset):
     """The depth strata of a dataset in ascending depth, and the shared
     table of enumerated patterns: every top-m ordering of each enumerated
-    depth m, stacked in ascending depth, as a Dataset and its rank matrix
-    (None when no stratum is enumerated). A depth-m stratum of n_m units
-    is enumerated when K * K!/(K-m)! <= n_m, so that it counts at most
-    n_m / K pattern rows where a simulation would count n_m unit rows."""
+    depth m, stacked in ascending depth, as a Dataset (None when no
+    stratum is enumerated). A depth-m stratum of n_m units is enumerated
+    when K * K!/(K-m)! <= n_m, so that it counts at most n_m / K pattern
+    rows where a simulation would count n_m unit rows."""
     K = data.n_items
-    ranks = data.to_rank_positions()
+    items = data._stages.items
     strata, blocks, lo = [], [], 0
     for m in np.unique(data.nranked).tolist():
         units = data.nranked == m
@@ -163,11 +156,10 @@ def _strata(data: Dataset):
             rows, lo = slice(lo, lo + P), lo + P
         elif n > counts.size:
             _check_cells(n, K)
-        strata.append(_Stratum(m, n, _counts(ranks[units], counts), rows))
+        strata.append(_Stratum(m, n, _order_counts(items[:, units], m, counts), rows))
     if not blocks:
         return strata, None
-    patterns = Dataset.from_orderings(np.concatenate(blocks))
-    return strata, (patterns, patterns.to_rank_positions())
+    return strata, Dataset._build(np.concatenate(blocks), np.ones(lo, dtype=np.int64))
 
 
 def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
@@ -175,18 +167,20 @@ def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
     normalised supports p and weights w. Within a depth-m stratum the
     replicated top-m orderings are i.i.d. over the top-m patterns, so an
     enumerated stratum draws its pattern counts from Multinomial(n_m, pi);
-    any other stratum simulates its own units."""
+    any other stratum simulates its own units, whose complete orderings
+    are filled orderings of depth m as they are drawn."""
     if table is not None:
-        patterns, ranks = table
-        pi = np.exp(_log_mixture(_stage_table(patterns, p)[0], w)[1])
+        pi = np.exp(_log_mixture(_stage_table(table, p)[0], w)[1])
+        items = table._stages.items
     out = []
     for s in strata:
         if s.rows is None:
-            rep = _replicate_orderings(p, w, np.full(s.size, s.depth), rng)
-            out.append(_counts(rank_positions_of(rep, p.shape[1] + 1)))
+            race = _mixture_race(s.size, p, w, rng)[1]
+            out.append(_order_counts(np.ascontiguousarray(race.T), s.depth))
         else:
             q = pi[s.rows]
-            out.append(_counts(ranks[s.rows], rng.multinomial(s.size, q / q.sum())))
+            n_pattern = rng.multinomial(s.size, q / q.sum())
+            out.append(_order_counts(items[:, s.rows], s.depth, n_pattern))
     return out
 
 

@@ -25,7 +25,8 @@ from .errors import ValidationError
 ORDERING = "ordering"
 RANKING = "ranking"
 
-# chunk size for row-blocked pairwise scans, keeps N*K*K buffers small
+# rows per block of the pair count kernel: its codes and weights then stay a
+# few hundred KB, which numpy reuses instead of faulting in fresh pages
 _PAIR_CHUNK = 4096
 
 # largest matrix built from counted rows, a profile's lines or expanded units
@@ -248,7 +249,13 @@ class Dataset:
         arr = validate_ordering_matrix(matrix)
         n = arr.shape[0]
         counts = np.ones(n, dtype=np.int64) if counts is None else _as_counts(counts, n)
-        arr = _complete_penultimate(arr)
+        return cls._build(_complete_penultimate(arr), counts)
+
+    @classmethod
+    def _build(cls, arr: np.ndarray, counts: np.ndarray) -> "Dataset":
+        """Dataset of int64 rows that are valid orderings with no row of
+        depth K-1, counted by int64 counts that _as_counts accepts; the
+        arrays are taken as they are and made read-only."""
         nranked = (arr != 0).sum(axis=1)
         u = (rank_positions_of(arr, 0) != 0).astype(np.int64)
         gamma = counts @ u
@@ -265,7 +272,7 @@ class Dataset:
         """Distinct rows (lexicographic) with their units' counts, built on
         first use by the fitters."""
         rows, counts, index = _group_rows(self.orderings, self.counts)
-        return Patterns(Dataset.from_orderings(rows, counts), index)
+        return Patterns(Dataset._build(rows, counts), index)
 
     @cached_property
     def _stages(self) -> _Stages:
@@ -434,8 +441,9 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
     Missing items are appended in the order produced by sampling without
     replacement with probabilities proportional to `probitems`, leaving
     the observed prefix untouched. Equivalent to one stagewise draw per
-    free position; implemented by sorting Gumbel-perturbed log weights.
-    Returns one row per unit.
+    free position; implemented as an exponential race over all K items
+    (_race), whose finishing order restricted to a row's unranked items
+    is their own race. Returns one row per unit.
     """
     K = data.n_items
     p = np.asarray(probitems, dtype=np.float64)
@@ -446,21 +454,26 @@ def make_complete(data: Dataset, probitems, rng=None) -> Dataset:
     data = _units(data)
     if rng is None:
         rng = np.random.default_rng()
-    # ranked items get -inf and sort last, so they are never re-drawn
-    tail_items = _gumbel_sort(np.where(data.u != 0, -np.inf, np.log(p)), rng)
+    order = _race(p[None, :], np.zeros(data.orderings.shape[0], dtype=np.intp), rng)
     out = data.orderings.copy()
-    pos = np.arange(K)[None, :] - data.nranked[:, None]
-    fill = pos >= 0
-    out[fill] = tail_items[fill.nonzero()[0], pos[fill]]
+    # row by row, the empty cells and the unranked items in finishing order
+    out[out == 0] = order[np.take_along_axis(data.u, order, axis=1) == 0] + 1
     return Dataset.from_orderings(out)
 
 
-def _gumbel_sort(log_weights: np.ndarray, rng) -> np.ndarray:
-    """1-based items of each row of an (n x K) log-weight matrix, sorted
-    by Gumbel-perturbed log weight: sampling without replacement with
-    probabilities proportional to the weights, -inf entries last."""
-    key = log_weights + rng.gumbel(size=log_weights.shape)
-    return np.argsort(-key, axis=1, kind="stable") + 1
+def _race(rates: np.ndarray, rows: np.ndarray, rng) -> np.ndarray:
+    """0-based items of len(rows) orderings, ordering s drawn by sequential
+    sampling without replacement with probabilities proportional to
+    rates[rows[s]] (a G x K table of positive rates): the items in the
+    order they finish an exponential race, item i at time E_i / rate_i
+    with E_i standard exponential. The first to finish is item i with
+    probability proportional to its rate, and by memorylessness the race
+    then restarts among the others, so the law is that of the stagewise
+    draws. Each rate row is scaled by its maximum, so that the times stay
+    finite at extreme supports."""
+    scaled = rates / rates.max(axis=1, keepdims=True)
+    times = rng.standard_exponential((rows.shape[0], rates.shape[1]))
+    return np.argsort(np.divide(times, scaled[rows], out=times), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,27 +523,36 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     item j+1: both ranked with i before j, or i ranked while j is not.
     Units ranking neither item leave the pair undecided.
     """
-    return _pair_counts(data.to_rank_positions(), data.counts)
-
-
-def _pair_counts(ranks: np.ndarray, weights=None) -> np.ndarray:
-    """K x K counts of rows of a rank matrix placing item i strictly
-    before item j, row r counted weights[r] times (once by default); code
-    unranked items with a common rank beyond K so that pairs a row leaves
-    undecided count for neither side. Integer weights are summed by a
-    float64 matrix product, exact while they sum below 2**53."""
-    K = ranks.shape[1]
-    tau = np.zeros((K, K), dtype=np.int64)
-    for lo in range(0, ranks.shape[0], _PAIR_CHUNK):
-        blk = ranks[lo : lo + _PAIR_CHUNK]
-        before = blk[:, :, None] < blk[:, None, :]
-        if weights is None:
-            tau += before.sum(axis=0)
-        else:
-            w = np.asarray(weights[lo : lo + _PAIR_CHUNK], dtype=np.float64)
-            flat = before.reshape(blk.shape[0], K * K).astype(np.float64)
-            tau += (w @ flat).astype(np.int64).reshape(K, K)
+    items, tau = data._stages.items, 0
+    for m in np.unique(data.nranked).tolist():
+        rows = data.nranked == m
+        tau = tau + _order_counts(items[:, rows], m, data.counts[rows])[1]
     return tau
+
+
+def _order_counts(items: np.ndarray, depth: int, weights=None):
+    """(top-1 counts, K x K pair counts) of filled orderings of one depth,
+    column s of the stage-major K x n matrix items holding the 0-based
+    items of row s: its ranked prefix of `depth` items, then its unranked
+    items, as Dataset._stages.items holds them. Row s is counted
+    weights[s] times (once by default). Positions a < b of a row form the
+    decided pair "item at a before item at b" when a < depth, so a pair
+    of unranked items counts for neither side. In each block of rows, each
+    position's pairs are one np.bincount over the codes i * K + j.
+    Integer weights are summed in float64, exact while they sum below
+    2**53."""
+    K, n = items.shape
+    top1 = np.bincount(items[0], weights, minlength=K).astype(np.int64)
+    tau = np.zeros(K * K)
+    for lo in range(0, n, _PAIR_CHUNK):
+        blk = items[:, lo : lo + _PAIR_CHUNK]
+        for a in range(min(depth, K - 1)):
+            codes = blk[a + 1 :] + K * blk[a]
+            w = None
+            if weights is not None:
+                w = np.broadcast_to(weights[lo : lo + _PAIR_CHUNK], codes.shape).ravel()
+            tau += np.bincount(codes.ravel(), w, minlength=K * K)
+    return top1, tau.astype(np.int64).reshape(K, K)
 
 
 def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:

@@ -7,6 +7,10 @@ support vector per unit according to weights w. Likelihood code runs on
 unnormalized supports (scaling a component's row leaves every stagewise
 probability unchanged); normalization happens only when reporting.
 
+Forward sampling draws every ordering (sample_mixture, make_complete, the
+predictive checks' replicates) by one exponential race, data._race, which
+has the law of sequential choice.
+
 The engine's per-row tables are laid out so that every numpy pass runs
 along the long row axis. A dataset's stage index (Dataset._stages, built
 once) holds the item taken at each stage, stage-major, with the unranked
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PartialOrdering, _gumbel_sort, validate_ordering_matrix
+from .data import Dataset, PartialOrdering, _race, validate_ordering_matrix
 from .errors import ValidationError
 
 
@@ -222,8 +226,8 @@ def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):
 
     Component labels are drawn from the weights, then each unit's full
     ordering comes from sequential sampling without replacement under its
-    component's supports (implemented by sorting Gumbel-perturbed log
-    supports, which has the same law).
+    component's supports (implemented as an exponential race, which has
+    the same law; see _mixture_race).
 
     Returns (labels, dataset): 1-based component labels of length n and a
     Dataset of n complete orderings.
@@ -234,16 +238,16 @@ def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):
         raise ValidationError("params shape must match (G, K)")
     if rng is None:
         rng = np.random.default_rng()
-    labels, orderings = _gumbel_orderings(n, params.supports, params.weights, rng)
-    return labels + 1, Dataset.from_orderings(orderings)
+    labels, items = _mixture_race(n, params.supports, params.weights, rng)
+    return labels + 1, Dataset.from_orderings(items + 1)
 
 
-def _gumbel_orderings(n: int, supports: np.ndarray, weights: np.ndarray, rng):
-    """0-based component labels and the raw 1-based matrix of n complete
-    orderings from the mixture (supports G x K, weights G), by sorting
-    Gumbel-perturbed logs."""
-    G = supports.shape[0]
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    labels = np.argmax(logw[None, :] + rng.gumbel(size=(n, G)), axis=1)
-    return labels, _gumbel_sort(np.log(supports)[labels], rng)
+def _mixture_race(n: int, supports: np.ndarray, weights: np.ndarray, rng):
+    """0-based component labels and the 0-based items (n x K) of n complete
+    orderings from the mixture (supports G x K, weights G). A label is one
+    uniform through the inverse CDF of the weights, so a zero weight is
+    never drawn; the ordering is the exponential race (_race) at the
+    label's supports."""
+    cdf = np.cumsum(weights)
+    labels = np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")
+    return labels, _race(supports, labels, rng)

@@ -156,6 +156,28 @@ def paired_counts_direct(orderings, nranked):
     return tau
 
 
+def pair_counts_rank_compare(ranks, weights=None):
+    """K x K counts of rows of a rank matrix placing item i strictly
+    before item j, row r counted weights[r] times (once by default),
+    unranked items coded with a common rank beyond K so that pairs a row
+    leaves undecided count for neither side. This is the library's former
+    kernel, an item-by-item rank comparison over blocks of rows, kept as a
+    reference independent of its position-pair counts; integer weights
+    are summed by a float64 matrix product, exact below 2**53."""
+    K = ranks.shape[1]
+    tau = np.zeros((K, K), dtype=np.int64)
+    for lo in range(0, ranks.shape[0], 4096):
+        blk = ranks[lo : lo + 4096]
+        before = blk[:, :, None] < blk[:, None, :]
+        if weights is None:
+            tau += before.sum(axis=0)
+        else:
+            w = np.asarray(weights[lo : lo + 4096], dtype=np.float64)
+            flat = before.reshape(blk.shape[0], K * K).astype(np.float64)
+            tau += (w @ flat).astype(np.int64).reshape(K, K)
+    return tau
+
+
 def best_permutation_cost(vecs, ref):
     """Minimum total squared distance over all component permutations,
     via scipy's assignment solver (independent of the library's dynamic
@@ -316,19 +338,19 @@ def em_step_units(p, w, data, hyper):
 def ppcheck_stats_simulated(data, chain, rng):
     """Reference predictive-check statistics that simulate every unit: the
     (2, 4, n_kept) array of plain then conditional top1 obs/rep and paired
-    obs/rep, one replicate per kept draw, simulated and counted stratum by
-    stratum in ascending depth (the form the library keeps for strata it
-    does not enumerate).
+    obs/rep, one replicate per kept draw, simulated stratum by stratum in
+    ascending depth (the form the library keeps for strata it does not
+    enumerate) and counted by rank comparison of the truncated replicates.
     """
     from plrank.assessment import _replicate_orderings, chi2_paired, chi2_top1
-    from plrank.data import _pair_counts, rank_positions_of
+    from plrank.data import rank_positions_of
 
     N, K = data.orderings.shape
     depths = np.unique(data.nranked)
     strata = [np.nonzero(data.nranked == m)[0] for m in depths]
     obs_ranks = data.to_rank_positions()
     obs_r = [np.bincount(data.orderings[idx, 0] - 1, minlength=K) for idx in strata]
-    obs_tau = [_pair_counts(obs_ranks[idx]) for idx in strata]
+    obs_tau = [pair_counts_rank_compare(obs_ranks[idx]) for idx in strata]
     sizes = [idx.shape[0] for idx in strata]
 
     stats = np.zeros((2, 4, chain.n_kept))
@@ -339,7 +361,7 @@ def ppcheck_stats_simulated(data, chain, rng):
         for m, n in zip(depths, sizes):
             rep = _replicate_orderings(p, w, np.full(n, m), rng)
             rep_r.append(np.bincount(rep[:, 0] - 1, minlength=K))
-            rep_tau.append(_pair_counts(rank_positions_of(rep, K + 1)))
+            rep_tau.append(pair_counts_rank_compare(rank_positions_of(rep, K + 1)))
         pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
         per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
         for k, groups in enumerate((pooled, per_stratum)):

@@ -1,19 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from plrank import (
     Dataset,
     MixtureParams,
     ValidationError,
     gibbs_run,
+    paired_comparisons,
     ppcheck,
     ppcheck_cond,
     sample_mixture,
 )
 from plrank.assessment import (
-    _counts,
     _ppchecks,
     _replicate_counts,
     _replicate_orderings,
@@ -24,9 +26,11 @@ from plrank.assessment import (
     top1_counts,
     top1_discrepancy,
 )
-from plrank.data import _pair_counts, rank_positions_of
+from plrank.data import _order_counts, rank_positions_of
+from plrank.model import _mixture_race
 from oracles import (
     ordering_row_loglik,
+    pair_counts_rank_compare,
     paired_counts_direct,
     ppcheck_stats_simulated,
     random_partial_matrix,
@@ -73,8 +77,6 @@ def test_discrepancy_wrappers():
     pbar = norm.marginal
     want_top1 = chi2_top1(top1_counts(data), 3, pbar)
     assert top1_discrepancy(data, params) == pytest.approx(want_top1, abs=1e-12)
-    from plrank import paired_comparisons
-
     want_paired = chi2_paired(paired_comparisons(data), pbar)
     assert paired_discrepancy(data, params) == pytest.approx(want_paired, abs=1e-12)
 
@@ -88,6 +90,40 @@ def test_replicates_preserve_depths():
     assert np.array_equal(np.sort(out.nranked), np.sort(depths))
     # depths are matched per unit, not merely as a multiset
     assert np.array_equal(out.nranked, depths)
+
+
+def test_replicates_have_the_mixture_law():
+    # K=4, G=3 with one weight at 0: at each depth m the top-m patterns of
+    # 20000 replicates follow the mixture law (chi-squared, alpha = 1e-3),
+    # and the zero-weight component never supplies a label
+    rng = np.random.default_rng(14)
+    K, n = 4, 20000
+    p = np.array([[0.55, 0.25, 0.15, 0.05], [0.05, 0.15, 0.25, 0.55], [0.1, 0.4, 0.4, 0.1]])
+    w = np.array([0.5, 0.0, 0.5])
+    assert 1 not in _mixture_race(n, p, w, rng)[0]
+    for m in (1, 2, 4):
+        rep = _replicate_orderings(p, w, np.full(n, m), rng)
+        patterns, counts = np.unique(rep[:, :m], axis=0, return_counts=True)
+        law = {
+            r: sum(w[g] * math.exp(ordering_row_loglik(r, p[g])) for g in range(3))
+            for r in itertools.permutations(range(1, K + 1), m)
+        }
+        observed = dict(zip(map(tuple, patterns.tolist()), counts.tolist()))
+        assert set(observed) <= set(law)
+        stat = sum((observed.get(r, 0) - n * q) ** 2 / (n * q) for r, q in law.items())
+        assert stat <= chi2.isf(1e-3, len(law) - 1), (m, stat)
+
+    # at log-uniform supports down to 1e-300 every row is a permutation
+    # truncated at its depth
+    p = 10.0 ** rng.uniform(-300, 0, (3, K))
+    depths = rng.integers(1, K + 1, 2000)
+    rep = _replicate_orderings(p, np.array([0.3, 0.3, 0.4]), depths, rng)
+    full = _mixture_race(2000, p, np.array([0.3, 0.3, 0.4]), rng)[1]
+    assert (np.sort(full, axis=1) == np.arange(K)).all()
+    ranked = np.arange(K) < depths[:, None]
+    assert (rep[~ranked] == 0).all() and (rep[ranked] > 0).all()
+    for row, m in zip(rep, depths):
+        assert len(set(row[:m].tolist())) == m
 
 
 def test_ppcheck_values_and_determinism():
@@ -181,8 +217,6 @@ def _enumerated(rng, K, depths):
     strata, table = _strata(data)
     assert [s.depth for s in strata] == depths
     assert all(s.rows is not None for s in strata)
-    # the table's rank matrix is that of its patterns
-    assert np.array_equal(table[1], table[0].to_rank_positions())
     return strata, table
 
 
@@ -190,12 +224,11 @@ def _enumerated(rng, K, depths):
 @pytest.mark.parametrize("G", [1, 2, 3])
 def test_pattern_probs_are_the_mixture_law(K, depths, G):
     rng = np.random.default_rng(10 * K + G)
-    strata, table = _enumerated(rng, K, depths)
-    patterns = table[0]
+    strata, patterns = _enumerated(rng, K, depths)
     p = rng.dirichlet(np.full(K, 2.0), size=G)
     w = rng.dirichlet(np.full(G, 2.0))
     spy = _MultinomialSpy(rng)
-    _replicate_counts(strata, table, p, w, spy)
+    _replicate_counts(strata, patterns, p, w, spy)
     assert len(spy.calls) == len(strata)
     for s, (n, pi) in zip(strata, spy.calls):
         m = s.depth
@@ -215,25 +248,32 @@ def test_pattern_probs_are_the_mixture_law(K, depths, G):
 
 @pytest.mark.parametrize("K,depths", [(4, [1, 2, 4]), (5, [1, 2, 3, 5])])
 def test_pattern_tables_count_like_the_rows(K, depths):
-    # the count kernel over pattern ranks weighted by counts c equals the
-    # counts of the rows repeated c times, for the whole table and per stratum
+    # the count kernel over a stratum's filled orderings weighted by counts
+    # c equals the counts of the rows repeated c times; so do the paired
+    # comparisons of the whole table, one depth per row, counted by c
     rng = np.random.default_rng(K)
-    strata, (patterns, ranks) = _enumerated(rng, K, depths)
-    blocks = [slice(None)] + [s.rows for s in strata]
-    for rows in blocks * 2:
-        c = rng.integers(0, 4, size=ranks[rows].shape[0])
-        expanded = np.repeat(patterns.orderings[rows], c, axis=0)
-        nranked = np.repeat(patterns.nranked[rows], c)
+    strata, patterns = _enumerated(rng, K, depths)
+    items = patterns._stages.items
+    for s in strata * 2:
+        c = rng.integers(0, 4, size=math.perm(K, s.depth))
+        expanded = np.repeat(patterns.orderings[s.rows], c, axis=0)
+        nranked = np.repeat(patterns.nranked[s.rows], c)
         top1 = np.zeros(K, dtype=np.int64)
         for r in expanded:
             top1[r[0] - 1] += 1
-        r, tau = _counts(ranks[rows], c)
+        r, tau = _order_counts(items[:, s.rows], s.depth, c)
         assert np.array_equal(r, top1)
         assert np.array_equal(tau, paired_counts_direct(expanded, nranked))
         # unweighted, each row counts once
-        r1, tau1 = _counts(ranks[rows])
-        assert np.array_equal(r1, _counts(ranks[rows], np.ones_like(c))[0])
-        assert np.array_equal(tau1, _pair_counts(ranks[rows]))
+        r1, tau1 = _order_counts(items[:, s.rows], s.depth)
+        assert np.array_equal(r1, _order_counts(items[:, s.rows], s.depth, np.ones_like(c))[0])
+        ranks = patterns.to_rank_positions()[s.rows]
+        assert np.array_equal(tau1, pair_counts_rank_compare(ranks))
+    c = rng.integers(1, 4, size=patterns.orderings.shape[0])
+    expanded = np.repeat(patterns.orderings, c, axis=0)
+    nranked = np.repeat(patterns.nranked, c)
+    counted = Dataset.from_orderings(patterns.orderings, c)
+    assert np.array_equal(paired_comparisons(counted), paired_counts_direct(expanded, nranked))
 
 
 def test_strata_branch_rule():
@@ -246,13 +286,13 @@ def test_strata_branch_rule():
     assert [s.depth for s in strata] == [1, 2, 4]
     assert [s.size for s in strata] == [16, 47, 96]
     assert [s.rows for s in strata] == [slice(0, 4), None, slice(4, 28)]
-    assert table[0].n_units == 28
+    assert table.n_units == 28
     ranks = data.to_rank_positions()
     for s in strata:
         idx = data.nranked == s.depth
         top1 = np.bincount(mat[idx, 0] - 1, minlength=4)
         assert np.array_equal(s.observed[0], top1)
-        assert np.array_equal(s.observed[1], _pair_counts(ranks[idx]))
+        assert np.array_equal(s.observed[1], pair_counts_rank_compare(ranks[idx]))
     # both branches replicate n_m units of depth m per stratum: n_m first
     # places and m(m-1)/2 + m(K-m) decided pairs per unit
     p = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
@@ -294,7 +334,7 @@ def test_multinomial_replicates_have_the_simulation_law():
         exact[l] = np.concatenate([r, tau.ravel()])
         rep = _replicate_orderings(p, w, data.nranked, rng)
         r = np.bincount(rep[:, 0] - 1, minlength=K)
-        tau = _pair_counts(rank_positions_of(rep, K + 1))
+        tau = pair_counts_rank_compare(rank_positions_of(rep, K + 1))
         simulated[l] = np.concatenate([r, tau.ravel()])
 
     def moments(x):

@@ -27,7 +27,14 @@ from plrank import (
     unit_to_freq,
     write_dataset,
 )
-from plrank.data import _MAX_CELLS, ORDERING, RANKING
+from plrank.data import (
+    _MAX_CELLS,
+    _PAIR_CHUNK,
+    ORDERING,
+    RANKING,
+    _order_counts,
+    rank_positions_of,
+)
 from plrank.errors import ValidationError
 from plrank.fileio import parse_preflib_text
 from plrank.gibbs import stage_rates
@@ -41,6 +48,7 @@ from oracles import (
     availability_sums_rows_major,
     log_mixture_rows_major,
     ordering_row_loglik,
+    pair_counts_rank_compare,
     stage_remainders_direct,
     stage_table_rows_major,
 )
@@ -184,6 +192,55 @@ def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
     assert _same_bits(scored, ref_scored)
     assert _same_bits(per_unit, ref_per_unit)
     assert scored.flags.c_contiguous
+
+
+@st.composite
+def filled_orderings(draw):
+    """Stage-major filled orderings (K x n, 0-based items) over K = 1..12
+    items at one depth 1..K, with no weights, small integer weights, or
+    integer weights up to a sum of 2**53 - 1."""
+    K = draw(st.integers(1, 12))
+    depth = draw(st.integers(1, K))
+    n = draw(st.integers(1, 8))
+    items = np.array([draw(st.permutations(range(K))) for _ in range(n)]).T
+    bound = draw(st.sampled_from([None, 5, (2**53 - 1) // n]))
+    if bound is None:
+        return items, depth, None
+    weights = draw(st.lists(st.integers(0, bound), min_size=n, max_size=n))
+    return items, depth, np.array(weights, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filled_orderings())
+def test_order_counts_equal_rank_compare(case):
+    # the position-pair kernel against the former rank-compare count of the
+    # truncated rows, unranked items coded K+1, and first places summed as
+    # Python integers
+    items, depth, weights = case
+    K, n = items.shape
+    orderings = items.T + 1
+    orderings[:, depth:] = 0
+    top1, tau = _order_counts(items, depth, weights)
+    w = [1] * n if weights is None else weights.tolist()
+    want = [sum(w[s] for s in range(n) if items[0, s] == i) for i in range(K)]
+    assert top1.dtype == tau.dtype == np.int64
+    assert top1.tolist() == want
+    assert np.array_equal(tau, pair_counts_rank_compare(rank_positions_of(orderings, K + 1), weights))
+
+
+def test_order_counts_span_row_blocks():
+    # rows past the kernel's first block of _PAIR_CHUNK rows count once each
+    rng = np.random.default_rng(5)
+    K, n = 6, 2 * _PAIR_CHUNK + 7
+    items = np.argsort(rng.random((K, n)), axis=0)
+    weights = rng.integers(0, 9, n)
+    for depth in (2, K):
+        orderings = items.T + 1
+        orderings[:, depth:] = 0
+        ranks = rank_positions_of(orderings, K + 1)
+        top1, tau = _order_counts(items, depth, weights)
+        assert np.array_equal(top1, np.bincount(items[0], weights, minlength=K))
+        assert np.array_equal(tau, pair_counts_rank_compare(ranks, weights))
 
 
 @settings(max_examples=200, deadline=None)
