@@ -151,6 +151,16 @@ def _seed(opts: _Options) -> int:
     return opts.get("seed", cast=int, required=True, least=0)
 
 
+def _parallel(opts: _Options) -> int:
+    """Worker processes; by default the CPUs this process may run on (its
+    affinity mask where the platform has one), not the host's CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return opts.get("parallel", default=cpus, cast=int, least=1)
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -232,7 +242,7 @@ def _cmd_fit_map(opts: _Options) -> int:
     max_iter = opts.get("max-iter", cast=int)
     tol = opts.get("tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(opts)
-    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int, least=1)
+    jobs_n = _parallel(opts)
     out = _out_dir(opts)
 
     per_g = np.random.SeedSequence(seed).spawn(len(g_list))
@@ -253,8 +263,8 @@ def _cmd_fit_map(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _gibbs_job(args):
-    data, G, hyper, init, n_iter, n_burn, seed = args
+def _gibbs_job(data, job):
+    G, hyper, init, n_iter, n_burn, seed = job
     return gibbs_run(
         data, G, hyper=hyper, init=init, n_iter=n_iter, n_burn=n_burn, rng=seed
     )
@@ -266,7 +276,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
     n_iter = opts.get("n-iter", default=DEFAULT_N_ITER, cast=int)
     n_burn = opts.get("n-burn", default=DEFAULT_N_BURN, cast=int)
     seed = _seed(opts)
-    jobs_n = opts.get("parallel", default=os.cpu_count() or 1, cast=int, least=1)
+    jobs_n = _parallel(opts)
     init_from = opts.get("init-from")
     out = _out_dir(opts)
 
@@ -290,10 +300,10 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         int(c.generate_state(1, np.uint64)[0]) for c in master.spawn(len(g_list))
     ]
     jobs = [
-        (data, G, _hyper(opts, G, data.n_items), inits[G], n_iter, n_burn, s)
+        (G, _hyper(opts, G, data.n_items), inits[G], n_iter, n_burn, s)
         for G, s in zip(g_list, child_seeds)
     ]
-    chains = _fan_out(_gibbs_job, jobs, jobs_n)
+    chains = _fan_out(_gibbs_job, data, jobs, jobs_n)
 
     for G, chain in zip(g_list, chains):
         path = os.path.join(out, f"chain_G{G}.csv")
@@ -416,7 +426,9 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
             action="store_const",
             const=True,
         ),
-        "parallel": dict(help="worker processes (default: available cores)"),
+        "parallel": dict(
+            help="worker processes (default: the CPUs this process may run on)"
+        ),
         "out": dict(help="output file or directory"),
         "to": dict(help="conversion target format"),
         "params": dict(help="JSON file with supports and weights"),

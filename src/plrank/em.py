@@ -22,6 +22,7 @@ d breaks scale invariance); reported fits carry rows rescaled to sum 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -330,8 +331,8 @@ def fit_map(
     )
 
 
-def _one_start(args) -> MapFit:
-    data, G, hyper, centered, max_iter, tol, rng = args
+def _one_start(data, job) -> MapFit:
+    G, hyper, centered, max_iter, tol, rng = job
     init = _draw_centered_init(rng, data, G) if centered else _draw_init(rng, G, data.n_items)
     return fit_map(data, G, hyper=hyper, init=init, max_iter=max_iter, tol=tol)
 
@@ -362,16 +363,42 @@ def fit_map_multistart(
     )[0]
 
 
-def _fan_out(fn, jobs: list, n_jobs: int) -> list:
-    """fn over jobs, in job order: across a pool of up to n_jobs processes
-    when there is more than one of each, else serially in this process."""
+# what a pool worker runs each job with: fn(data, job) bound to its data,
+# set once per worker by _pool_init
+_pool_fn = None
+
+
+def _pool_init(fn, data) -> None:
+    global _pool_fn
+    _pool_fn = functools.partial(fn, data)
+
+
+def _pool_call(job):
+    return _pool_fn(job)
+
+
+def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int) -> list:
+    """fn(data, job) over jobs, in job order: across a pool of up to n_jobs
+    processes when there is more than one of each, else serially in this
+    process.
+
+    The pool's workers receive data once each, through the pool's
+    initializer (inherited under fork, pickled once per worker otherwise),
+    with its distinct rows and their stage index already built here; the
+    jobs carry only their own arguments.
+    """
     if n_jobs > 1 and len(jobs) > 1:
         # imported here: the process pool module costs every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
+        data.patterns.rows._stages  # built once here, not in each worker
+        with ProcessPoolExecutor(
+            max_workers=min(n_jobs, len(jobs)),
+            initializer=_pool_init,
+            initargs=(fn, data),
+        ) as pool:
+            return list(pool.map(_pool_call, jobs))
+    return [fn(data, j) for j in jobs]
 
 
 def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
@@ -383,11 +410,11 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
     if n_start < 1:
         raise ValidationError("n_start must be >= 1")
     jobs = [
-        (data, G, hyper, centered_start, max_iter, tol, s)
+        (G, hyper, centered_start, max_iter, tol, s)
         for G, hyper, rng in runs
         for s in rng.spawn(n_start)
     ]
-    fits = _fan_out(_one_start, jobs, n_jobs)
+    fits = _fan_out(_one_start, data, jobs, n_jobs)
     best_fits = []
     for lo in range(0, len(fits), n_start):
         group = fits[lo : lo + n_start]

@@ -10,17 +10,19 @@ through one reader (_records) and one writer (_write_csv), every JSON
 file through _read_json and _write_json: lines end in CRLF, floats are
 written as .17g so equal inputs and seeds give byte identical files, and
 input that is malformed or not UTF-8 raises ValidationError naming the
-file.
+file. Numeric matrices are parsed in bulk where that gives the same
+array (_matrix), and through _records otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import re
+import sys
+import warnings
 
 import numpy as np
 
@@ -63,12 +65,56 @@ def _records(path):
             raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
-def _matrix(path, records, dtype) -> np.ndarray:
-    """int64 or float64 matrix of numeric records; a non-number, a ragged
-    row or an entry outside int64 is an error naming its line."""
+def _cell_limit(dtype) -> int:
+    """Longest cell the per-line path reads: the csv module's field limit
+    and, for integers, int()'s digit limit (0 or absent: none)."""
+    limit = csv.field_size_limit()
+    if dtype == np.int64:
+        limit = min(limit, getattr(sys, "get_int_max_str_digits", int)() or limit)
+    return limit
+
+
+def _longest_line(path) -> int:
+    """Bytes in the file's longest line, its newline included."""
+    with open(path, "rb") as fh:
+        raw = np.frombuffer(fh.read(), np.uint8)
+    return np.diff(np.flatnonzero(raw == 10), prepend=-1, append=raw.size).max()
+
+
+def _matrix(path, skip, dtype) -> np.ndarray:
+    """int64 or float64 matrix of the numeric records after line `skip`.
+
+    Well-formed input is parsed in bulk by np.loadtxt, which splits lines,
+    strips whitespace and parses numbers as the per-line path does but
+    has none of its length limits. A file with a line longer than those
+    limits, and whatever the bulk parse rejects, warns about or reads as
+    empty, goes through _matrix_by_line, the one source of error messages.
+    """
+    limit = _cell_limit(dtype)
+    # no cell is longer than the file, nor than its longest line
+    if os.path.getsize(path) <= limit or _longest_line(path) <= limit:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arr = np.loadtxt(
+                    path, dtype=dtype, delimiter=",", comments=None,
+                    skiprows=skip, encoding="utf-8", ndmin=2,
+                )
+            if arr.size:
+                return arr
+        except (ValueError, Warning):
+            pass
+    return _matrix_by_line(path, skip, dtype)
+
+
+def _matrix_by_line(path, skip, dtype) -> np.ndarray:
+    """_matrix one record at a time: a non-number, a ragged row or an
+    entry outside int64 is an error naming its line."""
     parse, kind = (int, "an integer") if dtype == np.int64 else (float, "a number")
     lines, rows = [], []
-    for ln, cells in records:
+    for ln, cells in _records(path):
+        if ln <= skip:
+            continue
         try:
             rows.append(list(map(parse, cells)))
         except ValueError:
@@ -139,11 +185,9 @@ def _is_number(token: str) -> bool:
 def read_sequence_csv(path) -> np.ndarray:
     """Integer sequence matrix from CSV; a line 1 holding a token that is
     not a number is a header and skipped."""
-    records = _records(path)
-    first = next(records, None)
-    if first is not None and (first[0] != 1 or all(map(_is_number, first[1]))):
-        records = itertools.chain([first], records)
-    return _matrix(path, records, np.int64)
+    ln, first = next(_records(path), (0, []))
+    header = ln == 1 and not all(map(_is_number, first))
+    return _matrix(path, int(header), np.int64)
 
 
 def write_sequence_csv(path, matrix: np.ndarray) -> None:
@@ -283,8 +327,7 @@ def read_chain_csv(path) -> GibbsChain:
     Sweep counts are reconstructed as n_iter = kept rows, n_burn = 0; the
     original run's bookkeeping is not stored in the CSV.
     """
-    records = _records(path)
-    _, header = next(records, (None, []))
+    ln, header = next(_records(path), (0, []))
     w_cols = [h for h in header if re.fullmatch(r"w_\d+", h)]
     p_cols = [h for h in header if re.fullmatch(r"p_\d+_\d+", h)]
     G = len(w_cols)
@@ -294,7 +337,7 @@ def read_chain_csv(path) -> GibbsChain:
     expect = chain_header(G, K)
     if header != expect:
         raise ValidationError(f"{path}: unexpected column layout")
-    arr = _matrix(path, records, np.float64)
+    arr = _matrix(path, ln, np.float64)
     if arr.shape[1] != len(expect):
         raise ValidationError(f"{path}: rows do not match the header")
     P, W = arr[:, : G * K], arr[:, G * K : G * K + G]

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -289,22 +291,82 @@ def test_centered_start_takes_only_boolean_words(tmp_path, monkeypatch, capsys):
         assert fit(f"cfg-{value}", "--config", cfg) == want, value
 
 
-def test_parallel_runs_byte_identical(tmp_path):
+def _no_dataset_inside(job):
+    """Pickle job, failing on any Dataset met at any depth."""
+    from plrank import Dataset
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            assert not isinstance(obj, Dataset), "a pool job carries the dataset"
+            return None
+
+    Pickler(io.BytesIO()).dump(job)
+
+
+def test_parallel_runs_byte_identical(tmp_path, monkeypatch):
+    # fit-map runs 2 G values x 3 starts = 6 jobs, so at --parallel 2 each
+    # worker serves several jobs with the dataset it received once; the
+    # jobs themselves never carry the dataset
+    from plrank import em
+
+    seen = []
+    fan_out = em._fan_out
+
+    def spy(fn, data, jobs, n_jobs):
+        seen.append((fn.__name__, len(jobs), n_jobs))
+        for job in jobs:
+            _no_dataset_inside(job)
+        return fan_out(fn, data, jobs, n_jobs)
+
+    monkeypatch.setattr(em, "_fan_out", spy)
+    monkeypatch.setattr(cli, "_fan_out", spy)
     data = tmp_path / "sim"
     run(["simulate", "--n", 60, "--K", 3, "--G", 2, "--seed", 9, "--out", data])
+    src = ["--input", data / "orderings.csv", "--format", "ordering"]
     outs = []
-    for tag, workers in (("p1", 1), ("p2", 2)):
-        out = tmp_path / tag
-        code = run(
-            [
-                "fit-map", "--input", data / "orderings.csv",
-                "--format", "ordering", "--G", 2, "--n-start", 3,
-                "--seed", 21, "--parallel", workers, "--out", out,
-            ]
+    for workers in (1, 2):
+        fit, gibbs = tmp_path / f"fit{workers}", tmp_path / f"gibbs{workers}"
+        assert run(
+            ["fit-map", *src, "--G", 1, "--G-max", 2, "--n-start", 3,
+             "--seed", 21, "--parallel", workers, "--out", fit]
+        ) == 0
+        assert run(
+            ["fit-gibbs", *src, "--G", 1, "--G-max", 2, "--n-iter", 40,
+             "--n-burn", 10, "--seed", 22, "--init-from", fit,
+             "--parallel", workers, "--out", gibbs]
+        ) == 0
+        outs.append(
+            {p.name: p.read_bytes() for d in (fit, gibbs) for p in sorted(d.iterdir())}
         )
-        assert code == 0
-        outs.append((out / "map_G2.json").read_bytes())
-    assert outs[0] == outs[1]
+    assert len(outs[0]) == 6 and outs[0] == outs[1]
+    assert seen == [("_one_start", 6, 1), ("_gibbs_job", 2, 1),
+                    ("_one_start", 6, 2), ("_gibbs_job", 2, 2)]
+
+
+def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
+    # the default is the CPUs this process may run on, not the host's
+    from plrank import em
+
+    seen = []
+
+    def spy(fn, data, jobs, n_jobs):
+        seen.append(n_jobs)
+        return [fn(data, job) for job in jobs]
+
+    monkeypatch.setattr(em, "_fan_out", spy)
+    monkeypatch.setattr(cli, "_fan_out", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    src = tmp_path / "ord.csv"
+    src.write_text("1,2,3\n2,1,3\n3,1,2\n")
+    argv = ["--input", src, "--format", "ordering", "--G", 1, "--seed", 1]
+    fit = ["fit-map", *argv, "--max-iter", 5, "--out", tmp_path / "f"]
+    gibbs = ["fit-gibbs", *argv, "--n-iter", 5, "--n-burn", 1, "--out", tmp_path / "g"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert run(fit) == 0 and run(gibbs) == 0
+    # without an affinity mask (as on macOS and Windows), the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert run(fit) == 0 and run(gibbs) == 0
+    assert seen == [2, 2, 64, 64]
 
 
 def test_fit_map_matches_library_multistart(tmp_path):

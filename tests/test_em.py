@@ -182,6 +182,37 @@ def test_multistart_deterministic_and_parallel_equivalent():
     assert a.log_post == pytest.approx(a.final_log_posts.max(), abs=0)
 
 
+def test_multistart_parallel_under_spawn(monkeypatch):
+    # under spawn (and forkserver, the default from Python 3.14 on Linux)
+    # the dataset is pickled once per worker through the pool initializer,
+    # not once per job, and the fits are those of the serial run
+    import concurrent.futures
+    import multiprocessing
+
+    class SpawnPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            super().__init__(mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    rng = np.random.default_rng(6)
+    mat, _ = random_partial_matrix(rng, 40, 4)
+    data = Dataset.from_orderings(mat)
+    serial = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9))
+    pickled = []
+    reduce_ex = Dataset.__reduce_ex__
+
+    def counted(self, protocol):
+        pickled.append(self is data)
+        return reduce_ex(self, protocol)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    monkeypatch.setattr(Dataset, "__reduce_ex__", counted)
+    pooled = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9), n_jobs=2)
+    assert 1 <= sum(pickled) <= 2
+    assert np.array_equal(serial.supports, pooled.supports)
+    assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
+    assert serial.best_start == pooled.best_start
+
+
 def test_centered_start_runs():
     rng = np.random.default_rng(7)
     params = MixtureParams(

@@ -18,6 +18,7 @@ from plrank import (
     write_map_json,
     write_sequence_csv,
 )
+from plrank import fileio
 from plrank.fileio import (
     format_preflib,
     parse_preflib,
@@ -73,6 +74,28 @@ def test_sequence_csv_malformed(tmp_path):
         bad.write_text(first)
         with pytest.raises(ValidationError, match="line 1"):
             read_sequence_csv(bad)
+
+
+def test_written_files_parse_in_bulk(tmp_path, monkeypatch):
+    # datasets and chains as the program writes them (CRLF endings, a chain
+    # header) and a dataset with a header line never need the per-line path
+    rng = np.random.default_rng(4)
+    mat, _ = random_partial_matrix(rng, 30, 4)
+    seq = tmp_path / "seq.csv"
+    write_sequence_csv(seq, mat)
+    headed = tmp_path / "headed.csv"
+    headed.write_bytes(b"i1,i2,i3,i4\r\n" + seq.read_bytes())
+    chain = gibbs_run(Dataset.from_orderings(mat), 2, n_iter=20, n_burn=5, rng=1)
+    trace = tmp_path / "chain.csv"
+    write_chain_csv(trace, chain)
+
+    def per_line(path, skip, dtype):
+        raise AssertionError(f"{path} read line by line")
+
+    monkeypatch.setattr(fileio, "_matrix_by_line", per_line)
+    assert np.array_equal(read_sequence_csv(seq), mat)
+    assert np.array_equal(read_sequence_csv(headed), mat)
+    assert np.array_equal(read_chain_csv(trace).P, chain.P)
 
 
 def test_preflib_golden():

@@ -1,11 +1,13 @@
 """Property-based checks of the stage kernel, the log mixture density, the
-ingestion round trips, and the parsers on malformed input."""
+ingestion round trips, the parsers on malformed input, and the bulk and
+per-line CSV parses against each other."""
 
 import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -36,7 +38,7 @@ from plrank.data import (
     rank_positions_of,
 )
 from plrank.errors import ValidationError
-from plrank.fileio import parse_preflib_text
+from plrank.fileio import _matrix, _matrix_by_line, parse_preflib_text
 from plrank.gibbs import stage_rates
 from plrank.model import (
     _availability_sums,
@@ -460,6 +462,51 @@ def test_csv_parsing_fails_only_with_validation_error(tmp_path, text):
             read_dataset(path, fmt)
         except ValidationError:
             pass
+
+
+# The bulk parse (np.loadtxt) and the per-line path must read every CSV
+# alike: the same array or the same error. Cells add decimals, exponents,
+# infinities, NaNs and padding, and lines end in LF, CRLF or CR.
+_FLOAT = st.floats().map(repr) | st.sampled_from(
+    ["1e5", ".5", "1.", "-0", "+3", "-nan", "infinity", "1_0", "e3", "0x1p3"]
+)
+_PAD = st.sampled_from(["", " ", "\t", "\xa0"])
+_CELL = st.builds("{}{}{}".format, _PAD, _NUMBER | _FLOAT | _JUNK, _PAD)
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+_MATRIX_TEXT = st.lists(st.tuples(_joined(_CELL, ",", 6), _EOL), max_size=8).map(
+    lambda lines: "".join(cells + eol for cells, eol in lines)
+)
+
+
+def _matrix_outcome(read, path, skip, dtype):
+    try:
+        arr = read(path, skip, dtype)
+    except ValidationError as e:
+        return str(e)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_CSV_TEXT | _MATRIX_TEXT, skip=st.integers(0, 2))
+@example(text="1,2,\n2,1,\n", skip=0)  # trailing comma
+@example(text='"1",2\n2,1\n', skip=0)  # quoted cell
+@example(text="1,2\n \n2,1\n", skip=0)  # whitespace-only line
+@example(text="1,\xa02\n2,1\n", skip=0)  # NBSP-padded cell
+@example(text="item_1,item_2\n1,2\n2,1\n", skip=1)  # header line
+@example(text="1,2\r\n2,1\r\n", skip=0)  # CRLF endings
+@example(text="0" * 5000 + "1,2\n2,1\n", skip=0)  # past int()'s digit limit
+@example(text="0." + "5" * 200000 + ",2\n", skip=0)  # past the csv field limit
+def test_bulk_and_per_line_parses_agree(tmp_path, dtype, text, skip):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _matrix_outcome(_matrix, path, skip, dtype) == _matrix_outcome(
+        _matrix_by_line, path, skip, dtype
+    )
 
 
 @settings(max_examples=300, deadline=None)
