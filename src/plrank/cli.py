@@ -303,7 +303,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         (G, _hyper(opts, G, data.n_items), inits[G], n_iter, n_burn, s)
         for G, s in zip(g_list, child_seeds)
     ]
-    chains = _fan_out(_gibbs_job, data, jobs, jobs_n)
+    chains = _fan_out(_gibbs_job, data, jobs, jobs_n, n_iter * sum(g_list))
 
     for G, chain in zip(g_list, chains):
         path = os.path.join(out, f"chain_G{G}.csv")
@@ -427,7 +427,9 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
             const=True,
         ),
         "parallel": dict(
-            help="worker processes (default: the CPUs this process may run on)"
+            help="most worker processes (default: the CPUs this process may "
+            "run on); small fits run in this process, as a pool would cost "
+            "more than it saves"
         ),
         "out": dict(help="output file or directory"),
         "to": dict(help="conversion target format"),

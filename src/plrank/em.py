@@ -354,7 +354,9 @@ def fit_map_multistart(
     selected fit is identical at any parallelism degree; ties on the final
     log posterior go to the lowest start index. centered_start draws the
     initial supports around the observed first-place shares instead of
-    uniformly.
+    uniformly. n_jobs is the most worker processes the starts may use; a
+    fit too small to pay for a pool's start runs them in this process
+    (see _fan_out).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -377,21 +379,40 @@ def _pool_call(job):
     return _pool_fn(job)
 
 
-def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int) -> list:
+# Least work, in distinct-row cells x component-steps, for which _fan_out
+# starts a pool. On a 2-core box (numpy 2.4, Python 3.11) importing the pool
+# took 26-41 ms, and starting and shutting down 2 workers on trivial jobs
+# 11-17 ms; a whole CLI stage paid ~0.06-0.12 s more at --parallel 2. One
+# wide EM iteration (5042 distinct rows x 10 items, G=4) took ~6 ms, ~30 ns
+# per cell-step. Two workers save at most half the work, so the pool pays
+# from about 2 x 0.06-0.12 s / 30 ns = 4-8 M cell-steps.
+_POOL_MIN_WORK = 4_000_000
+
+
+def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: int) -> list:
     """fn(data, job) over jobs, in job order: across a pool of up to n_jobs
-    processes when there is more than one of each, else serially in this
-    process.
+    processes when there is more than one of each and the work pays for
+    the pool's start, else serially in this process. Every job's result is
+    the same wherever it runs.
+
+    steps is the jobs' total component-steps: the sum over jobs of G times
+    the job's iterations (the EM cap, or the sweep count). The work is
+    steps times the cells of data's distinct rows; below _POOL_MIN_WORK
+    the pool's start would cost more than it saves, and its module is not
+    even imported. The cap bounds the iterations from above, so a job list
+    that would really pay for a pool never runs serially.
 
     The pool's workers receive data once each, through the pool's
     initializer (inherited under fork, pickled once per worker otherwise),
     with its distinct rows and their stage index already built here; the
     jobs carry only their own arguments.
     """
-    if n_jobs > 1 and len(jobs) > 1:
+    rows = data.patterns.rows
+    if n_jobs > 1 and len(jobs) > 1 and rows.orderings.size * steps >= _POOL_MIN_WORK:
         # imported here: the process pool module costs every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        data.patterns.rows._stages  # built once here, not in each worker
+        rows._stages  # built once here, not in each worker
         with ProcessPoolExecutor(
             max_workers=min(n_jobs, len(jobs)),
             initializer=_pool_init,
@@ -404,8 +425,8 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int) -> list:
 def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
     """Multistart fits for several (G, hyper, rng) runs at once.
 
-    Every start of every run goes to one process pool; each run keeps its
-    best ending as in fit_map_multistart, which is this with one run.
+    Every start of every run goes to one _fan_out; each run keeps its best
+    ending as in fit_map_multistart, which is this with one run.
     """
     if n_start < 1:
         raise ValidationError("n_start must be >= 1")
@@ -414,7 +435,9 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
         for G, hyper, rng in runs
         for s in rng.spawn(n_start)
     ]
-    fits = _fan_out(_one_start, data, jobs, n_jobs)
+    steps = sum(G * (default_max_iter(G) if max_iter is None else max_iter)
+                for G, *_ in jobs)
+    fits = _fan_out(_one_start, data, jobs, n_jobs, steps)
     best_fits = []
     for lo in range(0, len(fits), n_start):
         group = fits[lo : lo + n_start]

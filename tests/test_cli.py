@@ -303,20 +303,23 @@ def _no_dataset_inside(job):
     Pickler(io.BytesIO()).dump(job)
 
 
-def test_parallel_runs_byte_identical(tmp_path, monkeypatch):
+def test_parallel_runs_byte_identical(tmp_path, monkeypatch, pool_starts):
     # fit-map runs 2 G values x 3 starts = 6 jobs, so at --parallel 2 each
     # worker serves several jobs with the dataset it received once; the
-    # jobs themselves never carry the dataset
+    # jobs themselves never carry the dataset. The data are far too small
+    # to pay for a pool, so the work gate is lifted to make one run.
     from plrank import em
 
     seen = []
     fan_out = em._fan_out
 
-    def spy(fn, data, jobs, n_jobs):
-        seen.append((fn.__name__, len(jobs), n_jobs))
+    def spy(fn, data, jobs, n_jobs, steps):
+        seen.append((fn.__name__, len(jobs), n_jobs, steps))
         for job in jobs:
             _no_dataset_inside(job)
-        return fan_out(fn, data, jobs, n_jobs)
+        return fan_out(fn, data, jobs, n_jobs, steps)
+
+    monkeypatch.setattr(em, "_POOL_MIN_WORK", 0)
 
     monkeypatch.setattr(em, "_fan_out", spy)
     monkeypatch.setattr(cli, "_fan_out", spy)
@@ -339,8 +342,11 @@ def test_parallel_runs_byte_identical(tmp_path, monkeypatch):
             {p.name: p.read_bytes() for d in (fit, gibbs) for p in sorted(d.iterdir())}
         )
     assert len(outs[0]) == 6 and outs[0] == outs[1]
-    assert seen == [("_one_start", 6, 1), ("_gibbs_job", 2, 1),
-                    ("_one_start", 6, 2), ("_gibbs_job", 2, 2)]
+    # steps: 3 starts x G x its default cap 400 G, and 40 sweeps x G
+    assert seen == [("_one_start", 6, 1, 6000), ("_gibbs_job", 2, 1, 120),
+                    ("_one_start", 6, 2, 6000), ("_gibbs_job", 2, 2, 120)]
+    # a pool ran at --parallel 2 only, once per stage
+    assert pool_starts == [2, 2]
 
 
 def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
@@ -349,7 +355,7 @@ def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
 
     seen = []
 
-    def spy(fn, data, jobs, n_jobs):
+    def spy(fn, data, jobs, n_jobs, steps):
         seen.append(n_jobs)
         return [fn(data, job) for job in jobs]
 

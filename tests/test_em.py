@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -166,13 +168,18 @@ def test_informative_prior_has_no_bic():
     assert fit.log_post != pytest.approx(fit.log_lik)
 
 
-def test_multistart_deterministic_and_parallel_equivalent():
+def test_multistart_deterministic_and_parallel_equivalent(monkeypatch, pool_starts):
+    from plrank import em
+
+    # the data are far too small to pay for a pool: lift the work gate
+    monkeypatch.setattr(em, "_POOL_MIN_WORK", 0)
     rng = np.random.default_rng(6)
     mat, _ = random_partial_matrix(rng, 40, 4)
     data = Dataset.from_orderings(mat)
     a = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9))
     b = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9))
     c = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9), n_jobs=2)
+    assert pool_starts == [2]
     for other in (b, c):
         assert np.array_equal(a.supports, other.supports)
         assert np.array_equal(a.weights, other.weights)
@@ -182,12 +189,16 @@ def test_multistart_deterministic_and_parallel_equivalent():
     assert a.log_post == pytest.approx(a.final_log_posts.max(), abs=0)
 
 
-def test_multistart_parallel_under_spawn(monkeypatch):
+def test_multistart_parallel_under_spawn(monkeypatch, pool_starts):
     # under spawn (and forkserver, the default from Python 3.14 on Linux)
     # the dataset is pickled once per worker through the pool initializer,
     # not once per job, and the fits are those of the serial run
     import concurrent.futures
     import multiprocessing
+
+    from plrank import em
+
+    monkeypatch.setattr(em, "_POOL_MIN_WORK", 0)
 
     class SpawnPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, **kwargs):
@@ -207,10 +218,58 @@ def test_multistart_parallel_under_spawn(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
     monkeypatch.setattr(Dataset, "__reduce_ex__", counted)
     pooled = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9), n_jobs=2)
+    assert pool_starts == [2]
     assert 1 <= sum(pickled) <= 2
     assert np.array_equal(serial.supports, pooled.supports)
     assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
     assert serial.best_start == pooled.best_start
+
+
+def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
+    # work = distinct-row cells x component-steps, the steps of 3 starts at
+    # G=2 being 3 x 2 x max_iter; the cap bounds the work, and these fits
+    # converge long before it
+    import concurrent.futures
+
+    from plrank import em
+
+    rng = np.random.default_rng(6)
+    mat, _ = random_partial_matrix(rng, 40, 4)
+    data = Dataset.from_orderings(mat)
+    cells = data.patterns.rows.orderings.size
+    above = -(-em._POOL_MIN_WORK // (6 * cells))
+    below = above - 1
+    assert cells * 6 * below < em._POOL_MIN_WORK <= cells * 6 * above
+
+    def fits(max_iter):
+        return fit_map_multistart(data, 2, 3, max_iter=max_iter,
+                                  rng=np.random.default_rng(9), n_jobs=2)
+
+    pooled = fits(above)
+    assert pool_starts == [2]
+
+    class NoPool:
+        def __init__(self, **kwargs):
+            raise AssertionError("a pool started below the work gate")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    serial = fits(below)
+    assert serial.converged and serial.n_iter_used < below
+    assert np.array_equal(serial.supports, pooled.supports)
+    assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
+
+
+def test_small_fit_never_imports_the_pool():
+    code = (
+        "import sys, numpy as np\n"
+        "from plrank import Dataset, fit_map_multistart\n"
+        "data = Dataset.from_orderings(np.array([[1, 2, 3], [2, 1, 3], [3, 1, 2]]))\n"
+        "fit_map_multistart(data, 2, 3, rng=np.random.default_rng(1), n_jobs=2)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_centered_start_runs():

@@ -238,6 +238,24 @@ def test_map_json_round_trip(tmp_path):
         assert np.array_equal(back.responsibilities, onehot)
 
 
+def test_json_written_as_json_dump_writes_it(tmp_path):
+    # the writer's own indentation gives the bytes of json.dump's, on a
+    # map-fit document with nested lists, None, booleans and floats (the
+    # informative prior has no BIC; one start, no best_start)
+    rng = np.random.default_rng(4)
+    mat, _ = random_partial_matrix(rng, 30, 4)
+    hyper = Hyperparams.expand(2.0, 0.5, 1.5, 2, 4)
+    fit = fit_map(Dataset.from_orderings(mat), 2, hyper=hyper, max_iter=7,
+                  rng=np.random.default_rng(6))
+    doc = fileio.map_fit_to_dict(fit)
+    assert doc["bic"] is None and doc["converged"] is False
+    fileio._write_json(tmp_path / "new.json", doc)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
 def test_permutations_csv(tmp_path):
     from plrank import MixtureParams, pra_relabel
     from plrank.gibbs import GibbsChain
