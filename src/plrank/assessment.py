@@ -27,7 +27,9 @@ place of n_m. Every other stratum simulates its own units, one complete
 ordering per unit drawn by exponential race (the law of sequential
 choice), of which the pairs decided by its top m are counted. Observed
 and replicated counts all come from one count kernel over filled
-orderings.
+orderings, the observed ones depth by depth (data._depth_counts), and
+the patterns' mixture probabilities from the mixture's one scoring step
+(model._mixture_scores).
 
 Both variants share one replicate per kept draw, so the CLI's plain and
 conditional p-values come from one pass. Counts are taken per stratum;
@@ -44,16 +46,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_cells, _order_counts, paired_comparisons
+from .data import (
+    Dataset,
+    _check_cells,
+    _depth_counts,
+    _order_counts,
+    paired_comparisons,
+)
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import (
-    MixtureParams,
-    NormalizedParams,
-    _log_mixture,
-    _mixture_race,
-    _stage_table,
-)
+from .model import MixtureParams, NormalizedParams, _mixture_race, _mixture_scores
 
 # One depth stratum of the data: its depth m, its size n_m, its observed
 # (top-1, pair) counts, and its rows of the shared pattern table when it is
@@ -70,11 +72,6 @@ def _marginal_of(params) -> np.ndarray:
     if p.ndim != 1 or (p <= 0).any() or not np.isfinite(p).all():
         raise ValidationError("expected mixture params or positive marginals")
     return p / p.sum()
-
-
-def top1_counts(data: Dataset) -> np.ndarray:
-    """Number of units placing each item first."""
-    return data.counts @ (data.orderings[:, :1] == np.arange(1, data.n_items + 1))
 
 
 def chi2_top1(r: np.ndarray, N: int, pbar: np.ndarray) -> float:
@@ -98,7 +95,8 @@ def top1_discrepancy(data: Dataset, params) -> float:
     pbar = _marginal_of(params)
     if pbar.shape[0] != data.n_items:
         raise ValidationError("parameter dimension does not match the data")
-    return chi2_top1(top1_counts(data), data.n_units, pbar)
+    r = sum(top1 for _, _, (top1, _) in _depth_counts(data))
+    return chi2_top1(r, data.n_units, pbar)
 
 
 def paired_discrepancy(data: Dataset, params) -> float:
@@ -107,13 +105,6 @@ def paired_discrepancy(data: Dataset, params) -> float:
     if pbar.shape[0] != data.n_items:
         raise ValidationError("parameter dimension does not match the data")
     return chi2_paired(paired_comparisons(data), pbar)
-
-
-def _replicate_orderings(supports, weights, nranked, rng):
-    """Complete orderings from the mixture, truncated to given depths."""
-    orderings = _mixture_race(nranked.shape[0], supports, weights, rng)[1] + 1
-    orderings[np.arange(supports.shape[1])[None, :] >= nranked[:, None]] = 0
-    return orderings
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +133,8 @@ def _strata(data: Dataset):
     when K * K!/(K-m)! <= n_m, so that it counts at most n_m / K pattern
     rows where a simulation would count n_m unit rows."""
     K = data.n_items
-    items = data._stages.items
     strata, blocks, lo = [], [], 0
-    for m in np.unique(data.nranked).tolist():
-        units = data.nranked == m
+    for m, units, observed in _depth_counts(data):
         counts = data.counts[units]
         n, P, rows = int(counts.sum()), math.perm(K, m), None
         if K * P <= n:
@@ -156,7 +145,7 @@ def _strata(data: Dataset):
             rows, lo = slice(lo, lo + P), lo + P
         elif n > counts.size:
             _check_cells(n, K)
-        strata.append(_Stratum(m, n, _order_counts(items[:, units], m, counts), rows))
+        strata.append(_Stratum(m, n, observed, rows))
     if not blocks:
         return strata, None
     return strata, Dataset._build(np.concatenate(blocks), np.ones(lo, dtype=np.int64))
@@ -170,7 +159,7 @@ def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
     any other stratum simulates its own units, whose complete orderings
     are filled orderings of depth m as they are drawn."""
     if table is not None:
-        pi = np.exp(_log_mixture(_stage_table(table, p)[0], w)[1])
+        pi = np.exp(_mixture_scores(table, p, w)[1])
         items = table._stages.items
     out = []
     for s in strata:

@@ -118,8 +118,6 @@ class _Options:
 def _load_data(opts: _Options) -> Dataset:
     path = opts.get("input", required=True)
     fmt = opts.get("format", default=ORDERING)
-    if fmt not in (ORDERING, RANKING, PREFLIB):
-        raise ValidationError(f"--format must be ordering, ranking, or preflib")
     K = opts.get("K", cast=int)
     return fileio.read_dataset(path, fmt, K=K)
 
@@ -169,6 +167,8 @@ def _cmd_convert(opts: _Options) -> int:
     fmt = opts.get("format", required=True)
     out = opts.get("out", required=True)
     to = opts.get("to") or (RANKING if fmt == ORDERING else ORDERING)
+    # checked here, not left to write_dataset, so that a bad --to fails
+    # before a large input is read
     if to not in (ORDERING, RANKING, PREFLIB):
         raise ValidationError("--to must be ordering, ranking, or preflib")
     data = fileio.read_dataset(path, fmt)

@@ -523,11 +523,17 @@ def paired_comparisons(data: Dataset) -> np.ndarray:
     item j+1: both ranked with i before j, or i ranked while j is not.
     Units ranking neither item leave the pair undecided.
     """
-    items, tau = data._stages.items, 0
+    return sum(tau for _, _, (_, tau) in _depth_counts(data))
+
+
+def _depth_counts(data: Dataset):
+    """For each observed depth m, ascending: m, the mask of the rows of
+    depth m, and the (top-1, pair) counts of their units (_order_counts).
+    Every observed count is a sum of these."""
+    items = data._stages.items
     for m in np.unique(data.nranked).tolist():
         rows = data.nranked == m
-        tau = tau + _order_counts(items[:, rows], m, data.counts[rows])[1]
-    return tau
+        yield m, rows, _order_counts(items[:, rows], m, data.counts[rows])
 
 
 def _order_counts(items: np.ndarray, depth: int, weights=None):

@@ -13,7 +13,9 @@ responsibilities and A_sgi accumulates, over the stages of unit s at which
 item i was still available, the reciprocal remaining support mass at the
 previous parameter value. The update is a minorize-maximize step, so the
 log posterior never decreases. With the flat prior (c = 1, d = 0,
-alpha = 1) the fit is plain maximum likelihood.
+alpha = 1) the fit is plain maximum likelihood. The responsibilities come
+from model._mixture_scores, the sampler's membership step too, and the
+private steps run on plain (supports, weights) arrays.
 
 Supports are kept unnormalized throughout the iterations (a positive rate
 d breaks scale invariance); reported fits carry rows rescaled to sum 1.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import Dataset, Patterns
 from .errors import NumericalError, ValidationError
-from .model import MixtureParams, _availability_sums, _log_mixture, _stage_table
+from .model import MixtureParams, _availability_sums, _mixture_scores
 
 SUPPORT_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
@@ -96,13 +98,12 @@ class Hyperparams:
         )
 
 
-def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
-    """Unnormalized log prior density at the given parameters.
+def log_prior(p: np.ndarray, w: np.ndarray, hyper: Hyperparams) -> float:
+    """Unnormalized log prior density at supports p and weights w.
 
     Normalizing constants are dropped; only differences along an
     optimization path are meaningful.
     """
-    p, w = params.supports, params.weights
     c, d, a = hyper.shape, hyper.rate, hyper.alpha
     logp = np.log(p)
     sup = np.where(c != 1.0, (c - 1.0) * logp, 0.0).sum() - (d[:, None] * p).sum()
@@ -112,22 +113,22 @@ def log_prior(params: MixtureParams, hyper: Hyperparams) -> float:
     return float(sup + wterm)
 
 
-def _e_step(params: MixtureParams, pat: Patterns):
+def _e_step(p: np.ndarray, w: np.ndarray, pat: Patterns):
     """Responsibilities (D x G), log-likelihood and stage-major
-    remaining-mass table (K x D x G) of the parameters, on the D distinct
-    rows of the pattern view pat."""
-    comp, rem = _stage_table(pat.rows, params.supports)
-    scored, per_row = _log_mixture(comp, params.weights)
+    remaining-mass table (K x D x G) of supports p and weights w, on the
+    D distinct rows of the pattern view pat (model._mixture_scores); a
+    row no component supports is an error."""
+    zhat, per_row, rem = _mixture_scores(pat.rows, p, w)
     if not np.isfinite(per_row).all():
         bad = int(np.nonzero(~np.isfinite(per_row[pat.index]))[0][0])
         raise NumericalError(f"row {bad} has no support under any component")
-    return np.exp(scored - per_row[:, None]), float(pat.rows.counts @ per_row), rem
+    return zhat, float(pat.rows.counts @ per_row), rem
 
 
-def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem) -> MixtureParams:
-    """Closed-form update from an _e_step on the distinct rows data at the
-    previous parameters, whose rem table it overwrites; each row's terms
-    count once per unit showing it."""
+def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem):
+    """Closed-form update (supports, weights) from an _e_step on the
+    distinct rows data at the previous parameters, whose rem table it
+    overwrites; each row's terms count once per unit showing it."""
     zhat = zhat * data.counts[:, None]
     N, G = data.n_units, zhat.shape[1]
     numer = hyper.shape - 1.0 + zhat.T @ data.u
@@ -162,8 +163,7 @@ def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem) -> MixtureParams:
         raise NumericalError(
             "weight update went negative; alpha < 1 with an empty component"
         )
-    w_new = w_new / w_new.sum()
-    return MixtureParams(p_new, w_new)
+    return p_new, w_new / w_new.sum()
 
 
 def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
@@ -175,8 +175,8 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
     if hyper.n_components != params.n_components:
         raise ValidationError("hyper and params disagree on G")
     pat = data.patterns
-    zhat, _, rem = _e_step(params, pat)
-    return _m_step(pat.rows, hyper, zhat, rem), zhat[pat.index]
+    zhat, _, rem = _e_step(params.supports, params.weights, pat)
+    return MixtureParams(*_m_step(pat.rows, hyper, zhat, rem)), zhat[pat.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,20 +286,19 @@ def fit_map(
     if init is None:
         if rng is None:
             rng = np.random.default_rng()
-        params = _draw_init(rng, G, data.n_items)
-    else:
-        if init.n_components != G or init.n_items != data.n_items:
-            raise ValidationError("init dimensions must match (G, K)")
-        params = init
+        init = _draw_init(rng, G, data.n_items)
+    elif init.n_components != G or init.n_items != data.n_items:
+        raise ValidationError("init dimensions must match (G, K)")
 
+    p, w = init.supports, init.weights
     pat = data.patterns
     trace = []
     converged = False
     n_done = 0
     prev = None
     for it in range(max_iter + 1):
-        zhat, log_lik, rem = _e_step(params, pat)
-        lp = log_lik + log_prior(params, hyper)
+        zhat, log_lik, rem = _e_step(p, w, pat)
+        lp = log_lik + log_prior(p, w, hyper)
         if not np.isfinite(lp):
             raise NumericalError(f"log posterior not finite at iteration {it}")
         trace.append(lp)
@@ -309,17 +308,16 @@ def fit_map(
         if it == max_iter:
             break
         prev = lp
-        params = _m_step(pat.rows, hyper, zhat, rem)
+        p, w = _m_step(pat.rows, hyper, zhat, rem)
         n_done = it + 1
 
     zhat = zhat[pat.index]
     labels = np.argmax(zhat, axis=1) + 1
-    norm = params.supports / params.supports.sum(axis=1, keepdims=True)
     fit_bic = bic(log_lik, data.n_items, G, data.n_units) if hyper.is_flat else None
     return MapFit(
-        supports=norm,
-        weights=params.weights.copy(),
-        supports_raw=params.supports.copy(),
+        supports=p / p.sum(axis=1, keepdims=True),
+        weights=w.copy(),
+        supports_raw=p.copy(),
         responsibilities=zhat,
         labels=labels,
         log_post_trace=np.asarray(trace),
@@ -442,7 +440,7 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
     for lo in range(0, len(fits), n_start):
         group = fits[lo : lo + n_start]
         finals = np.array([f.log_post for f in group])
-        best = int(max(range(n_start), key=lambda i: (finals[i], -i)))
+        best = int(np.argmax(finals))  # the first of tied maxima
         best_fits.append(
             dataclasses.replace(group[best], final_log_posts=finals, best_start=best)
         )

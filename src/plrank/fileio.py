@@ -6,11 +6,12 @@ the line-oriented format with '#'-prefixed metadata and aggregated
 "count: item,item,..." preference lines. Chain traces are CSVs with
 columns p_1_1 ... p_G_K (component-major), w_1 ... w_G, log_lik,
 deviance. Fits are JSON, report tables CSV and JSON. Every CSV passes
-through one reader (_records) and one writer (_write_csv), every JSON
-file through _read_json and _write_json: lines end in CRLF, floats are
-written as .17g so equal inputs and seeds give byte identical files, and
-input that is malformed or not UTF-8 raises ValidationError naming the
-file. Numeric matrices are parsed in bulk where that gives the same
+through one reader (_records) and one writer (_write_csv): lines end in
+CRLF and floats are written as .17g. Every JSON file passes through
+_read_json, which takes any layout, and _write_json, which writes
+json.dumps(doc) on one line. Equal inputs and seeds give byte identical
+files. Input that is malformed or not UTF-8 raises ValidationError naming
+the file. Numeric matrices are parsed in bulk where that gives the same
 array (_matrix), and through _records otherwise.
 """
 
@@ -164,36 +165,10 @@ def _read_json(path):
         raise ValidationError(f"{path}: invalid JSON: {e}") from None
 
 
-# list elements that the compact encoder writes as json.dumps(..., indent=1)
-# does, and whose text never holds ", "
-_NUMBERS = frozenset({int, float, bool, type(None)})
-
-
-def _indented(obj, pad: str) -> str:
-    """json.dumps(obj, indent=1) at nesting depth len(pad). A list of
-    numbers is encoded in one call of the C encoder, compact, and its
-    separators indented, because json's indent mode runs the pure-Python
-    encoder, one generator step per element: a fit's JSON with 15449 labels
-    took ~10 ms that way and ~3-4 ms this way (2-core box, Python 3.11)."""
-    inner = pad + " "
-    sep = ",\n" + inner
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        body = sep.join(f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items())
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if type(obj) is list and obj:
-        if _NUMBERS.issuperset(map(type, obj)):
-            body = json.dumps(obj)[1:-1].replace(", ", sep)
-        else:
-            body = sep.join(_indented(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj, indent=1).replace("\n", "\n" + pad)
-
-
 def _write_json(path, doc) -> None:
-    """JSON document, one-space indent, trailing newline: the bytes of
-    json.dump(doc, fh, indent=1), written at once."""
+    """JSON document, compact on one line, with a trailing newline."""
     with open(path, "w") as fh:
-        fh.write(_indented(doc, "") + "\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------- datasets
@@ -312,7 +287,9 @@ def read_dataset(path, format: str, K: int | None = None) -> Dataset:
         else:
             data = Dataset.from_rankings(matrix)
     else:
-        raise ValidationError(f"unknown format {format!r}")
+        raise ValidationError(
+            f"unknown format {format!r}: expected ordering, ranking, or preflib"
+        )
     if K is not None and data.n_items != K:
         raise ValidationError(f"{path}: expected K={K}, found {data.n_items}")
     return data

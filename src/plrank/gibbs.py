@@ -13,10 +13,12 @@ n_dg of its units in each component. One sweep updates, in order:
     memberships | weights, supports  ~ Multinomial(n_d, pi_d), times
                                        integrated out
 
-rem is the membership step's stage table (model._stage_table); pi_d and
-the log-likelihood share its mixture scores. The times are redrawn given
-the new memberships before anything reads them, so the two form one exact
-block move; with every count 1 the draws are the per-unit ones.
+The membership step is the mixture's one scoring step
+(model._mixture_scores, EM's E-step too): pi_d are its responsibilities,
+the log-likelihood sums its row densities, and rem is its stage table.
+The times are redrawn given the new memberships before anything reads
+them, so the two form one exact block move; with every count 1 the draws
+are the per-unit ones.
 
 With a single component the weight and membership moves are skipped. The
 recorded trace stores supports normalized within component (the sampler
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, binary_group_ind
+from .data import Dataset, _as_int_matrix, binary_group_ind
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
-from .model import _availability_sums, _log_mixture, _one_row, _stage_table
+from .model import _availability_sums, _mixture_scores, _one_row, _stage_table
 
 DEFAULT_N_ITER = 22000
 DEFAULT_N_BURN = 2000
@@ -162,19 +164,23 @@ def gibbs_run(
     if z is None:
         z = rng.integers(1, G + 1, size=N)
     z = np.asarray(z)
+    # g0: each dataset row's 0-based component
     if z.ndim == 2:
         onehot = np.isin(z, (0, 1)).all() and (z.sum(axis=1) == 1).all()
         if z.shape != (N, G) or not onehot:
             raise ValidationError("init z must be one-hot N x G")
-        z = np.argmax(z, axis=1) + 1
-    if z.shape != (N,):
+        g0 = np.argmax(z, axis=1)
+    elif z.shape == (N,):
+        g0 = _as_int_matrix(z)[0] - 1
+    else:
         raise ValidationError("init z labels must have length N")
+    if g0.min() < 0 or g0.max() >= G:
+        raise ValidationError(f"init z labels must lie in 1..{G}")
     w = np.full(G, 1.0 / G)
 
     # the membership state: per distinct row, its units' count per component
     rows, index = data.patterns
     counts = rows.counts
-    g0 = np.argmax(binary_group_ind(z, G), axis=1)
     n_dg = np.bincount(index * G + g0, weights=data.counts, minlength=counts.size * G)
     n_dg = n_dg.astype(np.int64).reshape(-1, G)
 
@@ -190,7 +196,7 @@ def gibbs_run(
     # stays flat over a long chain, and the cells' index is built once
     top = np.arange(G) < np.minimum(counts, G)[:, None]
     d = np.nonzero(top)[0]
-    cells = Dataset.from_orderings(rows.orderings[d])
+    cells = Dataset._build(rows.orderings[d], np.ones(d.size, dtype=np.int64))
     ranked = cells.orderings != 0
     rem = _stage_table(rows, p)[1]  # rebuilt by each membership step
     kept = []
@@ -212,11 +218,10 @@ def gibbs_run(
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
         # memberships | weights, supports, and the log-likelihood
-        comp, rem = _stage_table(rows, p)
-        scored, per_row = _log_mixture(comp, w)
+        zhat, per_row, rem = _mixture_scores(rows, p, w)
         ll = float(counts @ per_row)
         if G > 1:
-            n_dg = rng.multinomial(counts, np.exp(scored - per_row[:, None]))
+            n_dg = rng.multinomial(counts, zhat)
 
         if sweep > n_burn:
             kept.append(((p / p.sum(axis=1, keepdims=True)).ravel(), w, ll))

@@ -18,7 +18,9 @@ items filled into the pad. _stage_table gathers the supports through it
 once and returns the remaining masses rem[t, d, g] stage-major (K x D x
 G); _availability_sums gathers prefix sums back by item; _log_mixture
 reduces over a contiguous leading component axis and hands back
-C-contiguous (D, G) scores.
+C-contiguous (D, G) scores. _mixture_scores, the one scoring step built
+on them, is EM's E-step, the sampler's membership update, the likelihood
+and the predictive checks' pattern probabilities.
 
 Results are fixed bit for bit, not just to rounding: the stage sums run in
 stage order and the component sums in component order, whatever the
@@ -203,11 +205,24 @@ def _log_mixture(comp: np.ndarray, weights: np.ndarray):
     return scored, per_unit
 
 
+def _mixture_scores(rows: Dataset, p: np.ndarray, w: np.ndarray):
+    """The mixture's scoring step on the rows of a dataset, at supports p
+    (G x K) and weights w (G,): EM's E-step, the sampler's membership
+    update and every mixture density. Returns (resp, per_row, rem): the
+    responsibilities (D x G, each row's component posterior), the log
+    mixture density of each row (D,) and the stage-major remaining-mass
+    table rem (K x D x G) of _stage_table. A row of zero density gets NaN
+    responsibilities; callers that need them check per_row."""
+    comp, rem = _stage_table(rows, p)
+    scored, per_row = _log_mixture(comp, w)
+    with np.errstate(invalid="ignore"):
+        return np.exp(scored - per_row[:, None]), per_row, rem
+
+
 def _pattern_logliks(params: MixtureParams, data: Dataset) -> np.ndarray:
     """Log mixture density of each distinct row of the dataset."""
     _check_params_data(params, data.n_items)
-    comp = component_stage_logliks(data.patterns.rows, params.supports)
-    return _log_mixture(comp, params.weights)[1]
+    return _mixture_scores(data.patterns.rows, params.supports, params.weights)[1]
 
 
 def mixture_logliks_per_unit(params: MixtureParams, data: Dataset) -> np.ndarray:

@@ -342,8 +342,9 @@ def ppcheck_stats_simulated(data, chain, rng):
     ascending depth (the form the library keeps for strata it does not
     enumerate) and counted by rank comparison of the truncated replicates.
     """
-    from plrank.assessment import _replicate_orderings, chi2_paired, chi2_top1
+    from plrank.assessment import chi2_paired, chi2_top1
     from plrank.data import rank_positions_of
+    from plrank.model import _mixture_race
 
     N, K = data.orderings.shape
     depths = np.unique(data.nranked)
@@ -359,7 +360,8 @@ def ppcheck_stats_simulated(data, chain, rng):
         pbar = w @ p
         rep_r, rep_tau = [], []
         for m, n in zip(depths, sizes):
-            rep = _replicate_orderings(p, w, np.full(n, m), rng)
+            rep = _mixture_race(n, p, w, rng)[1] + 1
+            rep[:, m:] = 0
             rep_r.append(np.bincount(rep[:, 0] - 1, minlength=K))
             rep_tau.append(pair_counts_rank_compare(rank_positions_of(rep, K + 1)))
         pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]

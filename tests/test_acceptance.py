@@ -39,7 +39,7 @@ from plrank import (
     unit_to_freq,
     write_sequence_csv,
 )
-from plrank.assessment import _replicate_counts, _replicate_orderings, _strata
+from plrank.assessment import _replicate_counts, _strata
 from plrank.fileio import (
     format_preflib,
     parse_preflib,
@@ -571,7 +571,6 @@ def test_c06_selection_arithmetic():
 def test_c07_ppc_calibration():
     inside = 0
     all_in_range = True
-    depths_ok = True
     totals_ok = True
     for rep in range(20):
         rng = np.random.default_rng(4000 + rep)
@@ -585,12 +584,10 @@ def test_c07_ppc_calibration():
         p2 = float(out.p_paired[0])
         all_in_range &= 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
         inside += 0.05 < p1 < 0.95 and 0.05 < p2 < 0.95
-        # replicated datasets keep each unit's censoring depth
+        # the replicate that ppcheck scores keeps each unit's censoring
+        # depth: per depth-m stratum, n_m first places and m(m-1)/2 + m(K-m)
+        # decided pairs per unit
         p, w = chain.supports_3d()[-1], chain.W[-1]
-        rep_ord = _replicate_orderings(p, w, data.nranked, rng)
-        depths_ok &= np.array_equal((rep_ord > 0).sum(axis=1), data.nranked)
-        # the replicate that ppcheck scores holds, per depth-m stratum, n_m
-        # first places and m(m-1)/2 + m(K-m) decided pairs per unit
         strata, table = _strata(data)
         out = _replicate_counts(strata, table, p / p.sum(axis=1)[:, None], w, rng)
         for s, (r, tau) in zip(strata, out):
@@ -599,10 +596,9 @@ def test_c07_ppc_calibration():
             totals_ok &= r.sum() == s.size and tau.sum() == pairs
     _line(
         "criterion 7",
-        inside >= 18 and all_in_range and depths_ok and totals_ok,
+        inside >= 18 and all_in_range and totals_ok,
         f"{inside}/20 replications give interior p-values (need 18); "
-        f"p in [0,1]: {all_in_range}; replicate depths preserved: {depths_ok}; "
-        f"replicate stratum totals: {totals_ok}",
+        f"p in [0,1]: {all_in_range}; replicate stratum totals: {totals_ok}",
     )
 
 

@@ -18,15 +18,13 @@ from plrank import (
 from plrank.assessment import (
     _ppchecks,
     _replicate_counts,
-    _replicate_orderings,
     _strata,
     chi2_paired,
     chi2_top1,
     paired_discrepancy,
-    top1_counts,
     top1_discrepancy,
 )
-from plrank.data import _order_counts, rank_positions_of
+from plrank.data import _depth_counts, _order_counts, rank_positions_of
 from plrank.model import _mixture_race
 from oracles import (
     ordering_row_loglik,
@@ -64,8 +62,18 @@ def test_chi2_paired_skips_empty_pairs():
 
 
 def test_top1_counts():
-    data = Dataset.from_orderings(np.array([[1, 2, 0], [1, 0, 0], [2, 3, 1]]))
-    assert top1_counts(data).tolist() == [2, 1, 0]
+    # the per-depth counts in ascending depth (the K-1 row is completed)
+    # pool to the units placing each item first, which top1_discrepancy
+    # scores
+    mat = np.array([[1, 2, 0], [1, 0, 0], [2, 3, 1]])
+    data = Dataset.from_orderings(mat, [1, 2, 1])
+    depths, masks, observed = zip(*_depth_counts(data))
+    assert depths == (1, 3)
+    assert [m.tolist() for m in masks] == [[False, True, False], [True, False, True]]
+    top1 = sum(r for r, _ in observed)
+    assert top1.tolist() == [3, 1, 0]
+    pbar = np.array([0.5, 0.3, 0.2])
+    assert top1_discrepancy(data, pbar) == chi2_top1(np.array([3, 1, 0]), 4, pbar)
 
 
 def test_discrepancy_wrappers():
@@ -75,21 +83,27 @@ def test_discrepancy_wrappers():
     )
     norm = params.normalized()
     pbar = norm.marginal
-    want_top1 = chi2_top1(top1_counts(data), 3, pbar)
+    want_top1 = chi2_top1(np.array([2, 1, 0]), 3, pbar)
     assert top1_discrepancy(data, params) == pytest.approx(want_top1, abs=1e-12)
     want_paired = chi2_paired(paired_comparisons(data), pbar)
     assert paired_discrepancy(data, params) == pytest.approx(want_paired, abs=1e-12)
 
 
 def test_replicates_preserve_depths():
+    # a simulated stratum counts the complete orderings of the race at its
+    # depth m: the counts of those orderings truncated to their top m, so
+    # the replicate keeps each unit's depth
     rng = np.random.default_rng(0)
     mat, depths = random_partial_matrix(rng, 80, 5)
     p = np.array([[0.4, 0.25, 0.2, 0.1, 0.05]])
-    rep = _replicate_orderings(p, np.array([1.0]), depths, rng)
+    race = _mixture_race(80, p, np.array([1.0]), rng)[1]
+    rep = race + 1
+    rep[np.arange(5)[None, :] >= depths[:, None]] = 0
     out = Dataset.from_orderings(rep)
-    assert np.array_equal(np.sort(out.nranked), np.sort(depths))
-    # depths are matched per unit, not merely as a multiset
     assert np.array_equal(out.nranked, depths)
+    for m, units, (top1, tau) in _depth_counts(out):
+        r, t = _order_counts(np.ascontiguousarray(race[units].T), m)
+        assert np.array_equal(r, top1) and np.array_equal(t, tau)
 
 
 def test_replicates_have_the_mixture_law():
@@ -102,7 +116,7 @@ def test_replicates_have_the_mixture_law():
     w = np.array([0.5, 0.0, 0.5])
     assert 1 not in _mixture_race(n, p, w, rng)[0]
     for m in (1, 2, 4):
-        rep = _replicate_orderings(p, w, np.full(n, m), rng)
+        rep = _mixture_race(n, p, w, rng)[1] + 1
         patterns, counts = np.unique(rep[:, :m], axis=0, return_counts=True)
         law = {
             r: sum(w[g] * math.exp(ordering_row_loglik(r, p[g])) for g in range(3))
@@ -114,16 +128,9 @@ def test_replicates_have_the_mixture_law():
         assert stat <= chi2.isf(1e-3, len(law) - 1), (m, stat)
 
     # at log-uniform supports down to 1e-300 every row is a permutation
-    # truncated at its depth
     p = 10.0 ** rng.uniform(-300, 0, (3, K))
-    depths = rng.integers(1, K + 1, 2000)
-    rep = _replicate_orderings(p, np.array([0.3, 0.3, 0.4]), depths, rng)
     full = _mixture_race(2000, p, np.array([0.3, 0.3, 0.4]), rng)[1]
     assert (np.sort(full, axis=1) == np.arange(K)).all()
-    ranked = np.arange(K) < depths[:, None]
-    assert (rep[~ranked] == 0).all() and (rep[ranked] > 0).all()
-    for row, m in zip(rep, depths):
-        assert len(set(row[:m].tolist())) == m
 
 
 def test_ppcheck_values_and_determinism():
@@ -332,7 +339,8 @@ def test_multinomial_replicates_have_the_simulation_law():
     for l in range(L):
         (r, tau), = _replicate_counts(strata, table, p, w, rng)
         exact[l] = np.concatenate([r, tau.ravel()])
-        rep = _replicate_orderings(p, w, data.nranked, rng)
+        rep = _mixture_race(n, p, w, rng)[1] + 1
+        rep[np.arange(K) >= data.nranked[:, None]] = 0
         r = np.bincount(rep[:, 0] - 1, minlength=K)
         tau = pair_counts_rank_compare(rank_positions_of(rep, K + 1))
         simulated[l] = np.concatenate([r, tau.ravel()])

@@ -189,6 +189,12 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
     assert run(["summarize", "--input", src, "--format", "sideways"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
+    # an unknown format is named before the input is opened
+    code = run(["fit-map", "--input", tmp_path / "none.csv", "--format", "sideways",
+                "--G", 1, "--seed", 1, "--out", tmp_path / "f"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "expected ordering, ranking, or preflib" in err["error"]["message"]
 
     code = run(["simulate", "--n", 10, "--K", 3, "--out", tmp_path / "s"])
     assert code == 2

@@ -220,40 +220,26 @@ def test_map_json_round_trip(tmp_path):
         fit = fit_map(data, 2, hyper=hyper, rng=np.random.default_rng(6))
         path = tmp_path / "fit.json"
         write_map_json(path, fit)
-        back = read_map_json(path)
-        assert np.array_equal(back.supports, fit.supports)
-        assert np.array_equal(back.weights, fit.weights)
-        assert np.array_equal(back.supports_raw, fit.supports_raw)
-        assert np.array_equal(back.labels, fit.labels)
-        assert np.array_equal(back.log_post_trace, fit.log_post_trace)
-        assert back.log_lik == fit.log_lik
-        assert back.converged == fit.converged
-        assert back.n_iter_used == fit.n_iter_used
-        assert back.bic == fit.bic
-        assert np.array_equal(back.hyper.shape, fit.hyper.shape)
-        assert np.array_equal(back.hyper.rate, fit.hyper.rate)
-        assert np.array_equal(back.hyper.alpha, fit.hyper.alpha)
-        # responsibilities come back as the one-hot classification
-        onehot = np.eye(2)[fit.labels - 1]
-        assert np.array_equal(back.responsibilities, onehot)
-
-
-def test_json_written_as_json_dump_writes_it(tmp_path):
-    # the writer's own indentation gives the bytes of json.dump's, on a
-    # map-fit document with nested lists, None, booleans and floats (the
-    # informative prior has no BIC; one start, no best_start)
-    rng = np.random.default_rng(4)
-    mat, _ = random_partial_matrix(rng, 30, 4)
-    hyper = Hyperparams.expand(2.0, 0.5, 1.5, 2, 4)
-    fit = fit_map(Dataset.from_orderings(mat), 2, hyper=hyper, max_iter=7,
-                  rng=np.random.default_rng(6))
-    doc = fileio.map_fit_to_dict(fit)
-    assert doc["bic"] is None and doc["converged"] is False
-    fileio._write_json(tmp_path / "new.json", doc)
-    with open(tmp_path / "old.json", "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert path.read_text() == json.dumps(fileio.map_fit_to_dict(fit)) + "\n"
+        # the same document in an indented layout reads the same
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        for back in map(read_map_json, (path, indented)):
+            assert np.array_equal(back.supports, fit.supports)
+            assert np.array_equal(back.weights, fit.weights)
+            assert np.array_equal(back.supports_raw, fit.supports_raw)
+            assert np.array_equal(back.labels, fit.labels)
+            assert np.array_equal(back.log_post_trace, fit.log_post_trace)
+            assert back.log_lik == fit.log_lik
+            assert back.converged == fit.converged
+            assert back.n_iter_used == fit.n_iter_used
+            assert back.bic == fit.bic
+            assert np.array_equal(back.hyper.shape, fit.hyper.shape)
+            assert np.array_equal(back.hyper.rate, fit.hyper.rate)
+            assert np.array_equal(back.hyper.alpha, fit.hyper.alpha)
+            # responsibilities come back as the one-hot classification
+            onehot = np.eye(2)[fit.labels - 1]
+            assert np.array_equal(back.responsibilities, onehot)
 
 
 def test_permutations_csv(tmp_path):

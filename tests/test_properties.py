@@ -1,9 +1,7 @@
 """Property-based checks of the stage kernel, the log mixture density, the
-ingestion round trips, the parsers on malformed input, the bulk and
-per-line CSV parses against each other, and the JSON writer's indentation
-against json's."""
+ingestion round trips, the parsers on malformed input, and the bulk and
+per-line CSV parses against each other."""
 
-import json
 import math
 import os
 import tempfile
@@ -40,7 +38,6 @@ from plrank.data import (
     rank_positions_of,
 )
 from plrank.errors import ValidationError
-from plrank import fileio
 from plrank.fileio import _matrix, _matrix_by_line, parse_preflib_text
 from plrank.gibbs import stage_rates
 from plrank.model import (
@@ -510,28 +507,6 @@ def test_bulk_and_per_line_parses_agree(tmp_path, dtype, text, skip):
     assert _matrix_outcome(_matrix, path, skip, dtype) == _matrix_outcome(
         _matrix_by_line, path, skip, dtype
     )
-
-
-_JSON_SCALAR = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-)
-_JSON_DOC = st.recursive(
-    _JSON_SCALAR,
-    lambda kids: st.lists(kids, max_size=5)
-    | st.dictionaries(st.text(max_size=4), kids, max_size=4)
-    | st.tuples(kids, kids)
-    | st.dictionaries(st.integers(), kids, max_size=2),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_JSON_DOC)
-@example([1, "a, b", 2.5])  # a string holding the separator
-@example({"x": [[], {}, [True, None, float("nan"), -0.0, 10**20]], "y": ()})
-@example({1: [0.1], "1": {"k": (1, [2])}})  # a key json converts
-def test_json_indent_matches_json_dump(doc):
-    assert fileio._indented(doc, "") == json.dumps(doc, indent=1)
 
 
 @settings(max_examples=300, deadline=None)
