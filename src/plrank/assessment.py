@@ -51,6 +51,7 @@ from .data import (
     _check_cells,
     _depth_counts,
     _order_counts,
+    _top1_counts,
     paired_comparisons,
 )
 from .errors import ValidationError
@@ -95,8 +96,7 @@ def top1_discrepancy(data: Dataset, params) -> float:
     pbar = _marginal_of(params)
     if pbar.shape[0] != data.n_items:
         raise ValidationError("parameter dimension does not match the data")
-    r = sum(top1 for _, _, (top1, _) in _depth_counts(data))
-    return chi2_top1(r, data.n_units, pbar)
+    return chi2_top1(_top1_counts(data), data.n_units, pbar)
 
 
 def paired_discrepancy(data: Dataset, params) -> float:
@@ -128,13 +128,15 @@ class PpcheckReport:
 def _strata(data: Dataset):
     """The depth strata of a dataset in ascending depth, and the shared
     table of enumerated patterns: every top-m ordering of each enumerated
-    depth m, stacked in ascending depth, as a Dataset (None when no
-    stratum is enumerated). A depth-m stratum of n_m units is enumerated
-    when K * K!/(K-m)! <= n_m, so that it counts at most n_m / K pattern
-    rows where a simulation would count n_m unit rows."""
+    depth m, lexicographic, stacked in descending depth (the engine's row
+    order) as a Dataset (None when no stratum is enumerated). A depth-m
+    stratum of n_m units is enumerated when K * K!/(K-m)! <= n_m, so that
+    it counts at most n_m / K pattern rows where a simulation would count
+    n_m unit rows."""
     K = data.n_items
     strata, blocks, lo = [], [], 0
-    for m, units, observed in _depth_counts(data):
+    # deepest stratum first, the table's row order
+    for m, units, observed in reversed(list(_depth_counts(data))):
         counts = data.counts[units]
         n, P, rows = int(counts.sum()), math.perm(K, m), None
         if K * P <= n:
@@ -146,6 +148,7 @@ def _strata(data: Dataset):
         elif n > counts.size:
             _check_cells(n, K)
         strata.append(_Stratum(m, n, observed, rows))
+    strata.reverse()
     if not blocks:
         return strata, None
     return strata, Dataset._build(np.concatenate(blocks), np.ones(lo, dtype=np.int64))

@@ -221,7 +221,7 @@ class PartialRanking:
 Patterns = namedtuple("Patterns", "rows index")
 
 # Dataset._stages: the stage index the engine's tables are built from
-_Stages = namedtuple("_Stages", "items pad pos")
+_Stages = namedtuple("_Stages", "items ends at")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,30 +269,37 @@ class Dataset:
 
     @cached_property
     def patterns(self) -> Patterns:
-        """Distinct rows (lexicographic) with their units' counts, built on
-        first use by the fitters."""
+        """Distinct rows with their units' counts, built on first use by
+        the fitters: the engine's row order, descending depth and
+        lexicographic within a depth (one stable sort of _group_rows)."""
         rows, counts, index = _group_rows(self.orderings, self.counts)
-        return Patterns(Dataset._build(rows, counts), index)
+        order = np.argsort(-(rows != 0).sum(axis=1), kind="stable")
+        moved = np.empty_like(order)
+        moved[order] = np.arange(order.size)  # where each grouped row went
+        index = moved[index]
+        index.setflags(write=False)
+        return Patterns(Dataset._build(rows[order], counts[order]), index)
 
     @cached_property
     def _stages(self) -> _Stages:
         """Stage-major index of the rows, built on first use by the engine:
         items[t, s] is the 0-based item row s takes at stage t, its
-        unranked items filling the pad in ascending order; pad lists the
-        cells beyond the depth, t >= nranked[s], as flat indices
-        t * n_rows + s; pos[s, i] is the stage that holds item i in row
-        s, so that items[pos[s, i], s] == i. A filled row is a complete
-        ordering, so pos is its rank positions less one."""
+        unranked items filling the pad t >= nranked[s] in ascending order;
+        ends[t] is the number of rows ranked at stage t, so that in rows of
+        descending depth (the engine's order, see patterns) the ranked
+        cells of stage t are the leading slice [:ends[t]]; at[s, i] is the
+        flat index t * n_rows + s of the cell holding item i in row s,
+        items.ravel()[at[s, i]] == i. A filled row is a complete ordering,
+        so its stages are its rank positions less one."""
         filled = self.orderings.copy()
         filled[filled == 0] = np.nonzero(self.u == 0)[1] + 1
-        out = _Stages(
-            np.ascontiguousarray(filled.T) - 1,
-            np.flatnonzero(self.orderings.T == 0),
-            rank_positions_of(filled, 0) - 1,
-        )
-        for a in out:
-            a.setflags(write=False)
-        return out
+        n, K = filled.shape
+        at = (rank_positions_of(filled, 0) - 1) * n + np.arange(n)[:, None]
+        at.setflags(write=False)
+        items = np.ascontiguousarray(filled.T) - 1
+        items.setflags(write=False)
+        ends = np.count_nonzero(self.nranked > np.arange(K)[:, None], axis=1)
+        return _Stages(items, tuple(ends.tolist()), at)
 
     @property
     def n_units(self) -> int:
@@ -361,14 +368,14 @@ class FreqTable:
 def unit_to_freq(data) -> FreqTable:
     """Aggregate unit-level sequences into a frequency table.
 
-    Accepts a Dataset, whose table is its patterns.rows, or a raw matrix
-    in either format; rows are compared as plain integer sequences. Distinct
-    rows come out in lexicographic order with their multiplicities.
+    Accepts a Dataset, whose rows count counts[s] units each, or a raw
+    matrix in either format; rows are compared as plain integer sequences.
+    Distinct rows come out in lexicographic order with their multiplicities.
     """
     if isinstance(data, Dataset):
-        rows = data.patterns.rows
-        return FreqTable(rows.orderings, rows.counts)
-    seq, cnt, _ = _group_rows(_as_int_matrix(data))
+        seq, cnt, _ = _group_rows(data.orderings, data.counts)
+    else:
+        seq, cnt, _ = _group_rows(_as_int_matrix(data))
     return FreqTable(seq, cnt)
 
 
@@ -534,6 +541,12 @@ def _depth_counts(data: Dataset):
     for m in np.unique(data.nranked).tolist():
         rows = data.nranked == m
         yield m, rows, _order_counts(items[:, rows], m, data.counts[rows])
+
+
+def _top1_counts(data: Dataset) -> np.ndarray:
+    """Units placing each item first: the stage-0 counts of _order_counts,
+    which at depth 0 counts no pair."""
+    return _order_counts(data._stages.items, 0, data.counts)[0]
 
 
 def _order_counts(items: np.ndarray, depth: int, weights=None):

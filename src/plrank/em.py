@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Patterns
+from .data import Dataset, Patterns, _top1_counts
 from .errors import NumericalError, ValidationError
 from .model import MixtureParams, _availability_sums, _mixture_scores
 
@@ -127,8 +127,9 @@ def _e_step(p: np.ndarray, w: np.ndarray, pat: Patterns):
 
 def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem):
     """Closed-form update (supports, weights) from an _e_step on the
-    distinct rows data at the previous parameters, whose rem table it
-    overwrites; each row's terms count once per unit showing it."""
+    distinct rows data (descending depth, see Dataset.patterns) at the
+    previous parameters, whose rem table it overwrites; each row's terms
+    count once per unit showing it."""
     zhat = zhat * data.counts[:, None]
     N, G = data.n_units, zhat.shape[1]
     numer = hyper.shape - 1.0 + zhat.T @ data.u
@@ -140,9 +141,13 @@ def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem):
         )
     stages = data._stages
     r = np.divide(1.0, rem, out=rem)
-    r.reshape(-1, G)[stages.pad] = 0.0
-    avail = _availability_sums(stages.pos, r)
-    denom = hyper.rate[:, None] + np.einsum("sg,sig->gi", zhat, avail)
+    for t, e in enumerate(stages.ends):  # zero beyond each row's depth
+        r[t, e:] = 0.0
+    avail = _availability_sums(stages.at, r)
+    # sum_s zhat[s, g] avail[s, i, g] as one matmul over the rows, whose
+    # (g, i, g) diagonal holds it
+    cross = (zhat.T @ avail.reshape(avail.shape[0], -1)).reshape(G, -1, G)
+    denom = hyper.rate[:, None] + np.diagonal(cross, axis1=0, axis2=2).T
     with np.errstate(divide="ignore", invalid="ignore"):
         p_new = numer / denom
     tiny = ~np.isfinite(p_new) | (p_new <= SUPPORT_FLOOR)
@@ -234,8 +239,7 @@ def _draw_init(rng, G: int, K: int) -> MixtureParams:
 def _draw_centered_init(rng, data: Dataset, G: int) -> MixtureParams:
     """Starting supports jittered around observed first-place shares."""
     N, K = data.n_units, data.n_items
-    first = np.bincount(data.orderings[:, 0] - 1, weights=data.counts, minlength=K) / N
-    base = first + 0.5 / N
+    base = _top1_counts(data.patterns.rows) / N + 0.5 / N
     supports = base[None, :] * rng.uniform(0.5, 1.5, (G, K))
     return MixtureParams(supports, np.full(G, 1.0 / G))
 

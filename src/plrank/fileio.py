@@ -32,6 +32,7 @@ from .data import (
     ORDERING,
     RANKING,
     _check_cells,
+    _group_rows,
     _units,
     binary_group_ind,
     ord_rank_switch,
@@ -258,12 +259,12 @@ def format_preflib(data, title: str = "rankings") -> str:
     rows are emitted in lexicographic order with their units' counts."""
     if not isinstance(data, Dataset):
         data = Dataset.from_orderings(data)
-    rows = data.patterns.rows
+    seqs, counts, _ = _group_rows(data.orderings, data.counts)
     out = io.StringIO()
     out.write(f"# TITLE: {title}\n")
     out.write(f"# NUMBER ALTERNATIVES: {data.n_items}\n")
     out.write(f"# NUMBER VOTERS: {data.n_units}\n")
-    for seq, cnt in zip(rows.orderings.tolist(), rows.counts.tolist()):
+    for seq, cnt in zip(seqs.tolist(), counts.tolist()):
         ranked = [str(v) for v in seq if v != 0]
         out.write(f"{cnt}: {','.join(ranked)}\n")
     return out.getvalue()

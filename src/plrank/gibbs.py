@@ -13,6 +13,13 @@ n_dg of its units in each component. One sweep updates, in order:
     memberships | weights, supports  ~ Multinomial(n_d, pi_d), times
                                        integrated out
 
+A row holding one unit keeps its counts as a 0-based label: its
+membership is a categorical draw, one uniform through the inverse CDF of
+pi_d; its one cell is its label; and its stage times are Gamma(1), drawn
+as standard exponentials over its ranked stages. Its cells come first,
+then the repeated rows' cells, each block in the rows' depth order, so
+the one-unit cells ranked at stage t are a leading slice of them.
+
 The membership step is the mixture's one scoring step
 (model._mixture_scores, EM's E-step too): pi_d are its responsibilities,
 the log-likelihood sums its row densities, and rem is its stage table.
@@ -103,10 +110,25 @@ def _support_conditional(cells: Dataset, g, n, y, hyper: Hyperparams):
     belong to component g[r] (0-based); a dataset of units with n = 1
     gives the per-unit form. y is overwritten.
     """
-    member = np.eye(hyper.n_components)[g].T
-    shape = hyper.shape + member @ (n[:, None] * cells.u)
-    avail = _availability_sums(cells._stages.pos, y)
+    # one row per component, contiguous along the cells for the matmuls
+    member = (g == np.arange(hyper.n_components)[:, None]).astype(np.float64)
+    shape = hyper.shape + (member * n) @ cells.u
+    avail = _availability_sums(cells._stages.at, y)
     return shape, hyper.rate[:, None] + member @ avail
+
+
+def _categorical(prob: np.ndarray, rng) -> np.ndarray:
+    """One 0-based category per row of prob (rows x G, each row summing to
+    1): one uniform through the inverse CDF of the row, that is the number
+    of columns whose cumulative sum is at most the uniform, taken column by
+    column as the uniform less the running sum. The last column takes the
+    remainder, as in a multinomial."""
+    u = rng.random(prob.shape[0])
+    out = np.zeros(u.shape, dtype=np.int64)
+    for h in range(prob.shape[1] - 1):
+        u -= prob[:, h]
+        out += u >= 0.0
+    return out
 
 
 def gibbs_run(
@@ -178,11 +200,15 @@ def gibbs_run(
         raise ValidationError(f"init z labels must lie in 1..{G}")
     w = np.full(G, 1.0 / G)
 
-    # the membership state: per distinct row, its units' count per component
+    # the membership state, per distinct row: a one-unit row's component as a
+    # label, a repeated row's count of units in each component
     rows, index = data.patterns
     counts = rows.counts
+    single, many = np.flatnonzero(counts == 1), np.flatnonzero(counts > 1)
     n_dg = np.bincount(index * G + g0, weights=data.counts, minlength=counts.size * G)
     n_dg = n_dg.astype(np.int64).reshape(-1, G)
+    label = np.argmax(n_dg[single], axis=1)
+    n_dg, n_many = n_dg[many], counts[many]
 
     # the likelihood reads only the normalized supports and the weights, whose
     # posterior is the same at every positive rate (a Gamma row normalizes to
@@ -190,28 +216,40 @@ def gibbs_run(
     rate = np.where(hyper.rate > 0, hyper.rate, 1.0)
     hyper = Hyperparams(hyper.shape, rate, hyper.alpha)
 
-    # stage-time cells: each row's top min(n_d, G) components by count hold
-    # all its units, cell r ranking as row d[r]; a fixed cell count keeps
-    # the arrays one size, so the heap does not fragment and peak memory
-    # stays flat over a long chain, and the cells' index is built once
-    top = np.arange(G) < np.minimum(counts, G)[:, None]
-    d = np.nonzero(top)[0]
+    # stage-time cells: a one-unit row's one cell, then each repeated row's
+    # top min(n_d, G) components by count, which hold all its units; cell r
+    # ranks as row d[r]. A fixed cell count keeps the arrays one size, so the
+    # heap does not fragment and peak memory stays flat over a long chain,
+    # and the cells' index is built once
+    S = single.size
+    top = np.arange(G) < np.minimum(n_many, G)[:, None]
+    r_many = np.nonzero(top)[0]
+    d = np.concatenate((single, many[r_many]))
     cells = Dataset._build(rows.orderings[d], np.ones(d.size, dtype=np.int64))
-    ranked = cells.orderings != 0
+    ranked = cells.orderings[S:] != 0
+    # the one-unit cells ranked at stage t are the first k[t] (stages that
+    # rank none are left out); their times stay zero beyond the depth
+    k = np.count_nonzero(cells.nranked[:S] > np.arange(K)[:, None], axis=1)
+    k = k[k > 0].tolist()
+    times = np.zeros((K, S))
+    n = np.ones(d.size, dtype=np.int64)
     rem = _stage_table(rows, p)[1]  # rebuilt by each membership step
     kept = []
     for sweep in range(1, n_iter + 1):
         # weights | memberships
         if G > 1:
-            w = rng.dirichlet(hyper.alpha + n_dg.sum(axis=0))
+            n_g = np.bincount(label, minlength=G) + n_dg.sum(axis=0)
+            w = rng.dirichlet(hyper.alpha + n_g)
 
         # stage times | memberships, supports, summed per cell (shape 0: 0)
-        g = np.argsort(-n_dg, axis=1, kind="stable")[top]
-        n = n_dg[d, g]
-        # Gamma draws come cell-major, the cells' rates rem[:, d, g]
-        # stage-major; y takes the rates' layout
-        y = rem[:, d, g]
-        np.divide(rng.standard_gamma(n[:, None] * ranked).T, y, out=y)
+        g = np.concatenate((label, np.argsort(-n_dg, axis=1, kind="stable")[top]))
+        n[S:] = n_dg[r_many, g[S:]]
+        for t, e in enumerate(k):
+            rng.standard_exponential(out=times[t, :e])
+        # the cells' rates rem[:, d, g], stage-major; y takes their layout
+        y = np.take(rem.reshape(K, -1), d * G + g, axis=1)
+        np.divide(times, y[:, :S], out=y[:, :S])
+        np.divide(rng.standard_gamma(n[S:, None] * ranked).T, y[:, S:], out=y[:, S:])
 
         # supports | times, memberships
         shape, rate = _support_conditional(cells, g, n, y, hyper)
@@ -221,7 +259,8 @@ def gibbs_run(
         zhat, per_row, rem = _mixture_scores(rows, p, w)
         ll = float(counts @ per_row)
         if G > 1:
-            n_dg = rng.multinomial(counts, zhat)
+            label = _categorical(np.take(zhat, single, axis=0), rng)
+            n_dg = rng.multinomial(n_many, np.take(zhat, many, axis=0))
 
         if sweep > n_burn:
             kept.append(((p / p.sum(axis=1, keepdims=True)).ravel(), w, ll))

@@ -14,18 +14,23 @@ has the law of sequential choice.
 The engine's per-row tables are laid out so that every numpy pass runs
 along the long row axis. A dataset's stage index (Dataset._stages, built
 once) holds the item taken at each stage, stage-major, with the unranked
-items filled into the pad. _stage_table gathers the supports through it
+items filled into the pad. The tables the engine scores hold their rows
+in descending depth (Dataset.patterns, the predictive checks' pattern
+table; the sampler's cells keep that order within each of their two
+blocks), so that the cells ranked at stage t are a leading slice of the
+rows. _stage_table gathers the supports through the index
 once and returns the remaining masses rem[t, d, g] stage-major (K x D x
-G); _availability_sums gathers prefix sums back by item; _log_mixture
-reduces over a contiguous leading component axis and hands back
-C-contiguous (D, G) scores. _mixture_scores, the one scoring step built
-on them, is EM's E-step, the sampler's membership update, the likelihood
-and the predictive checks' pattern probabilities.
+G), taking logs over the ranked slices only; _availability_sums gathers
+prefix sums back by item; _log_mixture reduces over a contiguous leading
+component axis and hands back C-contiguous (D, G) scores.
+_mixture_scores, the one scoring step built on them, is EM's E-step, the
+sampler's membership update, the likelihood and the predictive checks'
+pattern probabilities.
 
 Results are fixed bit for bit, not just to rounding: the stage sums run in
 stage order and the component sums in component order, whatever the
 layout. Memory order matters as well, since numpy may add a reduction's
-or an einsum's terms in another order when an operand comes in another
+or a matmul's terms in another order when an operand comes in another
 order (F-ordered responsibilities change the M-step's sum and the last
 digits of every fit); tables handed between kernels stay C-contiguous.
 """
@@ -109,43 +114,43 @@ def _check_params_data(params: MixtureParams, K: int) -> None:
 
 
 def _stage_table(data: Dataset, p: np.ndarray):
-    """Per-component stage tables for supports p (G x K).
+    """Per-component stage tables for supports p (G x K) on rows of
+    descending depth (the engine's order; see Dataset.patterns).
 
     Returns (comp, rem): comp[s, g] is the log-likelihood of row s under
     support row g, the log supports of the items it ranks less the logs
-    of rem; rem[t, s, g], stage-major, is the support mass under row g
-    left before stage t, and 1 beyond the depth. With the unranked items
+    of rem over its ranked stages; rem[t, s, g], stage-major, is the
+    support mass under row g left before stage t. With the unranked items
     in the pad of the stage index (Dataset._stages), rem is one suffix sum
     of positive terms, exact where total - consumed would cancel and
-    independent of the other rows and components.
+    independent of the other rows and components. Beyond a row's depth
+    rem holds the suffix sums over its pad, which no stage reads: the
+    logs run over the ranked slice [:ends[t]] of each stage only.
     """
     stages = data._stages
     rem = np.take(p.T, stages.items, axis=0)
     for t in range(rem.shape[0] - 2, -1, -1):
         np.add(rem[t], rem[t + 1], out=rem[t])
-    rem.reshape(-1, rem.shape[2])[stages.pad] = 1.0
     log_rem = np.log(rem[0])
     term = np.empty_like(log_rem)
-    for t in range(1, rem.shape[0]):
-        log_rem += np.log(rem[t], out=term)
+    for t, e in enumerate(stages.ends[1:], 1):
+        log_rem[:e] += np.log(rem[t, :e], out=term[:e])
     return np.subtract(data.u @ np.log(p).T, log_rem, out=log_rem), rem
 
 
-def _availability_sums(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _availability_sums(at: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per row and item, the sum of per-stage values x (stages on axis 0,
     rows on axis 1, zero beyond each row's depth, any trailing shape) over
     the stages at which the item was still available: the prefix sum
     through the stage that chose it, or the full sum for an unranked item.
     Prefix sums of nonnegative terms keep the accumulation free of
-    cancellation; x is overwritten with them. pos holds the rows'
-    Dataset._stages.pos: an unranked item sits in the pad, where the
+    cancellation; x is overwritten with them. at holds the rows'
+    Dataset._stages.at: an unranked item sits in the pad, where the
     prefix sum is already the full sum. Returns (rows, K, trailing...).
     """
     for t in range(1, x.shape[0]):
         np.add(x[t - 1], x[t], out=x[t])
-    rows = x.shape[1]
-    flat = pos * rows + np.arange(rows)[:, None]
-    return np.take(x.reshape((-1,) + x.shape[2:]), flat, axis=0)
+    return np.take(x.reshape((-1,) + x.shape[2:]), at, axis=0)
 
 
 def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
@@ -155,9 +160,12 @@ def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
     Unit s scores sum_t log p[chosen_t] - sum_t log(rem_t), where rem_t,
     the support mass still available before stage t, is the sum of the
     supports chosen from stage t on plus the supports of the items the
-    unit leaves unranked (see _stage_table).
+    unit leaves unranked (see _stage_table, run on the dataset's distinct
+    rows and indexed back to its rows).
     """
-    return _stage_table(data, np.atleast_2d(np.asarray(supports, dtype=np.float64)))[0]
+    rows, index = data.patterns
+    p = np.atleast_2d(np.asarray(supports, dtype=np.float64))
+    return _stage_table(rows, p)[0][index]
 
 
 def _one_row(ordering, supports):

@@ -15,6 +15,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 
+def in_engine_order(orderings):
+    """True when the rows run in descending depth and, within a depth, in
+    lexicographic order: the row order of the engine's tables."""
+    keys = [(-sum(v != 0 for v in row), row) for row in orderings.tolist()]
+    return keys == sorted(keys)
+
+
 def random_partial_matrix(rng, n, K, allow_complete=True):
     """Random top-t ordering matrix with depths in {1..K-2, K}.
 

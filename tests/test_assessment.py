@@ -24,9 +24,10 @@ from plrank.assessment import (
     paired_discrepancy,
     top1_discrepancy,
 )
-from plrank.data import _depth_counts, _order_counts, rank_positions_of
+from plrank.data import _depth_counts, _order_counts, _top1_counts, rank_positions_of
 from plrank.model import _mixture_race
 from oracles import (
+    in_engine_order,
     ordering_row_loglik,
     pair_counts_rank_compare,
     paired_counts_direct,
@@ -74,6 +75,22 @@ def test_top1_counts():
     assert top1.tolist() == [3, 1, 0]
     pbar = np.array([0.5, 0.3, 0.2])
     assert top1_discrepancy(data, pbar) == chi2_top1(np.array([3, 1, 0]), 4, pbar)
+
+
+def test_top1_discrepancy_reads_stage_zero():
+    # weighted partial data: the stage-0 counts that top1_discrepancy and
+    # the centered EM start read give the value of the per-depth pooled
+    # counts, on the rows and on the distinct rows alike
+    rng = np.random.default_rng(21)
+    mat, _ = random_partial_matrix(rng, 300, 6)
+    data = Dataset.from_orderings(mat, rng.integers(1, 50, size=300))
+    pooled = sum(top1 for _, _, (top1, _) in _depth_counts(data))
+    first = np.bincount(mat[:, 0] - 1, weights=data.counts, minlength=6)
+    assert np.array_equal(_top1_counts(data), pooled)
+    assert np.array_equal(_top1_counts(data.patterns.rows), pooled)
+    assert np.array_equal(pooled, first)
+    pbar = rng.dirichlet(np.ones(6))
+    assert top1_discrepancy(data, pbar) == chi2_top1(pooled, data.n_units, pbar)
 
 
 def test_discrepancy_wrappers():
@@ -224,6 +241,7 @@ def _enumerated(rng, K, depths):
     strata, table = _strata(data)
     assert [s.depth for s in strata] == depths
     assert all(s.rows is not None for s in strata)
+    assert in_engine_order(table.orderings)
     return strata, table
 
 
@@ -292,7 +310,8 @@ def test_strata_branch_rule():
     strata, table = _strata(data)
     assert [s.depth for s in strata] == [1, 2, 4]
     assert [s.size for s in strata] == [16, 47, 96]
-    assert [s.rows for s in strata] == [slice(0, 4), None, slice(4, 28)]
+    # the table stacks the enumerated blocks deepest first
+    assert [s.rows for s in strata] == [slice(24, 28), None, slice(0, 24)]
     assert table.n_units == 28
     ranks = data.to_rank_positions()
     for s in strata:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from plrank import cli, read_chain_csv, read_map_json
+from plrank import cli, read_chain_csv, read_dataset, read_map_json, unit_to_freq
 
 
 def run(argv):
@@ -52,6 +52,47 @@ def test_convert_preflib(tmp_path):
     assert run(["convert", "--input", src, "--format", "preflib", "--out", out]) == 0
     rows = sorted(out.read_text().splitlines())
     assert rows == ["1,2,3", "1,2,3", "2,0,0"]
+
+
+def test_convert_and_summarize_bytes_are_fixed(tmp_path):
+    # mixed depths with repeated rows: a profile lists its distinct rows in
+    # lexicographic order, whatever order the engine keeps them in, and
+    # these files keep their bytes
+    src = tmp_path / "ord.csv"
+    src.write_text("3,1,0,0\n1,2,3,4\n2,0,0,0\n1,2,3,4\n4,3,0,0\n"
+                   "2,0,0,0\n1,0,0,0\n3,1,0,0\n2,4,1,3\n2,0,0,0\n")
+    out = {name: tmp_path / name for name in ("p.txt", "back.csv", "rank.csv", "s.json")}
+    as_ord = ["--input", src, "--format", "ordering"]
+    assert run(["convert", *as_ord, "--to", "preflib", "--out", out["p.txt"]]) == 0
+    argv = ["convert", "--input", out["p.txt"], "--format", "preflib", "--to", "ordering"]
+    assert run([*argv, "--out", out["back.csv"]]) == 0
+    assert run(["convert", *as_ord, "--out", out["rank.csv"]]) == 0
+    assert run(["summarize", *as_ord, "--out", out["s.json"]]) == 0
+    assert out["p.txt"].read_text() == (
+        "# TITLE: p\n# NUMBER ALTERNATIVES: 4\n# NUMBER VOTERS: 10\n"
+        "1: 1\n2: 1,2,3,4\n3: 2\n1: 2,4,1,3\n2: 3,1\n1: 4,3\n"
+    )
+    assert out["back.csv"].read_text() == (
+        "1,0,0,0\n1,2,3,4\n1,2,3,4\n2,0,0,0\n2,0,0,0\n"
+        "2,0,0,0\n2,4,1,3\n3,1,0,0\n3,1,0,0\n4,3,0,0\n"
+    )
+    assert out["rank.csv"].read_text() == (
+        "2,0,1,0\n1,2,3,4\n0,1,0,0\n1,2,3,4\n0,0,2,1\n"
+        "0,1,0,0\n1,0,0,0\n2,0,1,0\n3,1,4,2\n0,1,0,0\n"
+    )
+    assert out["s.json"].read_text() == (
+        '{"n_units": 10, "n_items": 4, "nranked_distr": {"1": 4, "2": 3, "4": 3}, '
+        '"missing_pos": [4, 4, 4, 6], "mean_rank": [1.6666666666666667, '
+        '1.3333333333333333, 2.3333333333333335, 2.75], "marginal_rank_distr": '
+        '[[3, 4, 2, 1], [2, 2, 1, 1], [1, 0, 2, 0], [0, 0, 1, 2]], '
+        '"pairedcomparisons": [[0, 5, 4, 5], [4, 0, 6, 6], [3, 3, 0, 4], [2, 1, 2, 0]]}\n'
+    )
+    # the frequency table of a dataset is lexicographic too
+    table = unit_to_freq(read_dataset(src, "ordering"))
+    assert table.sequences.tolist() == [
+        [1, 0, 0, 0], [1, 2, 3, 4], [2, 0, 0, 0], [2, 4, 1, 3], [3, 1, 0, 0], [4, 3, 0, 0]
+    ]
+    assert table.counts.tolist() == [1, 2, 3, 1, 2, 1]
 
 
 def test_summarize_json(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from plrank import (
     Dataset,
@@ -12,8 +13,9 @@ from plrank import (
     mixture_loglik,
     sample_mixture,
 )
-from plrank.gibbs import _support_conditional, stage_rates
-from oracles import random_partial_matrix, support_conditional_direct
+from plrank import gibbs
+from plrank.gibbs import _categorical, _support_conditional, stage_rates
+from oracles import in_engine_order, random_partial_matrix, support_conditional_direct
 
 
 def test_stage_rates_hand():
@@ -173,3 +175,89 @@ def test_flat_prior_samples_the_zero_rate_limit():
     phi = chain.supports_3d()[:, 0, 0]
     assert abs(phi.mean() - 2 / 3) < 0.01
     assert abs((phi**2).mean() - 0.5) < 0.01
+
+
+class _DirichletSpy:
+    """Stands in for a Generator in gibbs_run: records the parameter of
+    every Dirichlet draw and hands every draw on to a real generator."""
+
+    def __init__(self, rng):
+        self.rng, self.alphas = rng, []
+
+    def dirichlet(self, alpha):
+        self.alphas.append(np.array(alpha))
+        return self.rng.dirichlet(alpha)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_membership_state_counts_every_unit(monkeypatch):
+    # one-unit and repeated rows at mixed depths: after every sweep the
+    # one-unit labels (one cell of count 1 each) and the repeated rows'
+    # cells count each row's units once and, per component, the units the
+    # weights' Dirichlet is drawn with; the first sweep's counts are the
+    # initial labels'. The cells are the one-unit rows, then each repeated
+    # row's min(n_d, G) cells, each block in the engine's row order, and
+    # their stage times stop at the depth
+    rng = np.random.default_rng(4)
+    K, G = 5, 3
+    mat, _ = random_partial_matrix(rng, 40, K)
+    counts = np.where(rng.random(40) < 0.5, 1, rng.integers(2, 9, 40))
+    data = Dataset.from_orderings(mat, counts)
+    rows = data.patterns.rows
+    single = np.flatnonzero(rows.counts == 1)
+    many = np.flatnonzero(rows.counts > 1)
+    assert single.size >= 5 and many.size >= 5
+    d = np.concatenate((single, np.repeat(many, np.minimum(rows.counts[many], G))))
+
+    seen = []
+
+    def spy(cells, g, n, y, hyper):
+        # every cell's stage times are zero beyond its depth, and a one-unit
+        # cell's are positive at every ranked stage
+        ranked = cells.orderings.T != 0
+        assert (y[~ranked] == 0).all()
+        assert (y[:, : single.size][ranked[:, : single.size]] > 0).all()
+        seen.append((cells.orderings.copy(), g.copy(), n.copy()))
+        return _support_conditional(cells, g, n, y, hyper)
+
+    monkeypatch.setattr(gibbs, "_support_conditional", spy)
+    labels = rng.integers(1, G + 1, size=40)
+    hyper = Hyperparams.expand(1.0, 0.5, 2.0, G, K)
+    draws = _DirichletSpy(np.random.default_rng(5))
+    gibbs_run(data, G, hyper=hyper, init={"z": labels}, n_iter=25, n_burn=0, rng=draws)
+    assert len(seen) == len(draws.alphas) == 25
+    want = np.bincount(labels - 1, weights=counts, minlength=G)
+    assert np.array_equal(draws.alphas[0] - hyper.alpha, want)
+    for (cells, g, n), alpha in zip(seen, draws.alphas):
+        assert np.array_equal(cells, rows.orderings[d])
+        assert in_engine_order(cells[: single.size]) and in_engine_order(cells[single.size :])
+        assert (n[: single.size] == 1).all()
+        assert np.array_equal(np.bincount(d, weights=n, minlength=rows.counts.size), rows.counts)
+        assert np.array_equal(np.bincount(g, weights=n, minlength=G), alpha - hyper.alpha)
+        assert (alpha - hyper.alpha).sum() == data.n_units
+
+
+def test_categorical_draw_has_the_responsibility_law():
+    # rows of responsibilities, one with a zero column and one putting all
+    # mass on the last: 20000 labels per row follow the row (chi-squared,
+    # alpha = 1e-3), and a zero column is never drawn
+    rng = np.random.default_rng(12)
+    prob = np.array([
+        [0.5, 0.3, 0.2, 0.0],
+        [0.1, 0.0, 0.6, 0.3],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.97, 0.01, 0.01, 0.01],
+    ])
+    n = 20000
+    labels = _categorical(np.repeat(prob, n, axis=0), rng).reshape(len(prob), n)
+    for q, lab in zip(prob, labels):
+        got = np.bincount(lab, minlength=4)
+        assert (got[q == 0] == 0).all()
+        live = q > 0
+        if live.sum() > 1:
+            stat = (((got - n * q)[live]) ** 2 / (n * q[live])).sum()
+            assert stat <= chi2.isf(1e-3, live.sum() - 1), (q, stat)
+

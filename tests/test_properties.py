@@ -169,8 +169,11 @@ def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
     #   did at every G >= 2);
     # - at G >= 8 the former row-wise component sum of _log_mixture was
     #   pairwise, so G stops at 4 here.
+    # on the engine's rows, mixed depths in descending order, the logs run
+    # over each stage's ranked slice, and rem is pinned on the ranked cells
+    # (beyond the depth the oracle writes 1, which no stage reads)
     mat, p, w = case
-    data = Dataset.from_orderings(mat)
+    data = Dataset.from_orderings(mat).patterns.rows
     comp, rem = _stage_table(data, p)
     ref_comp, ref_rem = stage_table_rows_major(data, p)
     if p.shape[0] == 1 and mat.shape[1] >= 8:
@@ -178,15 +181,16 @@ def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
         assert (np.abs(comp - ref_comp) <= 16 * np.finfo(float).eps * scale).all()
     else:
         assert _same_bits(comp, ref_comp)
-    assert _same_bits(rem.transpose(1, 0, 2), ref_rem)
+    ranked = data.orderings != 0
+    assert _same_bits(rem.transpose(1, 0, 2)[ranked], ref_rem[ranked])
     assert comp.flags.c_contiguous
 
     # the EM form (1 / rem, trailing component axis) and the sweep form
     # (stage times per row and stage, no trailing axis)
-    r = np.where(data.orderings[:, :, None] != 0, 1.0 / ref_rem, 0.0)
-    y = r[:, :, 0] * np.arange(1, mat.shape[0] + 1)[:, None]
+    r = np.where(ranked[:, :, None], 1.0 / ref_rem, 0.0)
+    y = r[:, :, 0] * np.arange(1, data.orderings.shape[0] + 1)[:, None]
     for x in (r, y):
-        got = _availability_sums(data._stages.pos, np.moveaxis(x, 1, 0).copy())
+        got = _availability_sums(data._stages.at, np.moveaxis(x, 1, 0).copy())
         assert _same_bits(got, availability_sums_rows_major(data.orderings - 1, x))
 
     scored, per_unit = _log_mixture(ref_comp, w)
@@ -275,26 +279,31 @@ def counted_datasets(draw):
 @settings(max_examples=100, deadline=None)
 @given(counted_datasets())
 def test_counted_rows_freq_table_and_stage_index(data):
-    # a counted dataset's frequency table is its distinct rows, which are
-    # the distinct units with their multiplicities
+    # a counted dataset's frequency table is the distinct units with their
+    # multiplicities, lexicographic; its distinct rows (patterns) are the
+    # same rows in the engine's order, descending depth and lexicographic
+    # within a depth
     table = unit_to_freq(data)
-    rows = data.patterns.rows
-    assert np.array_equal(table.sequences, rows.orderings)
-    assert np.array_equal(table.counts, rows.counts)
     units = np.repeat(data.orderings, data.counts, axis=0)
     seq, counts = np.unique(units, axis=0, return_counts=True)
     assert np.array_equal(table.sequences, seq)
     assert np.array_equal(table.counts, counts)
+    rows = data.patterns.rows
+    order = np.argsort(-(seq != 0).sum(axis=1), kind="stable")
+    assert np.array_equal(rows.orderings, seq[order])
+    assert np.array_equal(rows.counts, counts[order])
 
-    # the stage index: the ranked prefix at its stages, pos inverting items
-    # row by row, and pad exactly the cells t >= nranked[s]
-    stages = data._stages
-    n, K = data.orderings.shape
-    ranked = data.orderings != 0
-    assert np.array_equal(stages.items.T[ranked], data.orderings[ranked] - 1)
-    assert (stages.items[stages.pos, np.arange(n)[:, None]] == np.arange(K)).all()
-    beyond = np.arange(K)[:, None] >= data.nranked[None, :]
-    assert np.array_equal(stages.pad, np.flatnonzero(beyond))
+    # the stage index: the ranked prefix at its stages, at inverting items
+    # row by row, and ends[t] the number of rows with t < nranked[s], in the
+    # patterns the leading slice of them
+    K = data.n_items
+    for d in (data, rows):
+        stages = d._stages
+        ranked = d.orderings != 0
+        assert np.array_equal(stages.items.T[ranked], d.orderings[ranked] - 1)
+        assert (stages.items.ravel()[stages.at] == np.arange(K)).all()
+        assert stages.ends == tuple((d.nranked[None, :] > np.arange(K)[:, None]).sum(axis=1))
+    assert all((rows.nranked[:e] > t).all() for t, e in enumerate(rows._stages.ends))
 
 
 @settings(max_examples=100, deadline=None)
