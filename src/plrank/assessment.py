@@ -46,33 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    _check_cells,
-    _depth_counts,
-    _order_counts,
-    _top1_counts,
-    paired_comparisons,
-)
+from .data import Dataset, _check_cells, _depth_counts, _order_counts
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import MixtureParams, NormalizedParams, _mixture_race, _mixture_scores
+from .model import _mixture_race, _mixture_scores
 
 # One depth stratum of the data: its depth m, its size n_m, its observed
 # (top-1, pair) counts, and its rows of the shared pattern table when it is
 # enumerated (None: its replicate is simulated unit by unit)
 _Stratum = namedtuple("_Stratum", "depth size observed rows")
-
-
-def _marginal_of(params) -> np.ndarray:
-    if isinstance(params, NormalizedParams):
-        return params.marginal
-    if isinstance(params, MixtureParams):
-        return params.normalized().marginal
-    p = np.asarray(params, dtype=np.float64)
-    if p.ndim != 1 or (p <= 0).any() or not np.isfinite(p).all():
-        raise ValidationError("expected mixture params or positive marginals")
-    return p / p.sum()
 
 
 def chi2_top1(r: np.ndarray, N: int, pbar: np.ndarray) -> float:
@@ -89,22 +71,6 @@ def chi2_paired(tau: np.ndarray, pbar: np.ndarray) -> float:
     cells = (n > 0) & ~np.eye(tau.shape[0], dtype=bool)
     dev = tau - E
     return float(((dev * dev)[cells] / E[cells]).sum())
-
-
-def top1_discrepancy(data: Dataset, params) -> float:
-    """Observed top1 chi-squared of a dataset at given parameters."""
-    pbar = _marginal_of(params)
-    if pbar.shape[0] != data.n_items:
-        raise ValidationError("parameter dimension does not match the data")
-    return chi2_top1(_top1_counts(data), data.n_units, pbar)
-
-
-def paired_discrepancy(data: Dataset, params) -> float:
-    """Observed paired chi-squared of a dataset at given parameters."""
-    pbar = _marginal_of(params)
-    if pbar.shape[0] != data.n_items:
-        raise ValidationError("parameter dimension does not match the data")
-    return chi2_paired(paired_comparisons(data), pbar)
 
 
 @dataclass(frozen=True, eq=False)

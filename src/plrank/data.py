@@ -283,20 +283,17 @@ class Dataset:
     @cached_property
     def _stages(self) -> _Stages:
         """Stage-major index of the rows, built on first use by the engine:
-        items[t, s] is the 0-based item row s takes at stage t, its
-        unranked items filling the pad t >= nranked[s] in ascending order;
-        ends[t] is the number of rows ranked at stage t, so that in rows of
+        items are the rows' filled orderings (_stage_items); ends[t] is
+        the number of rows ranked at stage t, so that in rows of
         descending depth (the engine's order, see patterns) the ranked
         cells of stage t are the leading slice [:ends[t]]; at[s, i] is the
         flat index t * n_rows + s of the cell holding item i in row s,
-        items.ravel()[at[s, i]] == i. A filled row is a complete ordering,
-        so its stages are its rank positions less one."""
-        filled = self.orderings.copy()
-        filled[filled == 0] = np.nonzero(self.u == 0)[1] + 1
-        n, K = filled.shape
-        at = (rank_positions_of(filled, 0) - 1) * n + np.arange(n)[:, None]
+        items.ravel()[at[s, i]] == i."""
+        items = _stage_items(self)
+        K, n = items.shape
+        at = np.empty((n, K), dtype=np.int64)
+        at[np.arange(n), items] = np.arange(K * n).reshape(K, n)
         at.setflags(write=False)
-        items = np.ascontiguousarray(filled.T) - 1
         items.setflags(write=False)
         ends = np.count_nonzero(self.nranked > np.arange(K)[:, None], axis=1)
         return _Stages(items, tuple(ends.tolist()), at)
@@ -537,29 +534,31 @@ def _depth_counts(data: Dataset):
     """For each observed depth m, ascending: m, the mask of the rows of
     depth m, and the (top-1, pair) counts of their units (_order_counts).
     Every observed count is a sum of these."""
-    items = data._stages.items
+    items = _stage_items(data)
     for m in np.unique(data.nranked).tolist():
         rows = data.nranked == m
         yield m, rows, _order_counts(items[:, rows], m, data.counts[rows])
 
 
-def _top1_counts(data: Dataset) -> np.ndarray:
-    """Units placing each item first: the stage-0 counts of _order_counts,
-    which at depth 0 counts no pair."""
-    return _order_counts(data._stages.items, 0, data.counts)[0]
+def _stage_items(data: Dataset) -> np.ndarray:
+    """Stage-major filled orderings: items[t, s] is the 0-based item row s
+    takes at stage t, its unranked items filling the pad t >= nranked[s]
+    in ascending order."""
+    filled = data.orderings - 1
+    filled[filled < 0] = np.nonzero(data.u == 0)[1]
+    return np.ascontiguousarray(filled.T)
 
 
 def _order_counts(items: np.ndarray, depth: int, weights=None):
     """(top-1 counts, K x K pair counts) of filled orderings of one depth,
     column s of the stage-major K x n matrix items holding the 0-based
     items of row s: its ranked prefix of `depth` items, then its unranked
-    items, as Dataset._stages.items holds them. Row s is counted
-    weights[s] times (once by default). Positions a < b of a row form the
-    decided pair "item at a before item at b" when a < depth, so a pair
-    of unranked items counts for neither side. In each block of rows, each
-    position's pairs are one np.bincount over the codes i * K + j.
-    Integer weights are summed in float64, exact while they sum below
-    2**53."""
+    items, as _stage_items holds them. Row s is counted weights[s] times
+    (once by default). Positions a < b of a row form the decided pair
+    "item at a before item at b" when a < depth, so a pair of unranked
+    items counts for neither side. In each block of rows, each position's
+    pairs are one np.bincount over the codes i * K + j. Integer weights
+    are summed in float64, exact while they sum below 2**53."""
     K, n = items.shape
     top1 = np.bincount(items[0], weights, minlength=K).astype(np.int64)
     tau = np.zeros(K * K)

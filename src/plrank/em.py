@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Patterns, _top1_counts
+from .data import Dataset, Patterns, _order_counts
 from .errors import NumericalError, ValidationError
 from .model import MixtureParams, _availability_sums, _mixture_scores
 
@@ -238,8 +238,8 @@ def _draw_init(rng, G: int, K: int) -> MixtureParams:
 
 def _draw_centered_init(rng, data: Dataset, G: int) -> MixtureParams:
     """Starting supports jittered around observed first-place shares."""
-    N, K = data.n_units, data.n_items
-    base = _top1_counts(data.patterns.rows) / N + 0.5 / N
+    N, K, rows = data.n_units, data.n_items, data.patterns.rows
+    base = _order_counts(rows._stages.items, 0, rows.counts)[0] / N + 0.5 / N
     supports = base[None, :] * rng.uniform(0.5, 1.5, (G, K))
     return MixtureParams(supports, np.full(G, 1.0 / G))
 
@@ -381,14 +381,21 @@ def _pool_call(job):
     return _pool_fn(job)
 
 
-# Least work, in distinct-row cells x component-steps, for which _fan_out
-# starts a pool. On a 2-core box (numpy 2.4, Python 3.11) importing the pool
-# took 26-41 ms, and starting and shutting down 2 workers on trivial jobs
-# 11-17 ms; a whole CLI stage paid ~0.06-0.12 s more at --parallel 2. One
-# wide EM iteration (5042 distinct rows x 10 items, G=4) took ~6 ms, ~30 ns
-# per cell-step. Two workers save at most half the work, so the pool pays
-# from about 2 x 0.06-0.12 s / 30 ns = 4-8 M cell-steps.
-_POOL_MIN_WORK = 4_000_000
+# How _fan_out prices a job list, in cells: its component-steps times the
+# cells of the distinct rows plus _STEP_CELLS; at _POOL_MIN_WORK or more it
+# starts a pool. On a 2-core box (numpy 2.4, Python 3.11) an EM iteration at
+# G components cost ~12 ns per cell-step (wide and K=8 data, 5,000-16,000
+# distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared by its G steps:
+# 27-55 us per step at G=4, 2,200-4,600 cells' worth. A sweep costs more per
+# cell-step (20-36 ns), so a chain is priced low. Importing the pool took
+# 21-28 ms, starting and shutting down 2 workers 14-23 ms, and a whole CLI
+# stage paid ~0.06-0.12 s more at --parallel 2. Two workers save at most half
+# the work, so the pool pays from about 2 x 0.12 s / 12 ns = 20 M cells. The
+# steps are counted at the iteration cap, so a fit that converges early is
+# priced high: a larger step price would pool a fit of a few rows at the
+# default cap, which stops after a few iterations.
+_STEP_CELLS = 3_500
+_POOL_MIN_WORK = 20_000_000
 
 
 def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: int) -> list:
@@ -399,10 +406,11 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: int) -> list:
 
     steps is the jobs' total component-steps: the sum over jobs of G times
     the job's iterations (the EM cap, or the sweep count). The work is
-    steps times the cells of data's distinct rows; below _POOL_MIN_WORK
-    the pool's start would cost more than it saves, and its module is not
-    even imported. The cap bounds the iterations from above, so a job list
-    that would really pay for a pool never runs serially.
+    steps times the cells of data's distinct rows plus a per-step price
+    (_STEP_CELLS); below _POOL_MIN_WORK the pool's start would cost more
+    than it saves, and its module is not even imported. The cap bounds the
+    iterations from above, so a job list that would really pay for a pool
+    never runs serially.
 
     The pool's workers receive data once each, through the pool's
     initializer (inherited under fork, pickled once per worker otherwise),
@@ -410,7 +418,8 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: int) -> list:
     jobs carry only their own arguments.
     """
     rows = data.patterns.rows
-    if n_jobs > 1 and len(jobs) > 1 and rows.orderings.size * steps >= _POOL_MIN_WORK:
+    work = (rows.orderings.size + _STEP_CELLS) * steps
+    if n_jobs > 1 and len(jobs) > 1 and work >= _POOL_MIN_WORK:
         # imported here: the process pool module costs every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
 

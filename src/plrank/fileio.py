@@ -76,11 +76,10 @@ def _cell_limit(dtype) -> int:
     return limit
 
 
-def _longest_line(path) -> int:
-    """Bytes in the file's longest line, its newline included."""
-    with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), np.uint8)
-    return np.diff(np.flatnonzero(raw == 10), prepend=-1, append=raw.size).max()
+def _longest_line(raw: bytes) -> int:
+    """Bytes in the longest line of raw, its newline included."""
+    nl = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
+    return np.diff(nl, prepend=-1, append=len(raw)).max()
 
 
 def _matrix(path, skip, dtype) -> np.ndarray:
@@ -88,13 +87,16 @@ def _matrix(path, skip, dtype) -> np.ndarray:
 
     Well-formed input is parsed in bulk by np.loadtxt, which splits lines,
     strips whitespace and parses numbers as the per-line path does but
-    has none of its length limits. A file with a line longer than those
+    has none of its length limits and no quoting. A file with a quote,
+    which can join lines into one record, or with a line longer than those
     limits, and whatever the bulk parse rejects, warns about or reads as
     empty, goes through _matrix_by_line, the one source of error messages.
     """
     limit = _cell_limit(dtype)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     # no cell is longer than the file, nor than its longest line
-    if os.path.getsize(path) <= limit or _longest_line(path) <= limit:
+    if b'"' not in raw and (len(raw) <= limit or _longest_line(raw) <= limit):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

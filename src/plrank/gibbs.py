@@ -42,7 +42,7 @@ import numpy as np
 from .data import Dataset, _as_int_matrix, binary_group_ind
 from .em import Hyperparams, MapFit
 from .errors import ValidationError
-from .model import _availability_sums, _mixture_scores, _one_row, _stage_table
+from .model import _availability_sums, _mixture_scores, _stage_table
 
 DEFAULT_N_ITER = 22000
 DEFAULT_N_BURN = 2000
@@ -83,14 +83,6 @@ class GibbsChain:
 
     def supports_3d(self) -> np.ndarray:
         return self.P.reshape(self.n_kept, self.n_components, self.n_items)
-
-
-def stage_rates(ordering_row, supports) -> np.ndarray:
-    """Exponential rates of the latent stage times for one unit: the
-    remaining support mass before each of its n_s selections."""
-    row, p = _one_row(ordering_row, supports)
-    rem = _stage_table(Dataset.from_orderings(row[None, :]), p[None, :])[1]
-    return rem[row != 0, 0, 0]
 
 
 def init_from_map(fit: MapFit) -> dict:

@@ -168,8 +168,8 @@ def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
     return _stage_table(rows, p)[0][index]
 
 
-def _one_row(ordering, supports):
-    """Validated ordering row and length-K support vector for one unit."""
+def pl_prob(ordering, supports) -> float:
+    """Probability of one partial ordering under a single support vector."""
     if isinstance(ordering, PartialOrdering):
         row = ordering.entries
     else:
@@ -179,12 +179,6 @@ def _one_row(ordering, supports):
         raise ValidationError("supports must be a length-K vector")
     if not np.isfinite(p).all() or (p <= 0).any():
         raise ValidationError("supports must be positive and finite")
-    return row, p
-
-
-def pl_prob(ordering, supports) -> float:
-    """Probability of one partial ordering under a single support vector."""
-    row, p = _one_row(ordering, supports)
     data = Dataset.from_orderings(row[None, :])
     return float(np.exp(component_stage_logliks(data, p[None, :])[0, 0]))
 

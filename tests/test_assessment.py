@@ -13,6 +13,7 @@ from plrank import (
     paired_comparisons,
     ppcheck,
     ppcheck_cond,
+    rank_summaries,
     sample_mixture,
 )
 from plrank.assessment import (
@@ -21,10 +22,8 @@ from plrank.assessment import (
     _strata,
     chi2_paired,
     chi2_top1,
-    paired_discrepancy,
-    top1_discrepancy,
 )
-from plrank.data import _depth_counts, _order_counts, _top1_counts, rank_positions_of
+from plrank.data import _depth_counts, _order_counts, rank_positions_of
 from plrank.model import _mixture_race
 from oracles import (
     in_engine_order,
@@ -62,48 +61,62 @@ def test_chi2_paired_skips_empty_pairs():
     assert chi2_paired(np.zeros((3, 3), dtype=np.int64), np.ones(3) / 3) == 0.0
 
 
-def test_top1_counts():
+def _unit_counts(mat, counts):
+    """Top-1 and decided-pair counts of the units of a raw ordering matrix,
+    row s repeated counts[s] times, by explicit rank comparison."""
+    units = np.repeat(mat, counts, axis=0)
+    top1 = np.bincount(units[:, 0] - 1, minlength=mat.shape[1])
+    return top1, paired_counts_direct(units, (units != 0).sum(axis=1))
+
+
+def test_depth_counts_hand():
     # the per-depth counts in ascending depth (the K-1 row is completed)
-    # pool to the units placing each item first, which top1_discrepancy
-    # scores
+    # pool to the units placing each item first and to the units' decided
+    # pairs
     mat = np.array([[1, 2, 0], [1, 0, 0], [2, 3, 1]])
     data = Dataset.from_orderings(mat, [1, 2, 1])
     depths, masks, observed = zip(*_depth_counts(data))
     assert depths == (1, 3)
     assert [m.tolist() for m in masks] == [[False, True, False], [True, False, True]]
-    top1 = sum(r for r, _ in observed)
+    top1, tau = _unit_counts(mat, [1, 2, 1])
     assert top1.tolist() == [3, 1, 0]
-    pbar = np.array([0.5, 0.3, 0.2])
-    assert top1_discrepancy(data, pbar) == chi2_top1(np.array([3, 1, 0]), 4, pbar)
+    assert np.array_equal(sum(r for r, _ in observed), top1)
+    assert np.array_equal(sum(t for _, t in observed), tau)
 
 
-def test_top1_discrepancy_reads_stage_zero():
-    # weighted partial data: the stage-0 counts that top1_discrepancy and
-    # the centered EM start read give the value of the per-depth pooled
-    # counts, on the rows and on the distinct rows alike
-    rng = np.random.default_rng(21)
-    mat, _ = random_partial_matrix(rng, 300, 6)
-    data = Dataset.from_orderings(mat, rng.integers(1, 50, size=300))
-    pooled = sum(top1 for _, _, (top1, _) in _depth_counts(data))
-    first = np.bincount(mat[:, 0] - 1, weights=data.counts, minlength=6)
-    assert np.array_equal(_top1_counts(data), pooled)
-    assert np.array_equal(_top1_counts(data.patterns.rows), pooled)
-    assert np.array_equal(pooled, first)
-    pbar = rng.dirichlet(np.ones(6))
-    assert top1_discrepancy(data, pbar) == chi2_top1(pooled, data.n_units, pbar)
+def _observed_case(seed):
+    """Weighted rows over K=5 with a depth-(K-1) row, which ingestion
+    completes, a short G=2 chain on them, and the observed (top1, paired)
+    chi-squared statistics of every kept draw from the units' counts
+    (_unit_counts), pooled (plain) and summed over the depth strata
+    (conditional), the completed row in the complete stratum."""
+    rng = np.random.default_rng(seed)
+    K = 5
+    mat, depth = random_partial_matrix(rng, 60, K)
+    mat[0] = rng.permutation(K) + 1
+    mat[0, K - 1] = 0
+    depth[0] = K
+    counts = rng.integers(1, 20, size=60)
+    data = Dataset.from_orderings(mat, counts)
+    chain = gibbs_run(data, 2, n_iter=30, n_burn=20, rng=seed)
+    strata = [np.ones(60, dtype=bool)] + [depth == m for m in np.unique(depth)]
+    observed = [(_unit_counts(mat[s], counts[s]), counts[s].sum()) for s in strata]
+    want = np.zeros((2, 2, chain.n_kept))
+    for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
+        pbar = w @ (p / p.sum(axis=1, keepdims=True))
+        for k, ((top1, tau), n) in enumerate(observed):
+            want[min(k, 1), :, l] += chi2_top1(top1, n, pbar), chi2_paired(tau, pbar)
+    return data, chain, want
 
 
 def test_discrepancy_wrappers():
-    data = Dataset.from_orderings(np.array([[1, 2, 0], [1, 0, 0], [2, 3, 1]]))
-    params = MixtureParams(
-        np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), np.array([0.5, 0.5])
-    )
-    norm = params.normalized()
-    pbar = norm.marginal
-    want_top1 = chi2_top1(np.array([2, 1, 0]), 3, pbar)
-    assert top1_discrepancy(data, params) == pytest.approx(want_top1, abs=1e-12)
-    want_paired = chi2_paired(paired_comparisons(data), pbar)
-    assert paired_discrepancy(data, params) == pytest.approx(want_paired, abs=1e-12)
+    # the plain report's observed statistics score the pooled unit counts
+    # at each kept draw's weight-averaged marginal supports
+    data, chain, want = _observed_case(21)
+    plain = _ppchecks(data, [chain], np.random.default_rng(9))[0]
+    assert not plain.conditional
+    assert np.allclose(plain.top1_obs[0], want[0, 0], rtol=1e-12, atol=0)
+    assert np.allclose(plain.paired_obs[0], want[0, 1], rtol=1e-12, atol=0)
 
 
 def test_replicates_preserve_depths():
@@ -177,23 +190,36 @@ def test_ppcheck_values_and_determinism():
 
 
 def test_ppcheck_conditional_stratifies():
-    rng = np.random.default_rng(2)
-    mat, depths = random_partial_matrix(rng, 100, 4)
-    data = Dataset.from_orderings(mat)
-    chain = gibbs_run(data, 1, n_iter=40, n_burn=20, rng=5)
-    cond = ppcheck_cond(data, [chain], np.random.default_rng(11))
-    assert cond.conditional
     # observed statistic at each draw is the sum over depth strata of the
     # per-stratum discrepancies at that draw's parameters
-    P3 = chain.supports_3d()
-    l = 7
-    p = P3[l] / P3[l].sum(axis=1, keepdims=True)
-    params = MixtureParams(p, chain.W[l])
-    want = 0.0
-    for m in np.unique(data.nranked):
-        sub = Dataset.from_orderings(data.orderings[data.nranked == m])
-        want += top1_discrepancy(sub, params)
-    assert cond.top1_obs[0][l] == pytest.approx(want, abs=1e-10)
+    data, chain, want = _observed_case(2)
+    cond = ppcheck_cond(data, [chain], np.random.default_rng(11))
+    assert cond.conditional
+    assert np.allclose(cond.top1_obs[0], want[1, 0], rtol=1e-12, atol=0)
+    assert np.allclose(cond.paired_obs[0], want[1, 1], rtol=1e-12, atol=0)
+
+
+def test_observed_counts_leave_the_stage_index_unbuilt():
+    # summarize's paired comparisons and ppcheck's strata count the raw
+    # rows' filled orderings without the engine's stage index (Dataset._stages,
+    # whose item-to-cell index is as large as the data); their counts are the
+    # units' counts, per depth and pooled
+    rng = np.random.default_rng(8)
+    mat, depth = random_partial_matrix(rng, 200, 6)
+    counts = rng.integers(1, 9, size=200)
+    data = Dataset.from_orderings(mat, counts)
+    summ = rank_summaries(data)
+    assert np.array_equal(summ.pairedcomparisons, _unit_counts(mat, counts)[1])
+    strata, _ = _strata(data)
+    assert [s.depth for s in strata] == np.unique(depth).tolist()
+    for s in strata:
+        top1, tau = _unit_counts(mat[depth == s.depth], counts[depth == s.depth])
+        assert np.array_equal(s.observed[0], top1)
+        assert np.array_equal(s.observed[1], tau)
+    chain = gibbs_run(data, 1, n_iter=12, n_burn=2, rng=1)
+    _ppchecks(data, [chain], np.random.default_rng(3))
+    assert "_stages" not in vars(data)
+    assert "_stages" in vars(data.patterns.rows)
 
 
 def test_ppcheck_multiple_chains_and_validation():

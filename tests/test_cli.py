@@ -396,6 +396,47 @@ def test_parallel_runs_byte_identical(tmp_path, monkeypatch, pool_starts):
     assert pool_starts == [2, 2]
 
 
+def _censored_input(path, n, K, shares, seed):
+    """Ordering CSV of n units drawn from the uniform mixture over K items,
+    censored to top-m with probability shares[m] (depth K: complete)."""
+    from plrank import Dataset, MixtureParams, make_partial, sample_mixture
+
+    rng = np.random.default_rng(seed)
+    _, data = sample_mixture(n, K, 1, MixtureParams.uniform(1, K), rng)
+    probcens = np.zeros(K - 1)
+    for m, share in shares.items():
+        probcens[K - 2 if m == K else m - 1] = share
+    data, _ = make_partial(data, probcens=probcens, rng=rng)
+    np.savetxt(path, data.orderings, fmt="%d", delimiter=",")
+    return ["--input", path, "--format", "ordering"]
+
+
+def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
+    # wide-shaped data (K=10, ~5,000 distinct rows) at the benchmark's EM cap
+    # of 30 for 2 starts at G=4 are too little work for a pool; ballot-shaped
+    # data (K=5, 205 distinct rows) at the defaults (G=1..3, one start, cap
+    # 400 G) are enough, as are fit-map and fit-gibbs on n=20000, K=8 data
+    wide = _censored_input(tmp_path / "wide.csv", 6000, 10,
+                           {3: 0.25, 5: 0.25, 7: 0.25, 10: 0.25}, 1)
+    assert run(["fit-map", *wide, "--G", 4, "--n-start", 2, "--max-iter", 30,
+                "--seed", 1, "--parallel", 2, "--out", tmp_path / "w"]) == 0
+    assert pool_starts == []
+    ballot = _censored_input(tmp_path / "ballot.csv", 15449, 5,
+                             {1: 0.35, 2: 0.20, 3: 0.07, 5: 0.38}, 2)
+    assert run(["fit-map", *ballot, "--G", 1, "--G-max", 3, "--seed", 1,
+                "--parallel", 2, "--out", tmp_path / "b"]) == 0
+    assert pool_starts == [2]
+    run(["simulate", "--n", 20000, "--K", 8, "--G", 2, "--seed", 1,
+         "--out", tmp_path / "big"])
+    big = ["--input", tmp_path / "big" / "orderings.csv", "--format", "ordering",
+           "--G", 1, "--G-max", 2, "--parallel", 2]
+    assert run(["fit-map", *big, "--n-start", 3, "--max-iter", 50, "--seed", 2,
+                "--out", tmp_path / "bf"]) == 0
+    assert run(["fit-gibbs", *big, "--n-iter", 60, "--n-burn", 10, "--seed", 3,
+                "--init-from", tmp_path / "bf", "--out", tmp_path / "bg"]) == 0
+    assert pool_starts == [2, 2, 2]
+
+
 def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
     # the default is the CPUs this process may run on, not the host's
     from plrank import em

@@ -226,9 +226,10 @@ def test_multistart_parallel_under_spawn(monkeypatch, pool_starts):
 
 
 def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
-    # work = distinct-row cells x component-steps, the steps of 3 starts at
-    # G=2 being 3 x 2 x max_iter; the cap bounds the work, and these fits
-    # converge long before it
+    # work = (distinct-row cells + the per-step price) x component-steps,
+    # the steps of 3 starts at G=1 being 3 x max_iter; the cap bounds the
+    # work, and these fits converge long before it (at G=2 one start of
+    # these data runs past the ~900 iterations where the gate flips)
     import concurrent.futures
 
     from plrank import em
@@ -236,13 +237,13 @@ def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
     rng = np.random.default_rng(6)
     mat, _ = random_partial_matrix(rng, 40, 4)
     data = Dataset.from_orderings(mat)
-    cells = data.patterns.rows.orderings.size
-    above = -(-em._POOL_MIN_WORK // (6 * cells))
+    price = data.patterns.rows.orderings.size + em._STEP_CELLS
+    above = -(-em._POOL_MIN_WORK // (3 * price))
     below = above - 1
-    assert cells * 6 * below < em._POOL_MIN_WORK <= cells * 6 * above
+    assert price * 3 * below < em._POOL_MIN_WORK <= price * 3 * above
 
     def fits(max_iter):
-        return fit_map_multistart(data, 2, 3, max_iter=max_iter,
+        return fit_map_multistart(data, 1, 3, max_iter=max_iter,
                                   rng=np.random.default_rng(9), n_jobs=2)
 
     pooled = fits(above)
@@ -259,17 +260,30 @@ def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
     assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
 
 
-def test_small_fit_never_imports_the_pool():
+def test_small_fit_never_imports_the_pool(tmp_path):
+    # 3 rows at the default cap, and the CLI's fit-map (2 G values x 3
+    # starts) and fit-gibbs (2 chains) on n=200, K=4 data, all at 2 workers
+    sim, fit, gibbs = (str(tmp_path / d) for d in ("sim", "fit", "gibbs"))
     code = (
         "import sys, numpy as np\n"
         "from plrank import Dataset, fit_map_multistart\n"
+        "from plrank.cli import main\n"
         "data = Dataset.from_orderings(np.array([[1, 2, 3], [2, 1, 3], [3, 1, 2]]))\n"
         "fit_map_multistart(data, 2, 3, rng=np.random.default_rng(1), n_jobs=2)\n"
+        f"sim, fit, gibbs = {sim!r}, {fit!r}, {gibbs!r}\n"
+        "assert main([*'simulate --n 200 --K 4 --G 2 --seed 1 --out'.split(), sim]) == 0\n"
+        "src = ['--input', sim + '/orderings.csv', '--format', 'ordering',\n"
+        "       '--G', '1', '--G-max', '2', '--parallel', '2']\n"
+        "fit_args = '--n-start 3 --max-iter 50 --seed 2 --out'.split()\n"
+        "assert main(['fit-map', *src, *fit_args, fit]) == 0\n"
+        "gibbs_args = '--n-iter 60 --n-burn 10 --seed 3 --init-from'.split()\n"
+        "assert main(['fit-gibbs', *src, *gibbs_args, fit, '--out', gibbs]) == 0\n"
         "print('concurrent.futures.process' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # the last line, after the CLI's own reports
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_centered_start_runs():
@@ -283,6 +297,23 @@ def test_centered_start_runs():
     )
     assert fit.converged
     assert np.isfinite(fit.log_post)
+
+
+def test_centered_start_reads_stage_zero():
+    # weighted partial data: the centered start jitters the first-place
+    # shares that the stage-0 counts of the distinct rows give, which are
+    # the units' first places
+    from plrank.em import _draw_centered_init
+
+    rng = np.random.default_rng(21)
+    mat, _ = random_partial_matrix(rng, 300, 6)
+    counts = rng.integers(1, 50, size=300)
+    data = Dataset.from_orderings(mat, counts)
+    N = data.n_units
+    first = np.bincount(mat[:, 0] - 1, weights=counts, minlength=6)
+    init = _draw_centered_init(np.random.default_rng(3), data, 2)
+    jitter = np.random.default_rng(3).uniform(0.5, 1.5, (2, 6))
+    assert np.allclose(init.supports / jitter, first / N + 0.5 / N, rtol=1e-14, atol=0)
 
 
 def test_degenerate_data_warns_and_floors():

@@ -14,18 +14,26 @@ from plrank import (
     sample_mixture,
 )
 from plrank import gibbs
-from plrank.gibbs import _categorical, _support_conditional, stage_rates
+from plrank.gibbs import _categorical, _support_conditional
+from plrank.model import _stage_table
 from oracles import in_engine_order, random_partial_matrix, support_conditional_direct
 
 
-def test_stage_rates_hand():
-    rates = stage_rates(np.array([2, 3, 1]), np.array([0.3, 0.5, 0.2]))
+def _single_row_rates(row, p):
+    """One unit's stage-time rates: the remaining support mass before each
+    of its ranked stages, from _stage_table on a one-row dataset."""
+    data = Dataset.from_orderings(np.asarray(row)[None, :])
+    return _stage_table(data, np.asarray(p)[None, :])[1][: data.nranked[0], 0, 0]
+
+
+def test_stage_remainders_hand():
+    rates = _single_row_rates(np.array([2, 3, 1]), np.array([0.3, 0.5, 0.2]))
     assert np.allclose(rates, [1.0, 0.5, 0.3], atol=1e-15)
-    rates = stage_rates(np.array([2, 0, 0]), np.array([0.3, 0.5, 0.2]))
+    rates = _single_row_rates(np.array([2, 0, 0]), np.array([0.3, 0.5, 0.2]))
     assert np.allclose(rates, [1.0], atol=1e-15)
-    rates = stage_rates((1, 2, 3), np.array([1.0, 1e-17, 1e-17]))
+    rates = _single_row_rates((1, 2, 3), np.array([1.0, 1e-17, 1e-17]))
     assert np.allclose(rates, [1.0, 2e-17, 1e-17], rtol=1e-12, atol=0)
-    rates = stage_rates((1, 2, 0, 0), np.array([1.0, 1e-17, 1e-17, 1e-17]))
+    rates = _single_row_rates((1, 2, 0, 0), np.array([1.0, 1e-17, 1e-17, 1e-17]))
     assert np.allclose(rates, [1.0, 3e-17], rtol=1e-12, atol=0)
 
 

@@ -39,7 +39,6 @@ from plrank.data import (
 )
 from plrank.errors import ValidationError
 from plrank.fileio import _matrix, _matrix_by_line, parse_preflib_text
-from plrank.gibbs import stage_rates
 from plrank.model import (
     _availability_sums,
     _log_mixture,
@@ -100,28 +99,35 @@ def test_component_loglik_matches_oracle(case):
             assert abs(got[s, g] - want) <= 1e-12 * max(scale, 1.0)
 
 
+def _single_row_rates(row, p):
+    """One unit's stage-time rates from _stage_table on a one-row dataset:
+    the remaining support mass before each of its ranked stages."""
+    data = Dataset.from_orderings(row[None, :])
+    return _stage_table(data, p[None, :])[1][: data.nranked[0], 0, 0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ordering_and_supports(), st.randoms(use_true_random=False))
-def test_sweep_rates_equal_stage_rates(case, rnd):
+def test_sweep_rates_equal_one_row_tables(case, rnd):
     mat, p = case
     data = Dataset.from_orderings(mat)
     g_of_s = np.array([rnd.randrange(p.shape[0]) for _ in range(mat.shape[0])])
     # the expression the sweep draws its stage times with
     rates = _stage_table(data, p)[1][:, np.arange(mat.shape[0]), g_of_s]
     for s, row in enumerate(mat):
-        want = stage_rates(row, p[g_of_s[s]])
+        want = _single_row_rates(row, p[g_of_s[s]])
         assert np.array_equal(rates[: want.shape[0], s], want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ordering_and_supports())
-def test_stage_rates_match_oracle(case):
+def test_stage_remainders_match_oracle(case):
     mat, p = case
     for row in mat:
         items = [int(v) for v in row if v]
         for g in range(p.shape[0]):
             want = stage_remainders_direct(items, p[g])
-            got = stage_rates(row, p[g])
+            got = _single_row_rates(row, p[g])
             assert got.shape == want.shape
             assert (np.abs(got - want) <= 1e-15 * want).all()
 
@@ -510,6 +516,7 @@ def _matrix_outcome(read, path, skip, dtype):
 @example(text="1,2\r\n2,1\r\n", skip=0)  # CRLF endings
 @example(text="0" * 5000 + "1,2\n2,1\n", skip=0)  # past int()'s digit limit
 @example(text="0." + "5" * 200000 + ",2\n", skip=0)  # past the csv field limit
+@example(text='\n"0\n0', skip=2)  # a quote joining skipped and kept lines
 def test_bulk_and_per_line_parses_agree(tmp_path, dtype, text, skip):
     path = tmp_path / "matrix.csv"
     path.write_bytes(text.encode("utf-8"))
