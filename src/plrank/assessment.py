@@ -32,9 +32,10 @@ the patterns' mixture probabilities from the mixture's one scoring step
 (model._mixture_scores).
 
 Both variants share one replicate per kept draw, so the CLI's plain and
-conditional p-values come from one pass. Counts are taken per stratum;
-the plain statistics score the pooled counts, which are the integer sums
-of the stratum counts.
+conditional p-values come from one pass. Counts are taken per stratum
+and stacked with their pooled integer sums as rows [pooled, stratum
+1..S], so one call per statistic scores a draw: the plain statistic is
+row 0, the conditional one the sum of rows 1..S.
 """
 
 from __future__ import annotations
@@ -57,20 +58,23 @@ from .model import _mixture_race, _mixture_scores
 _Stratum = namedtuple("_Stratum", "depth size observed rows")
 
 
-def chi2_top1(r: np.ndarray, N: int, pbar: np.ndarray) -> float:
-    """First-place chi-squared statistic from counts r and marginals."""
-    E = N * pbar
-    return float((((r - E) ** 2) / E).sum())
+def chi2_top1(r: np.ndarray, N, pbar: np.ndarray):
+    """First-place chi-squared statistic of each count set r[..., :] of N
+    units (N broadcasting over r's leading axes) against marginals pbar."""
+    E = np.multiply.outer(N, pbar)
+    return (((r - E) ** 2) / E).sum(axis=-1)
 
 
-def chi2_paired(tau: np.ndarray, pbar: np.ndarray) -> float:
-    """Paired-preference chi-squared from a decided-comparison matrix."""
-    n = tau + tau.T
+def chi2_paired(tau: np.ndarray, pbar: np.ndarray):
+    """Paired-preference chi-squared of each decided-comparison matrix
+    tau[..., :, :], summed over its decided cells, n_ij > 0. A diagonal
+    cell adds an exact zero: its expectation n_ii / 2 is tau_ii."""
+    n = tau + np.swapaxes(tau, -1, -2)
     Pi = pbar[:, None]
-    E = n * (Pi / (Pi + pbar[None, :]))
-    cells = (n > 0) & ~np.eye(tau.shape[0], dtype=bool)
+    E = n * (Pi / (Pi + pbar))
     dev = tau - E
-    return float(((dev * dev)[cells] / E[cells]).sum())
+    terms = np.divide(dev * dev, E, out=np.zeros(E.shape), where=n > 0)
+    return terms.sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,25 +148,20 @@ def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
 
 def _check_one_chain(strata, table, chain: GibbsChain, rng):
     """(2, 4, n_kept) statistics of one chain, plain then conditional, each
-    holding top1 obs/rep and paired obs/rep, from one replicate per draw."""
-    obs_r, obs_tau = zip(*(s.observed for s in strata))
-    sizes = [s.size for s in strata]
-    N = sum(sizes)
+    holding top1 obs/rep and paired obs/rep, from one replicate per draw.
+    Observed and replicated counts stack as rows [pooled, stratum 1..S];
+    each row's N is its top-1 total, as every unit ranks one item first."""
+    r = np.zeros((2, len(strata) + 1, chain.n_items), dtype=np.int64)
+    tau = np.zeros((*r.shape, chain.n_items), dtype=np.int64)
+    r[0, 1:], tau[0, 1:] = zip(*(s.observed for s in strata))
     stats = np.zeros((2, 4, chain.n_kept))
     for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
         p = p / p.sum(axis=1, keepdims=True)
         pbar = w @ p
-        rep_r, rep_tau = zip(*_replicate_counts(strata, table, p, w, rng))
-        pooled = [(sum(obs_r), sum(rep_r), sum(obs_tau), sum(rep_tau), N)]
-        per_stratum = zip(obs_r, rep_r, obs_tau, rep_tau, sizes)
-        for k, groups in enumerate((pooled, per_stratum)):
-            for r_o, r_x, tau_o, tau_x, n in groups:
-                stats[k, :, l] += (
-                    chi2_top1(r_o, n, pbar),
-                    chi2_top1(r_x, n, pbar),
-                    chi2_paired(tau_o, pbar),
-                    chi2_paired(tau_x, pbar),
-                )
+        r[1, 1:], tau[1, 1:] = zip(*_replicate_counts(strata, table, p, w, rng))
+        r[:, 0], tau[:, 0] = r[:, 1:].sum(axis=1), tau[:, 1:].sum(axis=1)
+        x = np.concatenate((chi2_top1(r, r.sum(axis=-1), pbar), chi2_paired(tau, pbar)))
+        stats[:, :, l] = x[:, 0], x[:, 1:].sum(axis=1)
     return stats
 
 

@@ -346,7 +346,7 @@ def read_chain_csv(path) -> GibbsChain:
     if arr.shape[1] != len(expect):
         raise ValidationError(f"{path}: rows do not match the header")
     P, W = arr[:, : G * K], arr[:, G * K : G * K + G]
-    _check_mixture_arrays(P, W, f"{path}: ")
+    _check_mixture_arrays(P.reshape(-1, G, K), W, f"{path}: ")
     if not np.isfinite(arr[:, -2:]).all():
         raise ValidationError(f"{path}: log_lik and deviance must be finite")
     return GibbsChain(

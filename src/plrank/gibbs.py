@@ -172,8 +172,9 @@ def gibbs_run(
         p = rng.uniform(0.01, 1.0, (G, K))
     else:
         p = np.array(init["p"], dtype=np.float64)
-        if p.shape != (G, K) or (p <= 0).any() or not np.isfinite(p).all():
-            raise ValidationError("init p must be G x K positive supports")
+        with np.errstate(over="ignore"):
+            if p.shape != (G, K) or (p <= 0).any() or not np.isfinite(p.sum(axis=1)).all():
+                raise ValidationError("init p must be G x K positive supports")
     z = init.get("z")
     if z is None:
         z = rng.integers(1, G + 1, size=N)

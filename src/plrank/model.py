@@ -88,10 +88,14 @@ class MixtureParams:
 
 
 def _check_mixture_arrays(p: np.ndarray, w: np.ndarray, where: str = "") -> None:
-    """Supports p must be positive and finite, weights w nonnegative with
-    each row (last axis) summing to 1 within 1e-12; NaN fails both."""
+    """Supports p must be positive and finite with each row's (last axis)
+    sum finite, the total mass of its stage table; weights w nonnegative
+    with each row summing to 1 within 1e-12; NaN fails both."""
     if not ((0 < p) & (p < np.inf)).all():
         raise ValidationError(f"{where}supports must be positive and finite")
+    with np.errstate(over="ignore"):
+        if not (p.sum(axis=-1) < np.inf).all():
+            raise ValidationError(f"{where}each support row must have a finite sum")
     if (w < 0).any() or not (np.abs(w.sum(axis=-1) - 1.0) <= 1e-12).all():
         raise ValidationError(f"{where}weights must be nonnegative and sum to 1")
 

@@ -649,6 +649,26 @@ def test_malformed_fit_json_is_a_validation_error(
     )
 
 
+def test_extreme_support_fit_is_a_validation_error(tmp_path, capsys, fit_and_chain):
+    # each support is positive and finite, but the first row sums to
+    # infinity, the total mass of its stage table: every consumer of the
+    # fit exits 2 with one JSON line, neither a traceback nor overflow
+    # warnings
+    src, fit, chain = fit_and_chain
+    doc = json.loads(fit.read_text())
+    doc["supports"][0] = [1e308, 1e308, 1e-308]
+    bad = tmp_path / "extreme.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (
+        ["fit-gibbs", *src, "--G", 2, "--n-iter", 5, "--n-burn", 1, "--seed", 3,
+         "--init-from", bad, "--parallel", 1, "--out", tmp_path / "g"],
+        ["select", *src, "--map", bad, "--chain", chain, "--out", tmp_path / "s"],
+        ["relabel", "--chain", chain, "--pivot", bad, "--out", tmp_path / "r"],
+    ):
+        _assert_validation_exit(capsys, argv)
+
+
 def test_negative_max_iter_is_a_validation_error(tmp_path, capsys, fit_and_chain):
     src = fit_and_chain[0]
     _assert_validation_exit(

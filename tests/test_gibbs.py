@@ -136,6 +136,18 @@ def test_init_validation():
         gibbs_run(data, 1, n_iter=5, n_burn=5, rng=1)  # nothing kept
 
 
+def test_init_supports_need_finite_row_sums():
+    # 1e308 and 1e-308 are positive and finite, but the first row sums to
+    # infinity, the total mass of its stage table, which would leave the
+    # sampler's stage rates NaN
+    rng = np.random.default_rng(5)
+    mat, _ = random_partial_matrix(rng, 10, 3)
+    data = Dataset.from_orderings(mat)
+    p = np.array([[1e308, 1e308, 1e-308], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValidationError, match="init p must be G x K positive supports"):
+        gibbs_run(data, 2, init={"p": p}, n_iter=10, n_burn=0, rng=1)
+
+
 def test_empty_component_under_flat_prior_is_sampled():
     # an empty component's normalized supports are drawn from their
     # Dirichlet(c) prior, which a zero rate leaves proper

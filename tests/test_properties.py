@@ -1,7 +1,9 @@
 """Property-based checks of the stage kernel, the log mixture density, the
-ingestion round trips, the parsers on malformed input, and the bulk and
-per-line CSV parses against each other."""
+stacked chi-squared discrepancies, the ingestion round trips, the parsers
+on malformed input, and the bulk and per-line CSV parses against each
+other."""
 
+import itertools
 import math
 import os
 import tempfile
@@ -29,6 +31,7 @@ from plrank import (
     unit_to_freq,
     write_dataset,
 )
+from plrank.assessment import chi2_paired, chi2_top1
 from plrank.data import (
     _MAX_CELLS,
     _PAIR_CHUNK,
@@ -238,6 +241,53 @@ def test_order_counts_equal_rank_compare(case):
     assert top1.dtype == tau.dtype == np.int64
     assert top1.tolist() == want
     assert np.array_equal(tau, pair_counts_rank_compare(rank_positions_of(orderings, K + 1), weights))
+
+
+@st.composite
+def count_stacks(draw):
+    """A stack of 1..6 count sets over K = 2..10 items, some all zero: top-1
+    counts with unit totals N >= 1, pair-count matrices with undecided
+    pairs and nonzero diagonals, and positive marginals pbar."""
+    K, n = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    cells = st.lists(st.one_of(st.just(0), st.integers(1, 60)), min_size=K, max_size=K)
+    r = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.int64)
+    tau = np.array(
+        draw(st.lists(st.lists(cells, min_size=K, max_size=K), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    zero = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    r[zero], tau[zero] = 0, 0
+    N = np.array(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
+    pbar = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=K, max_size=K)))
+    return r, N, tau, pbar / pbar.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_stacks())
+def test_stacked_chi2_equals_per_set_calls_and_explicit_sums(case):
+    # one call on a stack of count sets scores each set bit for bit as a
+    # call on that set alone does, and as explicit sums: over items for
+    # top-1, over ordered pairs i != j with n_ij > 0 for paired
+    r, N, tau, pbar = case
+    K = pbar.size
+    top1, paired = chi2_top1(r, N, pbar), chi2_paired(tau, pbar)
+    assert np.array_equal(top1, [chi2_top1(x, m, pbar) for x, m in zip(r, N)])
+    assert np.array_equal(paired, [chi2_paired(x, pbar) for x in tau])
+    want_top1 = [
+        sum((x[i] - m * pbar[i]) ** 2 / (m * pbar[i]) for i in range(K))
+        for x, m in zip(r, N)
+    ]
+    want_paired = []
+    for x in tau:
+        total = 0.0
+        for i, j in itertools.permutations(range(K), 2):
+            n_ij = x[i, j] + x[j, i]
+            if n_ij > 0:
+                e = n_ij * pbar[i] / (pbar[i] + pbar[j])
+                total += (x[i, j] - e) ** 2 / e
+        want_paired.append(total)
+    assert np.allclose(top1, want_top1, rtol=1e-12, atol=0)
+    assert np.allclose(paired, want_paired, rtol=1e-12, atol=0)
 
 
 def test_order_counts_span_row_blocks():
