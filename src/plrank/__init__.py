@@ -17,11 +17,7 @@ from .assessment import PpcheckReport, ppcheck, ppcheck_cond
 from .data import (
     Dataset,
     FreqTable,
-    PartialOrdering,
-    PartialRanking,
     RankSummaries,
-    SufficientStats,
-    available_items,
     binary_group_ind,
     freq_to_unit,
     make_complete,
@@ -29,7 +25,6 @@ from .data import (
     ord_rank_switch,
     paired_comparisons,
     rank_summaries,
-    sufficient_stats,
     unit_to_freq,
 )
 from .em import (
@@ -72,15 +67,11 @@ __all__ = [
     "MixtureParams",
     "NormalizedParams",
     "NumericalError",
-    "PartialOrdering",
-    "PartialRanking",
     "PpcheckReport",
     "RankSummaries",
     "RelabeledChain",
     "SelectionReport",
-    "SufficientStats",
     "ValidationError",
-    "available_items",
     "bic",
     "binary_group_ind",
     "em_step",
@@ -106,7 +97,6 @@ __all__ = [
     "read_sequence_csv",
     "sample_mixture",
     "selection_criteria",
-    "sufficient_stats",
     "unit_to_freq",
     "write_chain_csv",
     "write_dataset",

@@ -10,6 +10,10 @@ nonzero entries of an ordering form a prefix and the nonzero ranks form
 rows are normalized to complete at ingestion and observed depths live in
 {1, ..., K-2, K}.
 Row r of a dataset stands for counts[r] identical units.
+
+Dataset is the one row type: a single unit is a one-row Dataset, its
+ranking view is ord_rank_switch or to_rank_positions(missing=0), and its
+prefix indicators and their unit totals are the fields u and gamma.
 """
 
 from __future__ import annotations
@@ -181,41 +185,6 @@ def _complete_penultimate(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class PartialOrdering:
-    """One unit's ordering: items best to worst, zero-padded tail."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = validate_ordering_matrix(self.entries)[0]
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n_ranked(self) -> int:
-        return int((self.entries != 0).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class PartialRanking:
-    """One unit's ranking: position per item, zero for unranked."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = validate_ranking_matrix(self.entries)[0]
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n_ranked(self) -> int:
-        return int((self.entries != 0).sum())
-
-    def to_ordering(self) -> PartialOrdering:
-        return PartialOrdering(ord_rank_switch(self.entries, RANKING)[0])
-
-
 # Dataset.patterns: the distinct rows (a Dataset counting each row's units)
 # and the distinct-row index of each row of the dataset
 Patterns = namedtuple("Patterns", "rows index")
@@ -310,35 +279,11 @@ class Dataset:
     def is_complete(self) -> bool:
         return bool((self.nranked == self.n_items).all())
 
-    def row(self, s: int) -> PartialOrdering:
-        return PartialOrdering(self.orderings[s])
-
-    def rankings(self) -> np.ndarray:
-        return ord_rank_switch(self.orderings, ORDERING)
-
     def to_rank_positions(self, missing: int | None = None) -> np.ndarray:
         """Rank of each item per unit, unranked coded as `missing` (default K+1)."""
         if missing is None:
             missing = self.n_items + 1
         return rank_positions_of(self.orderings, missing)
-
-
-def available_items(ordering_row) -> "list[np.ndarray]":
-    """Per-stage choice sets for one ordering row.
-
-    Returns, for each stage t = 1..n_s, the 0-based indices of items still
-    available when the stage-t choice is made (everything not picked at an
-    earlier stage). This materializes the stagewise selection structure on
-    demand; nothing in the package stores it densely.
-    """
-    row = validate_ordering_matrix(ordering_row)[0]
-    K = row.shape[0]
-    pools = []
-    taken: set[int] = set()
-    for t in range(int((row != 0).sum())):
-        pools.append(np.array(sorted(set(range(K)) - taken), dtype=np.int64))
-        taken.add(int(row[t]) - 1)
-    return pools
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,7 +480,9 @@ def _depth_counts(data: Dataset):
     depth m, and the (top-1, pair) counts of their units (_order_counts).
     Every observed count is a sum of these."""
     items = _stage_items(data)
-    for m in np.unique(data.nranked).tolist():
+    # every depth is at least 1, so the nonzero bins are the observed
+    # depths; np.unique would import numpy.ma on its first call
+    for m in np.flatnonzero(np.bincount(data.nranked)).tolist():
         rows = data.nranked == m
         yield m, rows, _order_counts(items[:, rows], m, data.counts[rows])
 
@@ -594,20 +541,3 @@ def binary_group_ind(labels, G: int) -> np.ndarray:
         raise ValidationError(f"labels must lie in 1..{G}")
     return np.eye(G, dtype=np.int64)[lab - 1]
 
-
-@dataclass(frozen=True, eq=False)
-class SufficientStats:
-    """Membership indicators u (rows x K) and per-item unit totals gamma (K,)."""
-
-    u: np.ndarray
-    gamma: np.ndarray
-
-
-def sufficient_stats(data: Dataset) -> SufficientStats:
-    """Binary prefix-membership matrix and its column sums over units.
-
-    The stagewise availability indicators are intentionally not stored;
-    use available_items on a row to materialize the per-stage choice sets
-    when needed.
-    """
-    return SufficientStats(u=data.u.copy(), gamma=data.gamma.copy())

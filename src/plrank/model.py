@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PartialOrdering, _race, validate_ordering_matrix
+from .data import Dataset, _race, validate_ordering_matrix
 from .errors import ValidationError
 
 
@@ -174,10 +174,7 @@ def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
 
 def pl_prob(ordering, supports) -> float:
     """Probability of one partial ordering under a single support vector."""
-    if isinstance(ordering, PartialOrdering):
-        row = ordering.entries
-    else:
-        row = validate_ordering_matrix(ordering)[0]
+    row = validate_ordering_matrix(ordering)[0]
     p = np.asarray(supports, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] != row.shape[0]:
         raise ValidationError("supports must be a length-K vector")

@@ -520,6 +520,34 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_ppcheck_leaves_numpy_ma_out(tmp_path):
+    # mixed depths, so the observed counts take one pass per depth; numpy's
+    # unique would import numpy.ma, which no stage needs
+    rng = np.random.default_rng(8)
+    mat = np.array([rng.permutation(4) + 1 for _ in range(60)])
+    mat[:40, 1:] = 0
+    src = tmp_path / "mixed.csv"
+    np.savetxt(src, mat, fmt="%d", delimiter=",")
+    gibbs = tmp_path / "gibbs"
+    src_args = ["--input", str(src), "--format", "ordering"]
+    gibbs_args = "--G 1 --n-iter 30 --n-burn 10 --seed 1 --parallel 1 --out".split()
+    assert run(["fit-gibbs", *src_args, *gibbs_args, gibbs]) == 0
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; from plrank.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)",
+            "ppcheck", *src_args, "--chain", str(gibbs / "chain_G1.csv"),
+            "--seed", "2", "--out", str(tmp_path / "ppcheck"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the last line, after the CLI's own report
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "fmt, text",
     [

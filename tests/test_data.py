@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import plrank
+import plrank.data
 from plrank import (
     Dataset,
     FreqTable,
     ValidationError,
-    available_items,
     binary_group_ind,
     freq_to_unit,
     make_complete,
@@ -13,10 +14,68 @@ from plrank import (
     ord_rank_switch,
     paired_comparisons,
     rank_summaries,
-    sufficient_stats,
     unit_to_freq,
 )
 from oracles import paired_counts_direct, random_partial_matrix
+
+
+def test_public_api():
+    assert sorted(plrank.__all__) == [
+        "Dataset",
+        "FreqTable",
+        "GibbsChain",
+        "Hyperparams",
+        "MapFit",
+        "MixtureParams",
+        "NormalizedParams",
+        "NumericalError",
+        "PpcheckReport",
+        "RankSummaries",
+        "RelabeledChain",
+        "SelectionReport",
+        "ValidationError",
+        "bic",
+        "binary_group_ind",
+        "em_step",
+        "fit_map",
+        "fit_map_multistart",
+        "freq_to_unit",
+        "gibbs_run",
+        "init_from_map",
+        "make_complete",
+        "make_partial",
+        "mixture_loglik",
+        "mixture_logliks_per_unit",
+        "ord_rank_switch",
+        "paired_comparisons",
+        "pl_prob",
+        "ppcheck",
+        "ppcheck_cond",
+        "pra_relabel",
+        "rank_summaries",
+        "read_chain_csv",
+        "read_dataset",
+        "read_map_json",
+        "read_sequence_csv",
+        "sample_mixture",
+        "selection_criteria",
+        "unit_to_freq",
+        "write_chain_csv",
+        "write_dataset",
+        "write_map_json",
+        "write_sequence_csv",
+    ]
+    assert all(getattr(plrank, name) is not None for name in plrank.__all__)
+    # Dataset is the one row type: its single-row wrappers and copies are gone
+    for name in (
+        "PartialOrdering",
+        "PartialRanking",
+        "SufficientStats",
+        "available_items",
+        "sufficient_stats",
+    ):
+        assert not hasattr(plrank, name) and not hasattr(plrank.data, name)
+    assert not hasattr(Dataset, "row") and not hasattr(Dataset, "rankings")
 
 
 def test_switch_hand_complete():
@@ -78,8 +137,7 @@ def test_dataset_accessors():
     assert data.n_units == 3 and data.n_items == 3
     assert not data.is_complete
     assert data.nranked.tolist() == [3, 1, 3]
-    row = data.row(1)
-    assert row.entries.tolist() == [1, 0, 0] and row.n_ranked == 1
+    assert data.orderings[1].tolist() == [1, 0, 0] and data.nranked[1] == 1
     ranks = data.to_rank_positions()
     assert ranks.tolist() == [[1, 2, 3], [1, 4, 4], [3, 1, 2]]
     assert data.to_rank_positions(missing=0).tolist() == [
@@ -87,15 +145,25 @@ def test_dataset_accessors():
         [1, 0, 0],
         [3, 1, 2],
     ]
-    assert data.rankings().tolist() == [[1, 2, 3], [1, 0, 0], [3, 1, 2]]
+    assert ord_rank_switch(data, "ordering").tolist() == [
+        [1, 2, 3],
+        [1, 0, 0],
+        [3, 1, 2],
+    ]
 
 
-def test_available_items_hand():
-    # pools are 0-based item indices still unchosen at each stage
-    pools = available_items(np.array([2, 3, 1]))
-    assert [p.tolist() for p in pools] == [[0, 1, 2], [0, 2], [0]]
-    pools = available_items(np.array([2, 0, 0]))
-    assert [p.tolist() for p in pools] == [[0, 1, 2]]
+def test_stages_hand():
+    # rows [2, 3, 1] and [2, 0, 0], already in the engine's descending-depth
+    # order: 0-based items stage by stage, the depth-1 row's unranked items
+    # 0 and 2 filling its pad in ascending order
+    data = Dataset.from_orderings(np.array([[2, 3, 1], [2, 0, 0]]))
+    items, ends, at = data._stages
+    assert items.tolist() == [[1, 1], [2, 0], [0, 2]]
+    # both rows choose at stage 1, only the first at stages 2 and 3
+    assert ends == (2, 1, 1)
+    # at[s, i] = t * 2 + s, the flat cell holding item i in row s
+    assert at.tolist() == [[4, 0, 2], [3, 1, 5]]
+    assert all(items.ravel()[at[s, i]] == i for s in range(2) for i in range(3))
 
 
 def test_freq_round_trip_and_order():
@@ -253,14 +321,20 @@ def test_sufficient_stats():
     rng = np.random.default_rng(19)
     mat, depths = random_partial_matrix(rng, 60, 5)
     data = Dataset.from_orderings(mat)
-    st = sufficient_stats(data)
     u = np.zeros((60, 5), dtype=np.int64)
     for s in range(60):
         for t in range(depths[s]):
             u[s, mat[s, t] - 1] = 1
-    assert np.array_equal(st.u, u)
-    assert np.array_equal(st.gamma, u.sum(axis=0))
-    assert st.gamma.sum() == depths.sum()
+    assert np.array_equal(data.u, u)
+    assert np.array_equal(data.gamma, u.sum(axis=0))
+    assert data.gamma.sum() == depths.sum()
+    # counted rows: gamma totals units, so each row's indicators count
+    # counts[s] times
+    counts = rng.integers(1, 9, size=60)
+    counted = Dataset.from_orderings(mat, counts)
+    assert np.array_equal(counted.u, u)
+    assert np.array_equal(counted.gamma, counts @ u)
+    assert counted.gamma.sum() == counts @ depths
 
 
 def test_binary_group_ind():
