@@ -448,8 +448,15 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     sub.add_argument("--config", default=None, help="JSON config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 as one JSON line (subparsers share the class)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plrank",
         description="Finite Plackett-Luce mixtures for partial top rankings",
     )
@@ -499,9 +506,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         opts = _Options(args)
         return _COMMANDS[args.command](opts)
     except ValidationError as e:

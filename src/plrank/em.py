@@ -188,20 +188,17 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
 class MapFit:
     """Result of a MAP / ML fit.
 
-    supports rows are normalized to sum 1 for reporting; supports_raw
-    keeps the final unnormalized state (meaningful when rate > 0).
-    responsibilities and labels have one row per dataset row, shared by
-    its counts[s] units, so they give the same component sizes as one
-    label per unit.
+    supports rows are normalized to sum 1; em_step returns the
+    unnormalized iterate. responsibilities have one row per dataset row,
+    shared by its counts[s] units, so they give the same component sizes
+    as one label per unit; labels is their 1-based argmax.
     log_post_trace holds the log posterior at the initial point and after
     every iteration, up to an additive constant.
     """
 
     supports: np.ndarray
     weights: np.ndarray
-    supports_raw: np.ndarray
     responsibilities: np.ndarray
-    labels: np.ndarray
     log_post_trace: np.ndarray
     log_lik: float
     converged: bool
@@ -214,6 +211,10 @@ class MapFit:
     @property
     def n_components(self) -> int:
         return self.supports.shape[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.argmax(self.responsibilities, axis=1) + 1
 
     @property
     def log_post(self) -> float:
@@ -252,7 +253,6 @@ def fit_map(
     max_iter: int | None = None,
     tol: float = DEFAULT_TOL,
     rng=None,
-    K: int | None = None,
 ) -> MapFit:
     """Fit a G-component mixture by EM ascent of the log posterior.
 
@@ -266,7 +266,6 @@ def fit_map(
         max_iter: iteration cap, default 400 * G.
         tol: stop when the log posterior moves less than this.
         rng: numpy Generator used only to draw a missing init.
-        K: optional cross-check on the number of items.
 
     Returns:
         MapFit with normalized supports, responsibilities and labels at
@@ -275,8 +274,6 @@ def fit_map(
     """
     if G < 1:
         raise ValidationError("G must be >= 1")
-    if K is not None and K != data.n_items:
-        raise ValidationError(f"data has {data.n_items} items, not {K}")
     if hyper is None:
         hyper = Hyperparams.flat(G, data.n_items)
     if hyper.n_components != G or hyper.shape.shape[1] != data.n_items:
@@ -315,15 +312,11 @@ def fit_map(
         p, w = _m_step(pat.rows, hyper, zhat, rem)
         n_done = it + 1
 
-    zhat = zhat[pat.index]
-    labels = np.argmax(zhat, axis=1) + 1
     fit_bic = bic(log_lik, data.n_items, G, data.n_units) if hyper.is_flat else None
     return MapFit(
         supports=p / p.sum(axis=1, keepdims=True),
         weights=w.copy(),
-        supports_raw=p.copy(),
-        responsibilities=zhat,
-        labels=labels,
+        responsibilities=zhat[pat.index],
         log_post_trace=np.asarray(trace),
         log_lik=log_lik,
         converged=converged,

@@ -327,11 +327,8 @@ def write_chain_csv(path, chain) -> None:
 
 
 def read_chain_csv(path) -> GibbsChain:
-    """Load a trace CSV back into a GibbsChain.
-
-    Sweep counts are reconstructed as n_iter = kept rows, n_burn = 0; the
-    original run's bookkeeping is not stored in the CSV.
-    """
+    """Load a trace CSV back into a GibbsChain of its kept draws; the CSV
+    holds no seed, so the chain's seed is None."""
     ln, header = next(_records(path), (0, []))
     w_cols = [h for h in header if re.fullmatch(r"w_\d+", h)]
     p_cols = [h for h in header if re.fullmatch(r"p_\d+_\d+", h)]
@@ -354,9 +351,6 @@ def read_chain_csv(path) -> GibbsChain:
         W=W,
         log_lik=arr[:, -2],
         deviance=arr[:, -1],
-        n_iter=arr.shape[0],
-        n_burn=0,
-        seed=None,
     )
 
 
@@ -376,7 +370,6 @@ def map_fit_to_dict(fit: MapFit) -> dict:
         "n_items": int(fit.supports.shape[1]),
         "supports": fit.supports.tolist(),
         "weights": fit.weights.tolist(),
-        "supports_raw": fit.supports_raw.tolist(),
         "labels": fit.labels.tolist(),
         "log_post_trace": fit.log_post_trace.tolist(),
         "log_lik": float(fit.log_lik),
@@ -405,7 +398,8 @@ def read_map_json(path) -> MapFit:
     """Load a fit written by write_map_json.
 
     Soft responsibilities are not serialized; they are reconstructed as
-    the one-hot encoding of the stored classification.
+    the one-hot encoding of the stored labels. Other keys, such as the
+    supports_raw of files from earlier versions, are ignored.
     """
     doc = _read_json(path)
     try:
@@ -421,9 +415,7 @@ def read_map_json(path) -> MapFit:
         return MapFit(
             supports=supports,
             weights=weights,
-            supports_raw=np.asarray(doc["supports_raw"], dtype=np.float64),
             responsibilities=onehot.astype(np.float64),
-            labels=np.argmax(onehot, axis=1) + 1,
             log_post_trace=np.asarray(doc["log_post_trace"], dtype=np.float64),
             log_lik=float(doc["log_lik"]),
             converged=bool(doc["converged"]),

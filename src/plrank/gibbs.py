@@ -58,15 +58,14 @@ class GibbsChain:
     P has one row per kept sweep and G*K columns, component-major
     (p_1_1 ... p_1_K, p_2_1, ...), each component block normalized to
     sum 1. W holds the weight draws, log_lik the observed-data mixture
-    log-likelihood at each kept state, deviance its -2 multiple.
+    log-likelihood at each kept state, deviance its -2 multiple, seed the
+    run's int seed if it was given one.
     """
 
     P: np.ndarray
     W: np.ndarray
     log_lik: np.ndarray
     deviance: np.ndarray
-    n_iter: int
-    n_burn: int
     seed: int | None = None
 
     @property
@@ -131,7 +130,6 @@ def gibbs_run(
     n_iter: int = DEFAULT_N_ITER,
     n_burn: int = DEFAULT_N_BURN,
     rng=None,
-    K: int | None = None,
 ) -> GibbsChain:
     """Sample the mixture posterior.
 
@@ -147,15 +145,12 @@ def gibbs_run(
             seeding a chain at a MAP fit.
         n_iter: total sweeps; n_burn: sweeps discarded from the front.
         rng: numpy Generator, or an int seed (recorded on the chain).
-        K: optional cross-check on the number of items.
 
     Returns:
         GibbsChain with n_iter - n_burn kept sweeps.
     """
     if G < 1:
         raise ValidationError("G must be >= 1")
-    if K is not None and K != data.n_items:
-        raise ValidationError(f"data has {data.n_items} items, not {K}")
     if n_iter < 1 or n_burn < 0 or n_burn >= n_iter:
         raise ValidationError("need n_iter >= 1 and 0 <= n_burn < n_iter")
     N, K = data.orderings.shape
@@ -264,7 +259,5 @@ def gibbs_run(
         W=W,
         log_lik=log_lik,
         deviance=-2.0 * log_lik,
-        n_iter=n_iter,
-        n_burn=n_burn,
         seed=int(seed) if seed is not None else None,
     )

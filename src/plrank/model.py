@@ -133,6 +133,9 @@ def _stage_table(data: Dataset, p: np.ndarray):
     """
     stages = data._stages
     rem = np.take(p.T, stages.items, axis=0)
+    # one add per stage over a contiguous slice: np.add.accumulate along
+    # axis 0 gives the same bits but ran 2-3x slower at the ballot shape
+    # (5 x 205 x 3) and 6-12x at c9 (6 x 720 x 3) and wide (10 x 5031 x 4)
     for t in range(rem.shape[0] - 2, -1, -1):
         np.add(rem[t], rem[t + 1], out=rem[t])
     log_rem = np.log(rem[0])
@@ -152,6 +155,7 @@ def _availability_sums(at: np.ndarray, x: np.ndarray) -> np.ndarray:
     Dataset._stages.at: an unranked item sits in the pad, where the
     prefix sum is already the full sum. Returns (rows, K, trailing...).
     """
+    # stage by stage as in _stage_table: np.cumsum gives the same bits, slower
     for t in range(1, x.shape[0]):
         np.add(x[t - 1], x[t], out=x[t])
     return np.take(x.reshape((-1,) + x.shape[2:]), at, axis=0)

@@ -107,7 +107,5 @@ def pra_relabel(chain, pivot) -> RelabeledChain:
         log_lik=np.asarray(chain.log_lik).copy(),
         deviance=np.asarray(chain.deviance).copy(),
         permutations=sigma,
-        n_iter=chain.n_iter,
-        n_burn=chain.n_burn,
         seed=chain.seed,
     )

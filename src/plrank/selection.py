@@ -91,7 +91,6 @@ def selection_criteria(
     deviance_traces,
     map_fits,
     data: Dataset,
-    g_values=None,
     point_estimate: str = "map",
     chains=None,
 ) -> SelectionReport:
@@ -102,13 +101,13 @@ def selection_criteria(
         map_fits: matching MapFit per candidate, used for the plug-in.
         data: the dataset the traces were sampled on (for the plug-in
             deviance and N).
-        g_values: candidate component counts; defaults to each fit's G.
         point_estimate: "map" (default), or "mean"/"median" computed from
             `chains` (relabel those chains first; flagged interpretation).
         chains: per-candidate GibbsChain, only needed for mean/median.
 
     Returns:
-        SelectionReport. complexity_ok marks candidates whose effective
+        SelectionReport, one row per fit in the given order, with G taken
+        from each fit. complexity_ok marks candidates whose effective
         complexity D_bar - D_hat is nonnegative (a failed flag usually
         means the plug-in is not the dominating mode).
     """
@@ -118,11 +117,6 @@ def selection_criteria(
         raise ValidationError("need one deviance trace per fit")
     if any(t.ndim != 1 or t.size == 0 for t in traces):
         raise ValidationError("deviance traces must be nonempty vectors")
-    if g_values is None:
-        g_values = [f.n_components for f in fits]
-    g_values = np.asarray(g_values, dtype=np.int64)
-    if g_values.shape[0] != len(traces):
-        raise ValidationError("g_values must align with the traces")
     chain_list = list(chains) if chains is not None else [None] * len(traces)
     if len(chain_list) != len(traces):
         raise ValidationError("chains must align with the traces")
@@ -139,7 +133,7 @@ def selection_criteria(
     pe = D_bar - D_hat
     logN = float(np.log(N))
     return SelectionReport(
-        g_values=g_values,
+        g_values=np.array([f.n_components for f in fits], dtype=np.int64),
         D_bar=D_bar,
         D_hat=D_hat,
         var_D=var_D,

@@ -625,7 +625,7 @@ def test_c08_relabel_half_swap():
         W[l] = w
     ll = rng.normal(-50.0, 1.0, size=L)
     chain = GibbsChain(
-        P=P, W=W, log_lik=ll, deviance=-2.0 * ll, n_iter=L, n_burn=0, seed=None
+        P=P, W=W, log_lik=ll, deviance=-2.0 * ll, seed=None
     )
     pivot = MixtureParams(base_P, base_W)
     out = pra_relabel(chain, pivot)

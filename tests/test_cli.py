@@ -805,3 +805,70 @@ def test_out_of_range_option_is_one_json_error(
     doc = json.loads(err[0])["error"]
     assert doc["type"] == "validation"
     assert named in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["fit-map", "--bogus", 1], "--bogus"), ([], "command"), (["fit-map", "--G"], "--G")],
+    ids=["unknown-flag", "no-command", "flag-without-value"],
+)
+def test_malformed_argv_is_one_json_error(capsys, argv, named):
+    capsys.readouterr()
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])["error"]
+    assert doc["type"] == "validation"
+    assert named in doc["message"]
+
+
+def test_console_help_and_bare_call():
+    # --help still prints the usage and exits 0; a bare call is an argument
+    # error like any other
+    def console(*argv):
+        cmd = [sys.executable, "-m", "plrank.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True)
+
+    for argv in (["--help"], ["fit-map", "--help"]):
+        proc = console(*argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: plrank")
+    proc = console()
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "validation"
+
+
+def test_fit_files_with_supports_raw_seed_the_same_outputs(tmp_path, fit_and_chain):
+    # fit files from earlier versions carry the unnormalized supports under
+    # supports_raw, after the weights; compact or indented, they seed the
+    # same chain and give the same selection and relabeling as the fit file
+    # written now
+    src, fit, _ = fit_and_chain
+    doc = json.loads(fit.read_text())
+    assert "supports_raw" not in doc
+    old = {}
+    for key, val in doc.items():
+        old[key] = val
+        if key == "weights":
+            old["supports_raw"] = [[3.0 * v for v in row] for row in doc["supports"]]
+    variants = {"new": fit.read_text(), "compact": json.dumps(old),
+                "indented": json.dumps(old, indent=1)}
+    outputs = {}
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        out = tmp_path / name
+        chain = out / "chain_G2.csv"
+        assert run(["fit-gibbs", *src, "--G", 2, "--n-iter", 8, "--n-burn", 2,
+                    "--seed", 3, "--init-from", path, "--parallel", 1,
+                    "--out", out]) == 0
+        assert run(["select", *src, "--map", path, "--chain", chain,
+                    "--out", out]) == 0
+        assert run(["relabel", "--chain", chain, "--pivot", path, "--out", out]) == 0
+        outputs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(outputs["new"]) == 6
+    assert outputs["compact"] == outputs["new"] == outputs["indented"]

@@ -356,7 +356,29 @@ def test_explicit_init_used():
     data = Dataset.from_orderings(mat)
     init = MixtureParams(np.array([[0.2, 0.3, 0.5]]), np.array([1.0]))
     fit = fit_map(data, 1, init=init, max_iter=0)
-    assert np.allclose(
-        fit.supports_raw[0], init.supports[0], atol=0
-    )
+    # the init sums to 1, so its normalized supports are the init itself
+    assert np.allclose(fit.supports[0], init.supports[0], atol=0)
     assert fit.n_iter_used == 0
+
+
+def test_map_fit_holds_only_what_is_read():
+    # the fit keeps normalized supports, and labels are derived from the
+    # responsibilities rather than stored beside them
+    import dataclasses
+    import inspect
+
+    from plrank import MapFit
+
+    assert [f.name for f in dataclasses.fields(MapFit)] == [
+        "supports", "weights", "responsibilities", "log_post_trace", "log_lik",
+        "converged", "n_iter_used", "bic", "hyper", "final_log_posts",
+        "best_start",
+    ]
+    assert isinstance(MapFit.labels, property)
+    rng = np.random.default_rng(13)
+    mat, _ = random_partial_matrix(rng, 25, 4)
+    fit = fit_map(Dataset.from_orderings(mat), 3, max_iter=20, rng=rng)
+    assert np.array_equal(fit.labels, np.argmax(fit.responsibilities, axis=1) + 1)
+    assert list(inspect.signature(fit_map).parameters) == [
+        "data", "G", "hyper", "init", "max_iter", "tol", "rng",
+    ]

@@ -281,3 +281,19 @@ def test_categorical_draw_has_the_responsibility_law():
             stat = (((got - n * q)[live]) ** 2 / (n * q[live])).sum()
             assert stat <= chi2.isf(1e-3, live.sum() - 1), (q, stat)
 
+
+
+def test_chain_holds_only_what_is_read():
+    # a chain holds its kept draws and seed; the sweep counts live in the
+    # CLI's meta file, as a trace CSV read back cannot know them
+    import dataclasses
+    import inspect
+
+    from plrank import GibbsChain
+
+    assert [f.name for f in dataclasses.fields(GibbsChain)] == [
+        "P", "W", "log_lik", "deviance", "seed",
+    ]
+    assert list(inspect.signature(gibbs_run).parameters) == [
+        "data", "G", "hyper", "init", "n_iter", "n_burn", "rng",
+    ]

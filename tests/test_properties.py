@@ -433,7 +433,7 @@ def test_weighted_rows_equal_their_units(case):
 
     fw = fit_map(weighted, G, hyper=hyper, init=params, max_iter=5, tol=0.0)
     fu = fit_map(units, G, hyper=hyper, init=params, max_iter=5, tol=0.0)
-    for field in ("supports_raw", "weights", "log_post_trace"):
+    for field in ("supports", "weights", "log_post_trace"):
         assert np.array_equal(getattr(fw, field), getattr(fu, field))
     assert fw.log_lik == fu.log_lik
     zw = np.repeat(fw.responsibilities, counts, axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,7 @@ def _chain_from_profiles(profiles, weights, perm_per_sweep):
         P[l] = profiles[list(perm)].reshape(-1)
         W[l] = weights[list(perm)]
     ll = np.linspace(-50.0, -49.0, L)
-    return GibbsChain(
-        P=P, W=W, log_lik=ll, deviance=-2 * ll,
-        n_iter=L, n_burn=0, seed=None,
-    )
+    return GibbsChain(P=P, W=W, log_lik=ll, deviance=-2 * ll, seed=None)
 
 
 def test_half_swapped_chain_restored():
@@ -52,7 +50,9 @@ def test_half_swapped_chain_restored():
     assert out.permutations[5:].tolist() == [[1, 0]] * 5
     # a relabeled chain is a chain: every consumer of GibbsChain takes it
     assert isinstance(out, GibbsChain)
-    assert (out.n_iter, out.n_burn, out.seed) == (chain.n_iter, chain.n_burn, chain.seed)
+    assert out.seed is chain.seed is None
+    seeded = dataclasses.replace(chain, seed=17)
+    assert pra_relabel(seeded, pivot).seed == 17
 
 
 def test_relabel_idempotent():
@@ -83,7 +83,7 @@ def test_matches_assignment_solver():
     W = rng.dirichlet(np.ones(G), size=L)
     ll = rng.normal(size=L)
     chain = GibbsChain(
-        P=P, W=W, log_lik=ll, deviance=-2 * ll, n_iter=L, n_burn=0, seed=None
+        P=P, W=W, log_lik=ll, deviance=-2 * ll, seed=None
     )
     pivot_p = rng.uniform(0.05, 1.0, size=(G, K))
     pivot_w = rng.dirichlet(np.ones(G))
@@ -133,7 +133,7 @@ def test_component_cap():
     W = np.full((L, G), 1.0 / G)
     ll = np.zeros(L)
     chain = GibbsChain(
-        P=P, W=W, log_lik=ll, deviance=-2 * ll, n_iter=L, n_burn=0, seed=None
+        P=P, W=W, log_lik=ll, deviance=-2 * ll, seed=None
     )
     pivot = MixtureParams(np.full((G, K), 0.5), np.full(G, 1.0 / G))
     with pytest.raises(ValidationError):
@@ -145,7 +145,7 @@ def _random_chain(rng, G, K, L):
     W = rng.dirichlet(np.ones(G), size=L)
     ll = rng.normal(size=L)
     chain = GibbsChain(
-        P=P, W=W, log_lik=ll, deviance=-2 * ll, n_iter=L, n_burn=0, seed=None
+        P=P, W=W, log_lik=ll, deviance=-2 * ll, seed=None
     )
     pivot_p = rng.uniform(0.05, 1.0, size=(G, K))
     return chain, MixtureParams(pivot_p, rng.dirichlet(np.ones(G)))
@@ -218,8 +218,7 @@ def test_non_finite_draws_rejected():
     W = chain.W.copy()
     W[2, 1] = np.inf
     bad = GibbsChain(
-        P=chain.P, W=W, log_lik=chain.log_lik, deviance=chain.deviance,
-        n_iter=5, n_burn=0, seed=None,
+        P=chain.P, W=W, log_lik=chain.log_lik, deviance=chain.deviance, seed=None
     )
     with pytest.raises(ValidationError):
         pra_relabel(bad, pivot)

@@ -55,7 +55,6 @@ def test_label_permutation_invariance():
         fit,
         supports=fit.supports[::-1].copy(),
         weights=fit.weights[::-1].copy(),
-        supports_raw=fit.supports_raw[::-1].copy(),
     )
     b = selection_criteria([trace], [swapped], data)
     for field in ("dic1", "dic2", "bpic1", "bpic2", "bicm1", "bicm2", "D_hat"):
@@ -120,8 +119,8 @@ def test_row_layout_and_alignment_checks():
         selection_criteria([np.array([1.0])], [f1, f2], data)
     with pytest.raises(ValidationError):
         selection_criteria([], [], data)
-    with pytest.raises(ValidationError):
-        selection_criteria([np.array([1.0])], [f1], data, g_values=[1, 2])
+    with pytest.raises(ValidationError, match="chains must align"):
+        selection_criteria([np.array([1.0])], [f1], data, chains=[None, None])
 
 
 def test_complexity_flag():
@@ -134,3 +133,17 @@ def test_complexity_flag():
     assert bool(good.complexity_ok[0])
     bad = selection_criteria([np.array([d_hat - 5, d_hat - 3])], [fit], data)
     assert not bool(bad.complexity_ok[0])
+
+
+def test_selection_takes_g_from_the_fits():
+    import inspect
+
+    assert list(inspect.signature(selection_criteria).parameters) == [
+        "deviance_traces", "map_fits", "data", "point_estimate", "chains",
+    ]
+    rng = np.random.default_rng(6)
+    mat, _ = random_partial_matrix(rng, 30, 3)
+    data = Dataset.from_orderings(mat)
+    fits = [_tiny_fit(data, 2, seed=1), _tiny_fit(data, 1)]
+    report = selection_criteria([np.array([3.0]), np.array([4.0])], fits, data)
+    assert report.g_values.tolist() == [2, 1]
