@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -21,15 +22,15 @@ import sys
 import numpy as np
 
 from . import fileio
-from .assessment import _ppchecks
 from .data import Dataset, ORDERING, RANKING, rank_summaries
-from .em import DEFAULT_TOL, Hyperparams, _best_fits, _fan_out
+from .em import DEFAULT_TOL, Hyperparams, _best_fits, _chain_steps, _fan_out
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
 from .gibbs import DEFAULT_N_BURN, DEFAULT_N_ITER, gibbs_run, init_from_map
 from .model import MixtureParams, sample_mixture
-from .relabel import pra_relabel
-from .selection import selection_criteria
+
+# assessment, selection and relabel are imported by the commands that run
+# them, so that every other stage skips compiling and loading them
 
 ENV_PREFIX = "PLRANK_"
 
@@ -303,7 +304,8 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         (G, _hyper(opts, G, data.n_items), inits[G], n_iter, n_burn, s)
         for G, s in zip(g_list, child_seeds)
     ]
-    chains = _fan_out(_gibbs_job, data, jobs, jobs_n, n_iter * sum(g_list))
+    steps = _chain_steps(g_list, n_iter)
+    chains = _fan_out(_gibbs_job, data, jobs, jobs_n, steps)
 
     for G, chain in zip(g_list, chains):
         path = os.path.join(out, f"chain_G{G}.csv")
@@ -327,6 +329,8 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
 
 
 def _cmd_select(opts: _Options) -> int:
+    from .selection import selection_criteria
+
     data = _load_data(opts)
     map_paths = opts.getlist("map", required=True)
     chain_paths = opts.getlist("chain", required=True)
@@ -361,6 +365,8 @@ def _cmd_select(opts: _Options) -> int:
 
 
 def _cmd_ppcheck(opts: _Options) -> int:
+    from .assessment import _ppchecks
+
     data = _load_data(opts)
     chain_paths = opts.getlist("chain", required=True)
     seed = _seed(opts)
@@ -382,6 +388,8 @@ def _cmd_ppcheck(opts: _Options) -> int:
 
 
 def _cmd_relabel(opts: _Options) -> int:
+    from .relabel import pra_relabel
+
     chain_paths = opts.getlist("chain", required=True)
     if len(chain_paths) != 1:
         raise ValidationError("relabel takes exactly one --chain")
@@ -428,8 +436,8 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         ),
         "parallel": dict(
             help="most worker processes (default: the CPUs this process may "
-            "run on); small fits run in this process, as a pool would cost "
-            "more than it saves"
+            "run on); jobs run in this process when the work that more "
+            "workers could save would not pay for starting a pool"
         ),
         "out": dict(help="output file or directory"),
         "to": dict(help="conversion target format"),
@@ -518,5 +526,16 @@ def main(argv=None) -> int:
         return _fail(EXIT_IO, "io", e)
 
 
+def run() -> int:
+    """The process entry point (`plrank`, `python -m plrank.cli`): main()
+    after gc.freeze(), which moves every object alive at entry (the
+    interpreter's, numpy's and plrank's start-up objects) out of the
+    collector's reach, so that neither the stage's collections nor the
+    interpreter's passes at exit scan them again. main() leaves the
+    collector as it finds it, for callers in a longer-lived process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -374,56 +374,72 @@ def _pool_call(job):
     return _pool_fn(job)
 
 
-# How _fan_out prices a job list, in cells: its component-steps times the
-# cells of the distinct rows plus _STEP_CELLS; at _POOL_MIN_WORK or more it
-# starts a pool. On a 2-core box (numpy 2.4, Python 3.11) an EM iteration at
-# G components cost ~12 ns per cell-step (wide and K=8 data, 5,000-16,000
-# distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared by its G steps:
-# 27-55 us per step at G=4, 2,200-4,600 cells' worth. A sweep costs more per
-# cell-step (20-36 ns), so a chain is priced low. Importing the pool took
-# 21-28 ms, starting and shutting down 2 workers 14-23 ms, and a whole CLI
-# stage paid ~0.06-0.12 s more at --parallel 2. Two workers save at most half
-# the work, so the pool pays from about 2 x 0.12 s / 12 ns = 20 M cells. The
-# steps are counted at the iteration cap, so a fit that converges early is
-# priced high: a larger step price would pool a fit of a few rows at the
-# default cap, which stops after a few iterations.
+# How _fan_out prices a job list, in cells: each job's component-steps times
+# the cells of the distinct rows plus _STEP_CELLS. Spread over the workers,
+# the jobs end no sooner than the largest one alone, or an equal share of
+# them all, so the workers save at most the rest; when that reaches
+# _POOL_MIN_WORK a pool starts. On a 2-core box (numpy 2.4, Python 3.11) an
+# EM iteration at G components cost ~12 ns per cell-step (wide and K=8
+# data, 5,000-16,000 distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared
+# by its G steps: 27-55 us per step at G=4, 2,200-4,600 cells' worth. A
+# sweep cost 20-36 ns per cell-step (28-35 ns on n=20000, K=8 data), so a
+# chain counts _SWEEP_STEPS steps per sweep and component, the low end.
+# Importing the pool took 21-28 ms, starting and shutting down 2 workers
+# 14-23 ms, and a whole CLI stage paid ~0.06-0.12 s more at --parallel 2, so
+# the pool pays from about 0.12 s / 12 ns = 10 M cells saved. The steps are
+# counted at the iteration cap, so a fit that converges early is priced
+# high: a larger step price would pool a fit of a few rows at the default
+# cap, which stops after a few iterations. Ballot-shaped fit-map at the
+# defaults (G=1..3, 205 distinct rows of K=5) spends 3,600 of its 5,600
+# capped steps in G=3, so 2 workers save at most 9 M cells: pooled, it ran
+# 1.073x slower than in process. Chains of 60 sweeps at G=1 and 2 on
+# n=20000, K=8 data save up to 16 M: pooled, they took 0.52-0.57 s, and in
+# process 0.70 s.
 _STEP_CELLS = 3_500
-_POOL_MIN_WORK = 20_000_000
+_SWEEP_STEPS = 2
+_POOL_MIN_WORK = 10_000_000
 
 
-def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: int) -> list:
+def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list) -> list:
     """fn(data, job) over jobs, in job order: across a pool of up to n_jobs
-    processes when there is more than one of each and the work pays for
-    the pool's start, else serially in this process. Every job's result is
-    the same wherever it runs.
+    processes when there is more than one of each and the work the pool
+    can save pays for its start, else serially in this process. Every
+    job's result is the same wherever it runs.
 
-    steps is the jobs' total component-steps: the sum over jobs of G times
-    the job's iterations (the EM cap, or the sweep count). The work is
+    steps[i] is job i's component-steps: G times its iterations (the EM
+    cap, or _SWEEP_STEPS per sweep, see _chain_steps). A job's work is its
     steps times the cells of data's distinct rows plus a per-step price
-    (_STEP_CELLS); below _POOL_MIN_WORK the pool's start would cost more
-    than it saves, and its module is not even imported. The cap bounds the
-    iterations from above, so a job list that would really pay for a pool
-    never runs serially.
+    (_STEP_CELLS). The workers save at most the total work less the largest
+    job's, or less an equal share of the total where that is more; below
+    _POOL_MIN_WORK the pool's start would cost more than that, and its
+    module is not even imported. The cap bounds the iterations from above,
+    so a job list that would really pay for a pool never runs serially.
 
     The pool's workers receive data once each, through the pool's
     initializer (inherited under fork, pickled once per worker otherwise),
     with its distinct rows and their stage index already built here; the
     jobs carry only their own arguments.
     """
-    rows = data.patterns.rows
-    work = (rows.orderings.size + _STEP_CELLS) * steps
-    if n_jobs > 1 and len(jobs) > 1 and work >= _POOL_MIN_WORK:
-        # imported here: the process pool module costs every CLI start-up
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(n_jobs, len(jobs))
+    if workers > 1:
+        total = sum(steps)
+        saved = total - max(*steps, total / workers)
+        price = data.patterns.rows.orderings.size + _STEP_CELLS
+        if price * saved >= _POOL_MIN_WORK:
+            # imported here: the process pool module costs every CLI start-up
+            from concurrent.futures import ProcessPoolExecutor
 
-        rows._stages  # built once here, not in each worker
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(jobs)),
-            initializer=_pool_init,
-            initargs=(fn, data),
-        ) as pool:
-            return list(pool.map(_pool_call, jobs))
+            data.patterns.rows._stages  # built once here, not in each worker
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_pool_init, initargs=(fn, data)
+            ) as pool:
+                return list(pool.map(_pool_call, jobs))
     return [fn(data, j) for j in jobs]
+
+
+def _chain_steps(g_list, n_sweeps: int) -> list:
+    """_fan_out's steps for one chain of n_sweeps sweeps at each G."""
+    return [_SWEEP_STEPS * n_sweeps * G for G in g_list]
 
 
 def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
@@ -439,8 +455,8 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
         for G, hyper, rng in runs
         for s in rng.spawn(n_start)
     ]
-    steps = sum(G * (default_max_iter(G) if max_iter is None else max_iter)
-                for G, *_ in jobs)
+    steps = [G * (default_max_iter(G) if max_iter is None else max_iter)
+             for G, *_ in jobs]
     fits = _fan_out(_one_start, data, jobs, n_jobs, steps)
     best_fits = []
     for lo in range(0, len(fits), n_start):

@@ -389,9 +389,13 @@ def test_parallel_runs_byte_identical(tmp_path, monkeypatch, pool_starts):
             {p.name: p.read_bytes() for d in (fit, gibbs) for p in sorted(d.iterdir())}
         )
     assert len(outs[0]) == 6 and outs[0] == outs[1]
-    # steps: 3 starts x G x its default cap 400 G, and 40 sweeps x G
-    assert seen == [("_one_start", 6, 1, 6000), ("_gibbs_job", 2, 1, 120),
-                    ("_one_start", 6, 2, 6000), ("_gibbs_job", 2, 2, 120)]
+    # each job's steps: G x its default cap 400 G per start, and 40 sweeps x
+    # G, a sweep counting 2 steps
+    fit_steps, gibbs_steps = [400] * 3 + [1600] * 3, [80, 160]
+    assert seen == [
+        ("_one_start", 6, 1, fit_steps), ("_gibbs_job", 2, 1, gibbs_steps),
+        ("_one_start", 6, 2, fit_steps), ("_gibbs_job", 2, 2, gibbs_steps),
+    ]
     # a pool ran at --parallel 2 only, once per stage
     assert pool_starts == [2, 2]
 
@@ -412,10 +416,14 @@ def _censored_input(path, n, K, shares, seed):
 
 
 def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
-    # wide-shaped data (K=10, ~5,000 distinct rows) at the benchmark's EM cap
-    # of 30 for 2 starts at G=4 are too little work for a pool; ballot-shaped
-    # data (K=5, 205 distinct rows) at the defaults (G=1..3, one start, cap
-    # 400 G) are enough, as are fit-map and fit-gibbs on n=20000, K=8 data
+    # a pool starts when the work 2 workers can save pays for it: the total
+    # less the largest job, or less half the total where that is more.
+    # Wide-shaped data (K=10, ~5,000 distinct rows) at the benchmark's EM
+    # cap of 30 for 2 starts at G=4 are too little work; ballot-shaped data
+    # (K=5, 205 distinct rows) at the defaults (G=1..3, one start, cap 400 G)
+    # spend 3,600 of 5,600 capped steps in G=3, too little outside it; on
+    # n=20000, K=8 data fit-map (G=1..2, 3 starts, cap 50) saves up to 225 of
+    # its 450 steps and fit-gibbs (60 sweeps at G=1..2) the G=1 chain, enough
     wide = _censored_input(tmp_path / "wide.csv", 6000, 10,
                            {3: 0.25, 5: 0.25, 7: 0.25, 10: 0.25}, 1)
     assert run(["fit-map", *wide, "--G", 4, "--n-start", 2, "--max-iter", 30,
@@ -425,7 +433,7 @@ def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
                              {1: 0.35, 2: 0.20, 3: 0.07, 5: 0.38}, 2)
     assert run(["fit-map", *ballot, "--G", 1, "--G-max", 3, "--seed", 1,
                 "--parallel", 2, "--out", tmp_path / "b"]) == 0
-    assert pool_starts == [2]
+    assert pool_starts == []
     run(["simulate", "--n", 20000, "--K", 8, "--G", 2, "--seed", 1,
          "--out", tmp_path / "big"])
     big = ["--input", tmp_path / "big" / "orderings.csv", "--format", "ordering",
@@ -434,7 +442,7 @@ def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
                 "--out", tmp_path / "bf"]) == 0
     assert run(["fit-gibbs", *big, "--n-iter", 60, "--n-burn", 10, "--seed", 3,
                 "--init-from", tmp_path / "bf", "--out", tmp_path / "bg"]) == 0
-    assert pool_starts == [2, 2, 2]
+    assert pool_starts == [2, 2]
 
 
 def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
@@ -507,17 +515,55 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # the runtime needs numpy only; scipy is a test dependency
+    # the runtime needs numpy only; scipy is a test dependency. The modules
+    # of select, ppcheck and relabel load only when those commands run
+    unloaded = ["scipy", "plrank.assessment", "plrank.selection", "plrank.relabel"]
+    code = f"import sys, plrank.cli; print([m for m in {unloaded} if m in sys.modules])"
     proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys, plrank.cli; print('scipy' in sys.modules)",
-        ],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    # the public names resolve on first access, each from its own module
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('plrank.')))"
+    code = f"import sys, plrank; {loaded}; plrank.read_map_json; {loaded}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    fresh, fileio = proc.stdout.splitlines()
+    assert fresh == "[]"
+    assert fileio == str(["plrank.data", "plrank.em", "plrank.errors", "plrank.fileio",
+                          "plrank.gibbs", "plrank.model"])
+
+
+def test_run_freezes_the_collector_and_main_does_not(tmp_path):
+    # run() is the process entry point: it freezes every object alive at
+    # entry and returns main's exit code. main() itself, run here in the
+    # test process, leaves the collector as it was
+    import gc
+
+    src = tmp_path / "ord.csv"
+    src.write_text("1,2\n2,1\n")
+    frozen = gc.get_freeze_count()
+    assert run(["summarize", "--input", src, "--format", "ordering"]) == 0
+    assert run(["fit-map", "--bogus", "1"]) == 2
+    assert gc.get_freeze_count() == frozen
+    code = (
+        "import gc, sys\n"
+        "from plrank.cli import run\n"
+        "assert gc.get_freeze_count() == 0\n"
+        f"sys.argv = ['plrank', 'summarize', '--input', {str(src)!r}]\n"
+        "print(run(), gc.get_freeze_count() > 0)\n"
+        "sys.argv = ['plrank', 'fit-map', '--bogus', '1']\n"
+        "print(run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0 True", "2"]
 
 
 def test_ppcheck_leaves_numpy_ma_out(tmp_path):

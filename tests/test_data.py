@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,14 @@ def test_public_api():
         "write_map_json",
         "write_sequence_csv",
     ]
-    assert all(getattr(plrank, name) is not None for name in plrank.__all__)
+    # each name is its defining module's object, loaded on first access
+    for name in plrank.__all__:
+        obj = getattr(plrank, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+        assert obj.__module__.startswith("plrank.")
+    assert set(plrank.__all__) <= set(dir(plrank))
+    with pytest.raises(AttributeError, match="no attribute 'fit_maps'"):
+        getattr(plrank, "fit_maps")
     # Dataset is the one row type: its single-row wrappers and copies are gone
     for name in (
         "PartialOrdering",

@@ -226,9 +226,11 @@ def test_multistart_parallel_under_spawn(monkeypatch, pool_starts):
 
 
 def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
-    # work = (distinct-row cells + the per-step price) x component-steps,
-    # the steps of 3 starts at G=1 being 3 x max_iter; the cap bounds the
-    # work, and these fits converge long before it (at G=2 one start of
+    # the work a pool can save = (distinct-row cells + the per-step price)
+    # x (the jobs' component-steps less the most that one worker must run:
+    # the largest job, or an equal share of them all); 3 starts at G=1 on 2
+    # workers save at most 3 - 1.5 = 1.5 x max_iter steps. The cap bounds
+    # the work, and these fits converge long before it (at G=2 one start of
     # these data runs past the ~900 iterations where the gate flips)
     import concurrent.futures
 
@@ -238,9 +240,9 @@ def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
     mat, _ = random_partial_matrix(rng, 40, 4)
     data = Dataset.from_orderings(mat)
     price = data.patterns.rows.orderings.size + em._STEP_CELLS
-    above = -(-em._POOL_MIN_WORK // (3 * price))
+    above = -(-2 * em._POOL_MIN_WORK // (3 * price))
     below = above - 1
-    assert price * 3 * below < em._POOL_MIN_WORK <= price * 3 * above
+    assert price * 3 * below < 2 * em._POOL_MIN_WORK <= price * 3 * above
 
     def fits(max_iter):
         return fit_map_multistart(data, 1, 3, max_iter=max_iter,
@@ -258,6 +260,37 @@ def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
     assert serial.converged and serial.n_iter_used < below
     assert np.array_equal(serial.supports, pooled.supports)
     assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
+
+
+def _tagged(data, job):
+    return job, data.n_units
+
+
+def test_pool_is_priced_by_the_work_outside_the_largest_job(
+    monkeypatch, pool_starts
+):
+    # the same total work pools when it splits evenly over 2 workers, and
+    # stays in process when one job holds so much of it that the rest is
+    # below the gate
+    import concurrent.futures
+
+    from plrank import em
+
+    data = Dataset.from_orderings(np.array([[1, 2, 3], [2, 1, 3], [3, 1, 2]]))
+    price = data.patterns.rows.orderings.size + em._STEP_CELLS
+    unit = -(-em._POOL_MIN_WORK // price)  # the fewest steps that reach the gate
+    even = [unit, unit]
+    assert em._fan_out(_tagged, data, [0, 1], 2, even) == [(0, 3), (1, 3)]
+    assert pool_starts == [2]
+
+    class NoPool:
+        def __init__(self, **kwargs):
+            raise AssertionError("a pool started for a list dominated by one job")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    dominated = [2 * unit, unit - 1]
+    assert price * sum(dominated) >= em._POOL_MIN_WORK
+    assert em._fan_out(_tagged, data, [0, 1], 2, dominated) == [(0, 3), (1, 3)]
 
 
 def test_small_fit_never_imports_the_pool(tmp_path):
