@@ -18,11 +18,12 @@ import gc
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fileio
-from .data import Dataset, ORDERING, RANKING, rank_summaries
+from .data import ORDERING, RANKING, Dataset, rank_summaries
 from .em import DEFAULT_TOL, Hyperparams, _best_fits, _chain_steps, _fan_out
 from .errors import NumericalError, ValidationError
 from .fileio import PREFLIB
@@ -42,143 +43,168 @@ EXIT_NUMERICAL = 4
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
+_FORMATS = (ORDERING, RANKING, PREFLIB)
 
-def _as_bool(name: str, val) -> bool:
-    """A JSON boolean, or one of the words of _BOOL_WORDS in any case."""
-    if isinstance(val, bool):
+
+class _Option(NamedTuple):
+    type: type  # str, int, float, bool (a flag) or list (a repeatable str)
+    default: object
+    bound: object  # an int or float's least value, or a str's allowed words
+    help: str
+
+
+_OPTIONS = {
+    "input": _Option(str, None, None, "input data file"),
+    "format": _Option(str, ORDERING, _FORMATS, "input data format"),
+    "K": _Option(int, None, 1, "expected number of items"),
+    "G": _Option(int, 1, 1, "number of components"),
+    "G-max": _Option(int, None, None, "fit every G from --G up to this"),
+    "n-start": _Option(int, 1, 1, "number of EM starting points"),
+    "centered-start": _Option(bool, False, None, "EM starts around first-place shares"),
+    "max-iter": _Option(int, None, 0, "EM iteration cap, 400*G when unset"),
+    "tol": _Option(float, DEFAULT_TOL, None, "EM tolerance on the log posterior"),
+    "n-iter": _Option(int, DEFAULT_N_ITER, 1, "total sweeps"),
+    "n-burn": _Option(int, DEFAULT_N_BURN, 0, "burn-in sweeps, fewer than --n-iter"),
+    "seed": _Option(int, None, 0, "RNG seed"),
+    "shape": _Option(float, 1.0, 0, "Gamma prior shape"),
+    "rate": _Option(float, 0.0, 0, "Gamma prior rate"),
+    "alpha": _Option(float, 1.0, 0, "Dirichlet prior parameter"),
+    "parallel": _Option(
+        int, None, 1,
+        "most worker processes, when unset the CPUs this process may run on",
+    ),
+    "out": _Option(str, None, None, "output file or directory"),
+    "to": _Option(
+        str, None, _FORMATS,
+        "target format, when unset ranking from ordering, else ordering",
+    ),
+    "params": _Option(str, None, None, "JSON file with supports and weights"),
+    "n": _Option(int, None, 1, "number of units to simulate"),
+    "init-from": _Option(str, None, None, "map fit JSON, or a directory of map_G*.json"),
+    "point-estimate": _Option(
+        str, "map", ("map", "mean", "median"), "plug-in for criteria"
+    ),
+    "map": _Option(list, None, None, "map fit JSON (repeatable)"),
+    "chain": _Option(list, None, None, "chain trace CSV (repeatable)"),
+    "pivot": _Option(str, None, None, "map fit JSON used as relabeling pivot"),
+}
+
+
+def _words(words) -> str:
+    return ", ".join(words[:-1]) + ", or " + words[-1]
+
+
+def _cast(name: str, val):
+    """One option's value from its flag, environment or config text, cast
+    to its type and checked against its bound. A config value is checked as
+    its flag would be, from its text: JSON 20.9 or true is no integer, and
+    0 or a list is no path or name."""
+    kind, _, bound, _ = _OPTIONS[name]
+    if kind is list:
+        if not (isinstance(val, list) and all(isinstance(v, str) for v in val)):
+            raise ValidationError(f"--{name}: expected a JSON list of strings")
         return val
-    word = val.strip().lower() if isinstance(val, str) else None
-    if word not in _BOOL_WORDS:
-        raise ValidationError(f"--{name}: expected true or false, not {val!r}")
-    return _BOOL_WORDS[word]
-
-
-class _Options:
-    """Flag / environment / config resolution for one invocation."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = {}
-        cfg_path = getattr(args, "config", None) or os.environ.get(
-            ENV_PREFIX + "CONFIG"
-        )
-        if cfg_path:
-            self.config = fileio._read_json(cfg_path)
-            if not isinstance(self.config, dict):
-                raise ValidationError(f"{cfg_path}: config must be an object")
-
-    def get(self, name: str, default=None, cast=None, required: bool = False,
-            least=None):
-        key = name.replace("-", "_")
-        val = getattr(self.args, key, None)
-        if val is None:
-            env = os.environ.get(ENV_PREFIX + key.upper())
-            if env is not None:
-                val = env
-            elif key in self.config:
-                val = self.config[key]
-        if val is None:
-            if required:
-                raise ValidationError(f"missing required option --{name}")
-            return default
-        if cast is bool:
-            return _as_bool(name, val)
-        # a config value is checked as its flag would be, from its text:
-        # JSON 20.9 or true is no integer, and 0 or a list is no path or name
-        if cast is None:
-            if not isinstance(val, str):
-                raise ValidationError(f"--{name}: expected a string, not {val!r}")
+    if kind is bool:
+        if isinstance(val, bool):
             return val
-        try:
-            val = cast(str(val))
-        except ValueError:
-            raise ValidationError(f"--{name}: cannot parse {val!r}") from None
-        if least is not None and val < least:
-            raise ValidationError(f"--{name} must be >= {least}")
+        word = val.strip().lower() if isinstance(val, str) else None
+        if word not in _BOOL_WORDS:
+            raise ValidationError(f"--{name}: expected true or false, not {val!r}")
+        return _BOOL_WORDS[word]
+    if kind is str:
+        if not isinstance(val, str):
+            raise ValidationError(f"--{name}: expected a string, not {val!r}")
+        if bound is not None and val not in bound:
+            raise ValidationError(f"--{name}={val}: expected {_words(bound)}")
         return val
+    try:
+        val = kind(str(val))
+    except ValueError:
+        raise ValidationError(f"--{name}: cannot parse {val!r}") from None
+    if val != val:
+        raise ValidationError(f"--{name}: expected a number, not nan")
+    if bound is not None and val < bound:
+        raise ValidationError(f"--{name}={val}: must be >= {bound}")
+    return val
 
-    def getlist(self, name: str, required: bool = False):
+
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option of args.command, from its flag, else its PLRANK_<NAME>
+    environment variable, else the --config file, else its default; cast
+    and checked before the command reads or writes anything. Attributes
+    take the option names with "-" as "_"."""
+    config = {}
+    cfg_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
+    if cfg_path:
+        config = fileio._read_json(cfg_path)
+        if not isinstance(config, dict):
+            raise ValidationError(f"{cfg_path}: config must be an object")
+    opts = argparse.Namespace()
+    for entry in _COMMANDS[args.command].options.split():
+        name = entry.rstrip("!")
         key = name.replace("-", "_")
-        val = getattr(self.args, key, None)
-        if not val:
-            env = os.environ.get(ENV_PREFIX + key.upper())
-            if env is not None:
-                val = [tok for tok in env.split(os.pathsep) if tok]
-            elif key in self.config:
-                val = self.config[key]
-                strings = isinstance(val, list) and all(isinstance(v, str) for v in val)
-                if not strings:
-                    raise ValidationError(f"--{name}: expected a JSON list of strings")
-        if not val:
-            if required:
+        val = getattr(args, key)
+        if val is None:
+            val = os.environ.get(ENV_PREFIX + key.upper())
+            if val is None:
+                val = config.get(key)
+            elif _OPTIONS[name].type is list:
+                val = [tok for tok in val.split(os.pathsep) if tok]
+        if val is None or val == []:
+            if entry.endswith("!"):
                 raise ValidationError(f"missing required option --{name}")
-            return []
-        return val
+            val = _OPTIONS[name].default
+        else:
+            val = _cast(name, val)
+        setattr(opts, key, val)
+    return opts
 
 
-def _load_data(opts: _Options) -> Dataset:
-    path = opts.get("input", required=True)
-    fmt = opts.get("format", default=ORDERING)
-    K = opts.get("K", cast=int)
-    return fileio.read_dataset(path, fmt, K=K)
+def _load_data(opts: argparse.Namespace) -> Dataset:
+    return fileio.read_dataset(opts.input, opts.format, K=opts.K)
 
 
-def _out_dir(opts: _Options) -> str:
-    out = opts.get("out", required=True)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(opts: argparse.Namespace) -> str:
+    """--out as a directory, made when the command first writes to it."""
+    os.makedirs(opts.out, exist_ok=True)
+    return opts.out
 
 
-def _g_range(opts: _Options) -> list[int]:
-    G = opts.get("G", cast=int, required=True, least=1)
-    g_max = opts.get("G-max", cast=int)
-    if g_max is None:
-        return [G]
-    if g_max < G:
+def _g_range(opts: argparse.Namespace) -> list[int]:
+    if opts.G_max is None:
+        return [opts.G]
+    if opts.G_max < opts.G:
         raise ValidationError("--G-max must be >= --G")
-    return list(range(G, g_max + 1))
+    return list(range(opts.G, opts.G_max + 1))
 
 
-def _hyper(opts: _Options, G: int, K: int) -> Hyperparams:
-    shape = opts.get("shape", default=1.0, cast=float)
-    rate = opts.get("rate", default=0.0, cast=float)
-    alpha = opts.get("alpha", default=1.0, cast=float)
-    return Hyperparams.expand(shape, rate, alpha, G, K)
+def _hyper(opts: argparse.Namespace, G: int, K: int) -> Hyperparams:
+    return Hyperparams.expand(opts.shape, opts.rate, opts.alpha, G, K)
 
 
-def _seed(opts: _Options) -> int:
-    return opts.get("seed", cast=int, required=True, least=0)
-
-
-def _parallel(opts: _Options) -> int:
-    """Worker processes; by default the CPUs this process may run on (its
+def _parallel(opts: argparse.Namespace) -> int:
+    """--parallel, by default the CPUs this process may run on (its
     affinity mask where the platform has one), not the host's CPUs."""
+    if opts.parallel is not None:
+        return opts.parallel
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return opts.get("parallel", default=cpus, cast=int, least=1)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_convert(opts: _Options) -> int:
-    path = opts.get("input", required=True)
-    fmt = opts.get("format", required=True)
-    out = opts.get("out", required=True)
-    to = opts.get("to") or (RANKING if fmt == ORDERING else ORDERING)
-    # checked here, not left to write_dataset, so that a bad --to fails
-    # before a large input is read
-    if to not in (ORDERING, RANKING, PREFLIB):
-        raise ValidationError("--to must be ordering, ranking, or preflib")
-    data = fileio.read_dataset(path, fmt)
-    fileio.write_dataset(out, data, to)
-    print(f"convert: {data.n_units} rows, {data.n_items} items, {fmt} -> {to}: {out}")
+def _cmd_convert(opts: argparse.Namespace) -> int:
+    fmt = opts.format
+    to = opts.to or (RANKING if fmt == ORDERING else ORDERING)
+    data = fileio.read_dataset(opts.input, fmt)
+    fileio.write_dataset(opts.out, data, to)
+    print(f"convert: {data.n_units} rows, {data.n_items} items, {fmt} -> {to}: {opts.out}")
     return EXIT_OK
 
 
-def _cmd_summarize(opts: _Options) -> int:
+def _cmd_summarize(opts: argparse.Namespace) -> int:
     data = _load_data(opts)
     summ = rank_summaries(data)
     doc = {
@@ -190,9 +216,8 @@ def _cmd_summarize(opts: _Options) -> int:
         "marginal_rank_distr": summ.marginal_rank_distr.tolist(),
         "pairedcomparisons": summ.pairedcomparisons.tolist(),
     }
-    out = opts.get("out")
-    if out:
-        fileio._write_json(out, doc)
+    if opts.out:
+        fileio._write_json(opts.out, doc)
     print(f"summarize: {data.n_units} units, {data.n_items} items")
     print("depth counts:", " ".join(f"{k}:{v}" for k, v in summ.nranked_distr.items()))
     print("times unranked:", " ".join(str(v) for v in summ.missing_pos))
@@ -203,22 +228,18 @@ def _cmd_summarize(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(opts: _Options) -> int:
-    n = opts.get("n", cast=int, required=True)
-    K = opts.get("K", cast=int, required=True)
-    G = opts.get("G", default=1, cast=int)
-    seed = _seed(opts)
-    out = _out_dir(opts)
-    params_path = opts.get("params")
-    if params_path:
-        doc = fileio._read_json(params_path)
+def _cmd_simulate(opts: argparse.Namespace) -> int:
+    n, K, G, seed = opts.n, opts.K, opts.G, opts.seed
+    if opts.params:
+        doc = fileio._read_json(opts.params)
         try:
             params = MixtureParams(doc["supports"], doc["weights"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"{params_path}: not a params file ({e})")
+            raise ValidationError(f"{opts.params}: not a params file ({e})")
     else:
         params = MixtureParams.uniform(G, K)
     labels, data = sample_mixture(n, K, G, params, np.random.default_rng(seed))
+    out = _out_dir(opts)
     fileio.write_sequence_csv(os.path.join(out, "orderings.csv"), data.orderings)
     fileio._write_csv(
         os.path.join(out, "components.csv"), ["component"], labels[:, None].tolist()
@@ -235,23 +256,17 @@ def _cmd_simulate(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_map(opts: _Options) -> int:
-    data = _load_data(opts)
+def _cmd_fit_map(opts: argparse.Namespace) -> int:
     g_list = _g_range(opts)
-    n_start = opts.get("n-start", default=1, cast=int, least=1)
-    centered = opts.get("centered-start", default=False, cast=bool)
-    max_iter = opts.get("max-iter", cast=int)
-    tol = opts.get("tol", default=DEFAULT_TOL, cast=float)
-    seed = _seed(opts)
-    jobs_n = _parallel(opts)
-    out = _out_dir(opts)
-
-    per_g = np.random.SeedSequence(seed).spawn(len(g_list))
+    data = _load_data(opts)
+    per_g = np.random.SeedSequence(opts.seed).spawn(len(g_list))
     runs = [
         (G, _hyper(opts, G, data.n_items), np.random.default_rng(ss))
         for G, ss in zip(g_list, per_g)
     ]
-    fits = _best_fits(data, runs, n_start, centered, max_iter, tol, jobs_n)
+    fits = _best_fits(data, runs, opts.n_start, opts.centered_start,
+                      opts.max_iter, opts.tol, _parallel(opts))
+    out = _out_dir(opts)
     for G, fit in zip(g_list, fits):
         path = os.path.join(out, f"map_G{G}.json")
         fileio.write_map_json(path, fit)
@@ -259,7 +274,7 @@ def _cmd_fit_map(opts: _Options) -> int:
         print(
             f"fit-map: G={G} log_post={fit.log_post:.6f} bic={bic_txt} "
             f"converged={fit.converged} iters={fit.n_iter_used} "
-            f"starts={n_start}: {path}"
+            f"starts={opts.n_start}: {path}"
         )
     return EXIT_OK
 
@@ -271,16 +286,10 @@ def _gibbs_job(data, job):
     )
 
 
-def _cmd_fit_gibbs(opts: _Options) -> int:
-    data = _load_data(opts)
+def _cmd_fit_gibbs(opts: argparse.Namespace) -> int:
     g_list = _g_range(opts)
-    n_iter = opts.get("n-iter", default=DEFAULT_N_ITER, cast=int)
-    n_burn = opts.get("n-burn", default=DEFAULT_N_BURN, cast=int)
-    seed = _seed(opts)
-    jobs_n = _parallel(opts)
-    init_from = opts.get("init-from")
-    out = _out_dir(opts)
-
+    data = _load_data(opts)
+    n_iter, n_burn, init_from = opts.n_iter, opts.n_burn, opts.init_from
     inits = {}
     for G in g_list:
         if init_from:
@@ -296,7 +305,7 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         else:
             inits[G] = None
 
-    master = np.random.SeedSequence(seed)
+    master = np.random.SeedSequence(opts.seed)
     child_seeds = [
         int(c.generate_state(1, np.uint64)[0]) for c in master.spawn(len(g_list))
     ]
@@ -305,8 +314,9 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
         for G, s in zip(g_list, child_seeds)
     ]
     steps = _chain_steps(g_list, n_iter)
-    chains = _fan_out(_gibbs_job, data, jobs, jobs_n, steps)
+    chains = _fan_out(_gibbs_job, data, jobs, _parallel(opts), steps)
 
+    out = _out_dir(opts)
     for G, chain in zip(g_list, chains):
         path = os.path.join(out, f"chain_G{G}.csv")
         fileio.write_chain_csv(path, chain)
@@ -328,18 +338,15 @@ def _cmd_fit_gibbs(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _cmd_select(opts: _Options) -> int:
+def _cmd_select(opts: argparse.Namespace) -> int:
     from .selection import selection_criteria
 
-    data = _load_data(opts)
-    map_paths = opts.getlist("map", required=True)
-    chain_paths = opts.getlist("chain", required=True)
-    if len(map_paths) != len(chain_paths):
+    if len(opts.map) != len(opts.chain):
         raise ValidationError("need one --chain per --map, in the same order")
-    point = opts.get("point-estimate", default="map")
-    fits = [fileio.read_map_json(p) for p in map_paths]
-    chains = [fileio.read_chain_csv(p) for p in chain_paths]
-    for p, f, c in zip(map_paths, fits, chains):
+    data = _load_data(opts)
+    fits = [fileio.read_map_json(p) for p in opts.map]
+    chains = [fileio.read_chain_csv(p) for p in opts.chain]
+    for p, f, c in zip(opts.map, fits, chains):
         if f.n_components != c.n_components:
             raise ValidationError(
                 f"{p}: fit G={f.n_components} but paired chain has "
@@ -349,7 +356,7 @@ def _cmd_select(opts: _Options) -> int:
         [c.deviance for c in chains],
         fits,
         data,
-        point_estimate=point,
+        point_estimate=opts.point_estimate,
         chains=chains,
     )
     out = _out_dir(opts)
@@ -364,14 +371,12 @@ def _cmd_select(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _cmd_ppcheck(opts: _Options) -> int:
+def _cmd_ppcheck(opts: argparse.Namespace) -> int:
     from .assessment import _ppchecks
 
     data = _load_data(opts)
-    chain_paths = opts.getlist("chain", required=True)
-    seed = _seed(opts)
-    chains = [fileio.read_chain_csv(p) for p in chain_paths]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    chains = [fileio.read_chain_csv(p) for p in opts.chain]
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
     plain, cond = _ppchecks(data, chains, rng)
     out = _out_dir(opts)
     fileio.write_ppcheck_csv(os.path.join(out, "ppcheck.csv"), plain, cond)
@@ -387,15 +392,13 @@ def _cmd_ppcheck(opts: _Options) -> int:
     return EXIT_OK
 
 
-def _cmd_relabel(opts: _Options) -> int:
+def _cmd_relabel(opts: argparse.Namespace) -> int:
     from .relabel import pra_relabel
 
-    chain_paths = opts.getlist("chain", required=True)
-    if len(chain_paths) != 1:
+    if len(opts.chain) != 1:
         raise ValidationError("relabel takes exactly one --chain")
-    pivot_path = opts.get("pivot", required=True)
-    chain = fileio.read_chain_csv(chain_paths[0])
-    pivot = fileio.read_map_json(pivot_path)
+    chain = fileio.read_chain_csv(opts.chain[0])
+    pivot = fileio.read_map_json(opts.pivot)
     relabeled = pra_relabel(chain, pivot)
     out = _out_dir(opts)
     chain_out = os.path.join(out, "relabeled_chain.csv")
@@ -413,47 +416,51 @@ def _cmd_relabel(opts: _Options) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "input": dict(help="input data file"),
-        "format": dict(help="ordering, ranking, or preflib"),
-        "K": dict(help="expected number of items"),
-        "G": dict(help="number of components"),
-        "G-max": dict(help="fit every G up to this (with --G as the start)"),
-        "n-start": dict(help="number of EM starting points"),
-        "max-iter": dict(help="EM iteration cap (default 400*G)"),
-        "tol": dict(help="EM convergence tolerance on the log posterior"),
-        "n-iter": dict(help="total sweeps"),
-        "n-burn": dict(help="burn-in sweeps discarded"),
-        "seed": dict(help="RNG seed (required for stochastic commands)"),
-        "shape": dict(help="Gamma prior shape (scalar, default 1)"),
-        "rate": dict(help="Gamma prior rate (scalar, default 0)"),
-        "alpha": dict(help="Dirichlet prior parameter (scalar, default 1)"),
-        "centered-start": dict(
-            help="draw EM starts around observed first-place shares",
-            action="store_const",
-            const=True,
-        ),
-        "parallel": dict(
-            help="most worker processes (default: the CPUs this process may "
-            "run on); jobs run in this process when the work that more "
-            "workers could save would not pay for starting a pool"
-        ),
-        "out": dict(help="output file or directory"),
-        "to": dict(help="conversion target format"),
-        "params": dict(help="JSON file with supports and weights"),
-        "n": dict(help="number of units to simulate"),
-        "init-from": dict(help="map fit JSON (or directory of map_G*.json)"),
-        "point-estimate": dict(help="plug-in for criteria: map, mean, median"),
-        "map": dict(help="map fit JSON (repeatable)", action="append"),
-        "chain": dict(help="chain trace CSV (repeatable)", action="append"),
-        "pivot": dict(help="map fit JSON used as relabeling pivot"),
-    }
-    for name in names:
-        kw = dict(spec[name])
-        kw.setdefault("default", None)
-        sub.add_argument(f"--{name}", **kw)
-    sub.add_argument("--config", default=None, help="JSON config file")
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    options: str  # the names of _OPTIONS it takes; "!" marks a required one
+
+
+_COMMANDS = {
+    "convert": _Command(_cmd_convert, "switch dataset formats",
+                        "input! format! to out!"),
+    "summarize": _Command(_cmd_summarize, "descriptive summaries",
+                          "input! format K out"),
+    "simulate": _Command(_cmd_simulate, "sample a synthetic dataset",
+                         "n! K! G params seed! out!"),
+    "fit-map": _Command(
+        _cmd_fit_map, "EM fit (MAP / maximum likelihood)",
+        "input! format K G! G-max n-start centered-start max-iter tol shape "
+        "rate alpha seed! parallel out!",
+    ),
+    "fit-gibbs": _Command(
+        _cmd_fit_gibbs, "posterior sampling",
+        "input! format K G! G-max n-iter n-burn shape rate alpha seed! "
+        "init-from parallel out!",
+    ),
+    "select": _Command(_cmd_select, "model choice criteria",
+                       "input! format K map! chain! point-estimate out!"),
+    "ppcheck": _Command(_cmd_ppcheck, "posterior predictive checks",
+                        "input! format K chain! seed! out!"),
+    "relabel": _Command(_cmd_relabel, "repair label switching",
+                        "chain! pivot! out!"),
+}
+
+
+def _help(name: str, required: bool) -> str:
+    """The option's help line with its default and bound, from the table."""
+    _, default, bound, text = _OPTIONS[name]
+    notes = []
+    if required:
+        notes.append("required")
+    elif default is not None:
+        notes.append(f"default {default}")
+    if isinstance(bound, tuple):
+        notes.append(_words(bound))
+    elif bound is not None:
+        notes.append(f">= {bound}")
+    return f"{text} ({'; '.join(notes)})" if notes else text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,42 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite Plackett-Luce mixtures for partial top rankings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="switch dataset formats")
-    _add_common(p, "input", "format", "to", "out")
-    p = sub.add_parser("summarize", help="descriptive summaries")
-    _add_common(p, "input", "format", "K", "out")
-    p = sub.add_parser("simulate", help="sample a synthetic dataset")
-    _add_common(p, "n", "K", "G", "params", "seed", "out")
-    p = sub.add_parser("fit-map", help="EM fit (MAP / maximum likelihood)")
-    _add_common(
-        p, "input", "format", "K", "G", "G-max", "n-start", "centered-start",
-        "max-iter", "tol", "shape", "rate", "alpha", "seed", "parallel", "out",
-    )
-    p = sub.add_parser("fit-gibbs", help="posterior sampling")
-    _add_common(
-        p, "input", "format", "K", "G", "G-max", "n-iter", "n-burn",
-        "shape", "rate", "alpha", "seed", "init-from", "parallel", "out",
-    )
-    p = sub.add_parser("select", help="model choice criteria")
-    _add_common(p, "input", "format", "K", "map", "chain", "point-estimate", "out")
-    p = sub.add_parser("ppcheck", help="posterior predictive checks")
-    _add_common(p, "input", "format", "K", "chain", "seed", "out")
-    p = sub.add_parser("relabel", help="repair label switching")
-    _add_common(p, "chain", "pivot", "out")
+    action = {list: "append", bool: "store_true"}
+    for command, (_, text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for entry in options.split():
+            name = entry.rstrip("!")
+            p.add_argument(f"--{name}", default=None, help=_help(name, entry != name),
+                           action=action.get(_OPTIONS[name].type, "store"))
+        p.add_argument("--config", help="JSON config file")
     return parser
-
-
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "summarize": _cmd_summarize,
-    "simulate": _cmd_simulate,
-    "fit-map": _cmd_fit_map,
-    "fit-gibbs": _cmd_fit_gibbs,
-    "select": _cmd_select,
-    "ppcheck": _cmd_ppcheck,
-    "relabel": _cmd_relabel,
-}
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
@@ -516,8 +496,7 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        opts = _Options(args)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command].run(resolve(args))
     except ValidationError as e:
         return _fail(EXIT_VALIDATION, "validation", e)
     except NumericalError as e:

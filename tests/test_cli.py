@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -816,6 +817,7 @@ def test_malformed_chain_csv_is_a_validation_error(
 _SIM = ["simulate", "--n", 10]
 _FIT = ["fit-map", "DATA", "--G", 1]
 _GIBBS = ["fit-gibbs", "DATA", "--G", 1, "--n-iter", 5, "--n-burn", 1]
+_GIBBS_AT = ["fit-gibbs", "DATA", "--G", 1, "--seed", 1, "--parallel", 1]
 
 
 @pytest.mark.parametrize(
@@ -832,17 +834,26 @@ _GIBBS = ["fit-gibbs", "DATA", "--G", 1, "--n-iter", 5, "--n-burn", 1]
         ([*_FIT, "--seed", 1, "--parallel", 0], "--parallel"),
         ([*_FIT, "--seed", 1, "--parallel", -3], "--parallel"),
         ([*_GIBBS, "--seed", 1, "--parallel", 0], "--parallel"),
+        (["simulate", "--n", 0, "--K", 3, "--seed", 1], "--n=0"),
+        ([*_GIBBS_AT, "--n-iter", 0], "--n-iter=0"),
+        ([*_GIBBS_AT, "--n-iter", 5, "--n-burn", -1], "--n-burn=-1"),
+        ([*_FIT, "--seed", 1, "--max-iter", -1, "--parallel", 1], "--max-iter=-1"),
+        ([*_FIT, "--K", 0, "--seed", 1, "--parallel", 1], "--K=0"),
+        # the bad option is named before the missing input is opened
+        (["fit-map", "--input", "MISSING", "--G", 0, "--seed", 1], "--G=0"),
     ],
     ids=["simulate-K-0", "simulate-G-0", "simulate-G-negative",
          "simulate-seed", "fit-map-seed", "fit-gibbs-seed", "ppcheck-seed",
          "fit-map-tol-nan", "fit-map-parallel-0", "fit-map-parallel-negative",
-         "fit-gibbs-parallel-0"],
+         "fit-gibbs-parallel-0", "simulate-n-0", "fit-gibbs-n-iter-0",
+         "fit-gibbs-n-burn-negative", "fit-map-max-iter-negative", "fit-map-K-0",
+         "fit-map-G-0-missing-input"],
 )
 def test_out_of_range_option_is_one_json_error(
     tmp_path, capsys, fit_and_chain, argv, named
 ):
     src, _, chain = fit_and_chain
-    place = {"DATA": src, "CHAIN": [chain]}
+    place = {"DATA": src, "CHAIN": [chain], "MISSING": [tmp_path / "missing.csv"]}
     argv = [a for x in argv for a in place.get(x, [x])]
     capsys.readouterr()
     assert run([*argv, "--out", tmp_path / "out"]) == 2
@@ -851,6 +862,54 @@ def test_out_of_range_option_is_one_json_error(
     doc = json.loads(err[0])["error"]
     assert doc["type"] == "validation"
     assert named in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_GIBBS_AT, "--n-iter", 5, "--init-from", "EXTREME"],
+        [*_GIBBS_AT, "--n-iter", 5, "--n-burn", 7],
+        [*_SIM, "--K", 3, "--params", "EXTREME", "--seed", 1],
+    ],
+    ids=["fit-gibbs-extreme-init", "fit-gibbs-burn-past-sweeps", "simulate-bad-params"],
+)
+def test_failed_command_leaves_no_out_path(tmp_path, capsys, fit_and_chain, argv):
+    # these fail only after their input is read: the output directory is
+    # made just before the first write, so none is left behind
+    src, fit, _ = fit_and_chain
+    doc = json.loads(fit.read_text())
+    doc["supports"][0] = [1e308, 1e308, 1e-308]
+    extreme = tmp_path / "extreme.json"
+    extreme.write_text(json.dumps(doc))
+    place = {"DATA": src, "EXTREME": [extreme]}
+    argv = [a for x in argv for a in place.get(x, [x])]
+    capsys.readouterr()
+    _assert_validation_exit(capsys, [*argv, "--out", tmp_path / "out"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_states_each_option_with_the_tables_default(capsys, command):
+    with pytest.raises(SystemExit) as exit:
+        run([command, "--help"])
+    assert exit.value.code == 0
+    # one entry per option: its "  --name" line and the help wrapped below it
+    listed = {}
+    for entry in re.split(r"\n  --", capsys.readouterr().out)[1:]:
+        name, *words = entry.split()
+        listed[name] = " ".join(words)
+    options = cli._COMMANDS[command].options.split()
+    assert list(listed) == [o.rstrip("!") for o in options] + ["config"]
+    for option in options:
+        name = option.rstrip("!")
+        default = cli._OPTIONS[name].default
+        if option.endswith("!"):
+            assert "(required" in listed[name], name
+        elif default is not None:
+            assert f"(default {default}" in listed[name], name
+        else:
+            assert "default" not in listed[name], name
 
 
 @pytest.mark.parametrize(
