@@ -366,7 +366,8 @@ def _cmd_select(opts: argparse.Namespace) -> int:
         print(
             f"select: G={row['G']} DIC1={row['DIC1']:.3f} DIC2={row['DIC2']:.3f} "
             f"BPIC1={row['BPIC1']:.3f} BPIC2={row['BPIC2']:.3f} "
-            f"BICM1={row['BICM1']:.3f} BICM2={row['BICM2']:.3f}"
+            f"BICM1={row['BICM1']:.3f} BICM2={row['BICM2']:.3f} "
+            f"complexity_ok={json.dumps(row['complexity_ok'])}"
         )
     return EXIT_OK
 

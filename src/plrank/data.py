@@ -531,13 +531,19 @@ def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:
     return ranks[:, :K]
 
 
-def binary_group_ind(labels, G: int) -> np.ndarray:
-    """One-hot membership matrix from 1-based component labels."""
+def _labels0(labels, G: int) -> np.ndarray:
+    """0-based components of 1-based labels: a nonempty 1-D sequence of
+    integers in 1..G."""
     lab = np.asarray(labels)
     if lab.ndim != 1 or lab.size == 0:
         raise ValidationError("labels must be a nonempty 1-D sequence")
     lab = _as_int_matrix(lab[None, :])[0]
     if lab.min() < 1 or lab.max() > G:
         raise ValidationError(f"labels must lie in 1..{G}")
-    return np.eye(G, dtype=np.int64)[lab - 1]
+    return lab - 1
+
+
+def binary_group_ind(labels, G: int) -> np.ndarray:
+    """One-hot membership matrix from 1-based component labels."""
+    return np.eye(G, dtype=np.int64)[_labels0(labels, G)]
 

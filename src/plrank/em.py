@@ -32,7 +32,12 @@ import numpy as np
 
 from .data import Dataset, Patterns, _order_counts
 from .errors import NumericalError, ValidationError
-from .model import MixtureParams, _availability_sums, _mixture_scores
+from .model import (
+    MixtureParams,
+    _availability_sums,
+    _check_params_data,
+    _mixture_scores,
+)
 
 SUPPORT_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
@@ -96,6 +101,18 @@ class Hyperparams:
             and bool((self.rate == 0.0).all())
             and bool((self.alpha == 1.0).all())
         )
+
+
+def _resolve_prior(hyper: Hyperparams | None, G: int, K: int) -> Hyperparams:
+    """The prior of a G-component fit to K items: the flat prior when hyper
+    is None, else hyper, which must be G x K; G must be >= 1."""
+    if G < 1:
+        raise ValidationError("G must be >= 1")
+    if hyper is None:
+        return Hyperparams.flat(G, K)
+    if hyper.shape.shape != (G, K):
+        raise ValidationError("hyper dimensions must match (G, K)")
+    return hyper
 
 
 def log_prior(p: np.ndarray, w: np.ndarray, hyper: Hyperparams) -> float:
@@ -177,8 +194,8 @@ def em_step(params: MixtureParams, data: Dataset, hyper: Hyperparams):
     Returns (updated params, responsibilities), the responsibilities being
     those computed at the *incoming* parameters, one row per dataset row.
     """
-    if hyper.n_components != params.n_components:
-        raise ValidationError("hyper and params disagree on G")
+    _check_params_data(params, data.n_items)
+    hyper = _resolve_prior(hyper, params.n_components, data.n_items)
     pat = data.patterns
     zhat, _, rem = _e_step(params.supports, params.weights, pat)
     return MixtureParams(*_m_step(pat.rows, hyper, zhat, rem)), zhat[pat.index]
@@ -272,12 +289,7 @@ def fit_map(
         the final parameters, the log-posterior trace, and BIC when the
         prior is flat.
     """
-    if G < 1:
-        raise ValidationError("G must be >= 1")
-    if hyper is None:
-        hyper = Hyperparams.flat(G, data.n_items)
-    if hyper.n_components != G or hyper.shape.shape[1] != data.n_items:
-        raise ValidationError("hyper dimensions must match (G, K)")
+    hyper = _resolve_prior(hyper, G, data.n_items)
     if max_iter is None:
         max_iter = default_max_iter(G)
     if max_iter < 0:

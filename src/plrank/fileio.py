@@ -37,7 +37,7 @@ from .data import (
     binary_group_ind,
     ord_rank_switch,
 )
-from .em import Hyperparams, MapFit
+from .em import Hyperparams, MapFit, _resolve_prior
 from .errors import ValidationError
 from .gibbs import GibbsChain
 from .model import MixtureParams, _check_mixture_arrays
@@ -161,10 +161,11 @@ def _read_text(path) -> str:
 
 
 def _read_json(path):
-    """Parsed JSON document; malformed JSON is an error naming the file."""
+    """Parsed JSON document; malformed JSON, or arrays and objects nested
+    deeper than the parser's recursion allows, is an error naming the file."""
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"{path}: invalid JSON: {e}") from None
 
 
@@ -394,42 +395,80 @@ def write_map_json(path, fit: MapFit) -> None:
     _write_json(path, map_fit_to_dict(fit))
 
 
+# the Python types of a JSON value of each kind: a bool is not a number
+_JSON_TYPES = {int: {int}, float: {int, float}, bool: {bool}}
+
+
+def _json_field(doc: dict, key: str, ndim: int, kind, optional: bool = False):
+    """doc[key] as one JSON value of the kind (int, float or bool) when ndim
+    is 0, else as a nonempty rectangular ndim-deep array of such values, in
+    a numpy array of that dtype; a float must be finite. An optional key
+    may be missing or null, read as None."""
+    value = doc.get(key) if optional else doc[key]
+    if value is None and optional:
+        return None
+    arr = np.array(value, dtype=object)
+    types = set(map(type, arr.flat))
+    if arr.ndim != ndim or arr.size == 0 or not types <= _JSON_TYPES[kind]:
+        what = "" if ndim == 0 else f"a nonempty {ndim}-D array of "
+        raise ValidationError(f"{key} must be {what}{kind.__name__}")
+    arr = arr.astype(kind)
+    if kind is float and not np.isfinite(arr).all():
+        raise ValidationError(f"{key} must be finite")
+    return arr if ndim else arr.item()
+
+
 def read_map_json(path) -> MapFit:
     """Load a fit written by write_map_json.
 
-    Soft responsibilities are not serialized; they are reconstructed as
-    the one-hot encoding of the stored labels. Other keys, such as the
-    supports_raw of files from earlier versions, are ignored.
+    Each key is read with its JSON type (_json_field), and the keys must
+    agree: supports and hyper are n_components x n_items, the trace holds
+    n_iter_used + 1 log posteriors, and best_start indexes
+    final_log_posts. Soft responsibilities are not serialized; they are
+    reconstructed as the one-hot encoding of the stored labels. Other keys,
+    such as the supports_raw of files from earlier versions, are ignored.
     """
     doc = _read_json(path)
     try:
-        G = int(doc["n_components"])
-        supports = np.asarray(doc["supports"], dtype=np.float64)
-        weights = np.asarray(doc["weights"], dtype=np.float64)
+        G = _json_field(doc, "n_components", 0, int)
+        K = _json_field(doc, "n_items", 0, int)
+        supports = _json_field(doc, "supports", 2, float)
+        weights = _json_field(doc, "weights", 1, float)
         MixtureParams(supports, weights)  # positive supports, simplex weights
-        if supports.ndim != 2 or supports.shape[0] != G:
-            raise ValidationError("malformed supports")
-        onehot = binary_group_ind(doc["labels"], G)
-        fin = doc.get("final_log_posts")
-        bic = doc.get("bic")
+        if supports.shape != (G, K):
+            raise ValidationError("supports must be n_components x n_items")
+        hyper = doc["hyper"]
+        hyper = Hyperparams(
+            _json_field(hyper, "shape", 2, float),
+            _json_field(hyper, "rate", 1, float),
+            _json_field(hyper, "alpha", 1, float),
+        )
+        trace = _json_field(doc, "log_post_trace", 1, float)
+        n_iter = _json_field(doc, "n_iter_used", 0, int)
+        if trace.size != n_iter + 1:
+            raise ValidationError("log_post_trace must hold n_iter_used + 1 entries")
+        fin = _json_field(doc, "final_log_posts", 1, float, optional=True)
+        best = _json_field(doc, "best_start", 0, int, optional=True)
+        if (fin is None) != (best is None) or (
+            fin is not None and not 0 <= best < fin.size
+        ):
+            raise ValidationError("best_start must index final_log_posts")
         return MapFit(
             supports=supports,
             weights=weights,
-            responsibilities=onehot.astype(np.float64),
-            log_post_trace=np.asarray(doc["log_post_trace"], dtype=np.float64),
-            log_lik=float(doc["log_lik"]),
-            converged=bool(doc["converged"]),
-            n_iter_used=int(doc["n_iter_used"]),
-            bic=None if bic is None else float(bic),
-            hyper=Hyperparams(
-                np.asarray(doc["hyper"]["shape"], dtype=np.float64),
-                np.asarray(doc["hyper"]["rate"], dtype=np.float64),
-                np.asarray(doc["hyper"]["alpha"], dtype=np.float64),
-            ),
-            final_log_posts=None if fin is None else np.asarray(fin, dtype=np.float64),
-            best_start=doc.get("best_start"),
+            responsibilities=binary_group_ind(
+                _json_field(doc, "labels", 1, int), G
+            ).astype(np.float64),
+            log_post_trace=trace,
+            log_lik=_json_field(doc, "log_lik", 0, float),
+            converged=_json_field(doc, "converged", 0, bool),
+            n_iter_used=n_iter,
+            bic=_json_field(doc, "bic", 0, float, optional=True),
+            hyper=_resolve_prior(hyper, G, K),
+            final_log_posts=fin,
+            best_start=best,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: not a fit file ({e})") from None
 
 

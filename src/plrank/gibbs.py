@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _as_int_matrix, binary_group_ind
-from .em import Hyperparams, MapFit
+from .data import Dataset, _labels0, binary_group_ind
+from .em import Hyperparams, MapFit, _resolve_prior
 from .errors import ValidationError
 from .model import _availability_sums, _mixture_scores, _stage_table
 
@@ -149,15 +149,10 @@ def gibbs_run(
     Returns:
         GibbsChain with n_iter - n_burn kept sweeps.
     """
-    if G < 1:
-        raise ValidationError("G must be >= 1")
+    N, K = data.orderings.shape
+    hyper = _resolve_prior(hyper, G, K)
     if n_iter < 1 or n_burn < 0 or n_burn >= n_iter:
         raise ValidationError("need n_iter >= 1 and 0 <= n_burn < n_iter")
-    N, K = data.orderings.shape
-    if hyper is None:
-        hyper = Hyperparams.flat(G, K)
-    if hyper.n_components != G or hyper.shape.shape[1] != K:
-        raise ValidationError("hyper dimensions must match (G, K)")
     seed = rng if isinstance(rng, (int, np.integer)) else None
     if rng is None or seed is not None:
         rng = np.random.default_rng(seed)
@@ -181,11 +176,9 @@ def gibbs_run(
             raise ValidationError("init z must be one-hot N x G")
         g0 = np.argmax(z, axis=1)
     elif z.shape == (N,):
-        g0 = _as_int_matrix(z)[0] - 1
+        g0 = _labels0(z, G)
     else:
         raise ValidationError("init z labels must have length N")
-    if g0.min() < 0 or g0.max() >= G:
-        raise ValidationError(f"init z labels must lie in 1..{G}")
     w = np.full(G, 1.0 / G)
 
     # the membership state, per distinct row: a one-unit row's component as a

@@ -25,7 +25,9 @@ prefix sums back by item; _log_mixture reduces over a contiguous leading
 component axis and hands back C-contiguous (D, G) scores.
 _mixture_scores, the one scoring step built on them, is EM's E-step, the
 sampler's membership update, the likelihood and the predictive checks'
-pattern probabilities.
+pattern probabilities. pl_prob is that likelihood for one row and one
+component, so it takes the MixtureParams checks; the likelihood and
+em.em_step check params against the data by one rule, _check_params_data.
 
 Results are fixed bit for bit, not just to rounding: the stage sums run in
 stage order and the component sums in component order, whatever the
@@ -161,33 +163,6 @@ def _availability_sums(at: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.take(x.reshape((-1,) + x.shape[2:]), at, axis=0)
 
 
-def component_stage_logliks(data: Dataset, supports: np.ndarray) -> np.ndarray:
-    """Log stagewise-choice likelihood of every unit under every support
-    row; returns an (N, G) matrix.
-
-    Unit s scores sum_t log p[chosen_t] - sum_t log(rem_t), where rem_t,
-    the support mass still available before stage t, is the sum of the
-    supports chosen from stage t on plus the supports of the items the
-    unit leaves unranked (see _stage_table, run on the dataset's distinct
-    rows and indexed back to its rows).
-    """
-    rows, index = data.patterns
-    p = np.atleast_2d(np.asarray(supports, dtype=np.float64))
-    return _stage_table(rows, p)[0][index]
-
-
-def pl_prob(ordering, supports) -> float:
-    """Probability of one partial ordering under a single support vector."""
-    row = validate_ordering_matrix(ordering)[0]
-    p = np.asarray(supports, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != row.shape[0]:
-        raise ValidationError("supports must be a length-K vector")
-    if not np.isfinite(p).all() or (p <= 0).any():
-        raise ValidationError("supports must be positive and finite")
-    data = Dataset.from_orderings(row[None, :])
-    return float(np.exp(component_stage_logliks(data, p[None, :])[0, 0]))
-
-
 def _log_mixture(comp: np.ndarray, weights: np.ndarray):
     """Weighted component scores and per-unit log mixture density.
 
@@ -241,6 +216,14 @@ def mixture_logliks_per_unit(params: MixtureParams, data: Dataset) -> np.ndarray
 def mixture_loglik(params: MixtureParams, data: Dataset) -> float:
     """Observed-data log-likelihood of the mixture on the dataset's units."""
     return float(data.patterns.rows.counts @ _pattern_logliks(params, data))
+
+
+def pl_prob(ordering, supports) -> float:
+    """Probability of one partial ordering (the first row of a matrix)
+    under a single support vector: the one-component mixture likelihood
+    of the one-row dataset."""
+    data = Dataset.from_orderings(validate_ordering_matrix(ordering)[:1])
+    return float(np.exp(mixture_loglik(MixtureParams(supports, [1.0]), data)))
 
 
 def sample_mixture(n: int, K: int, G: int, params: MixtureParams, rng=None):

@@ -37,9 +37,9 @@ class RelabeledChain(GibbsChain):
 
 
 def _pivot_matrix(pivot, G: int, K: int) -> np.ndarray:
-    if isinstance(pivot, MixtureParams):
-        pivot = pivot.normalized()
-    if not isinstance(pivot, (MapFit, NormalizedParams)):
+    """The pivot's component vectors (G x K+1): each support row divided
+    once by its sum, then the weight."""
+    if not isinstance(pivot, (MapFit, MixtureParams, NormalizedParams)):
         raise ValidationError("pivot must be a MapFit or mixture parameters")
     p, w = pivot.supports, pivot.weights
     if p.shape != (G, K):

@@ -129,7 +129,7 @@ def test_simulate_deterministic(tmp_path):
     assert set(comp[1:]) <= {"1", "2"}
 
 
-def test_fit_map_then_gibbs_init(tmp_path):
+def test_fit_map_then_gibbs_init(tmp_path, capsys):
     data = tmp_path / "sim"
     run(["simulate", "--n", 80, "--K", 3, "--seed", 3, "--out", data])
     fits = tmp_path / "fits"
@@ -173,6 +173,7 @@ def test_fit_map_then_gibbs_init(tmp_path):
     assert meta["deviance_mean"] == pytest.approx(-2 * meta["log_lik_mean"])
 
     sel = tmp_path / "sel"
+    capsys.readouterr()
     code = run(
         [
             "select", "--input", data / "orderings.csv", "--format", "ordering",
@@ -184,6 +185,11 @@ def test_fit_map_then_gibbs_init(tmp_path):
     lines = (sel / "selection.csv").read_text().splitlines()
     assert lines[0].startswith("G,D_bar,D_hat,")
     assert len(lines) == 2
+    # the printed line shows the flag selection.json holds
+    (row,) = json.loads((sel / "selection.json").read_text())["criteria"]
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("select: G=2 DIC1=")
+    assert line.endswith(f" complexity_ok={json.dumps(row['complexity_ok'])}")
 
     ppc = tmp_path / "ppc"
     code = run(
@@ -700,9 +706,26 @@ def fit_and_chain(tmp_path_factory):
         lambda d: d.update(weights=[1.0]),
         lambda d: d.update(supports="abc"),
         lambda d: d.update(labels=[1.5] + d["labels"][1:]),
+        lambda d: d.update(converged="no"),
+        lambda d: d.update(n_components=2.5),
+        lambda d: d.update(n_iter_used=-3),
+        lambda d: d.update(log_lik=True),
+        lambda d: d.update(log_lik=float("nan")),
+        lambda d: d.update(log_post_trace=[]),
+        lambda d: d.update(log_post_trace=[[1, 2]]),
+        lambda d: d.update(best_start="x"),
+        lambda d: d.update(best_start=len(d["final_log_posts"])),
+        lambda d: d["hyper"].update(
+            shape=[[1.0] * 3] * 3, rate=[0.0] * 3, alpha=[1.0] * 3
+        ),
+        lambda d: d["hyper"].update(shape=[[1.0] * 4] * 2),
+        lambda d: d.update(n_items=7),
     ],
     ids=["no-log-lik", "label-0", "label-above-G", "one-weight", "text",
-         "label-fraction"],
+         "label-fraction", "converged-text", "G-fraction", "iter-negative",
+         "log-lik-bool", "log-lik-nan", "trace-empty", "trace-2-d",
+         "best-start-text", "best-start-past", "hyper-G3", "hyper-K4",
+         "n-items-7"],
 )
 def test_malformed_fit_json_is_a_validation_error(
     tmp_path, capsys, fit_and_chain, corrupt

@@ -46,6 +46,11 @@ def test_single_component_update_matches_loop_oracle():
     want = em_update_single(p0, mat, depths)
     assert np.allclose(new.supports[0], want, atol=1e-12)
     assert np.allclose(resp, 1.0)
+    # a prior or params over other items than the data's are refused
+    with pytest.raises(ValidationError, match="hyper dimensions must match"):
+        em_step(params, data, Hyperparams.flat(1, 4))
+    with pytest.raises(ValidationError, match="params cover 4 items but data has 3"):
+        em_step(MixtureParams.uniform(1, 4), data, Hyperparams.flat(1, 4))
 
 
 def test_update_exact_at_extreme_supports():

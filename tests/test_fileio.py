@@ -241,6 +241,14 @@ def test_map_json_round_trip(tmp_path):
             assert np.array_equal(back.responsibilities, onehot)
 
 
+def test_json_nested_past_the_parser_is_a_validation_error(tmp_path):
+    # the parser raises RecursionError here, not a decoding error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValidationError, match="deep.json: invalid JSON"):
+        read_map_json(path)
+
+
 def test_permutations_csv(tmp_path):
     from plrank import MixtureParams, pra_relabel
     from plrank.gibbs import GibbsChain

@@ -33,6 +33,10 @@ def test_pl_prob_hand_values():
     assert pl_prob(np.array([1, 2, 3]), ext) == pytest.approx(0.5, rel=1e-12)
     ext = np.array([1.0, 1e-17, 1e-17, 1e-17])
     assert pl_prob(np.array([1, 2, 0, 0]), ext) == pytest.approx(1 / 3, rel=1e-12)
+    # supports whose row sum overflows: refused, as MixtureParams refuses
+    # them, not scored 0 with an overflow warning
+    with pytest.raises(ValidationError, match="finite sum"):
+        pl_prob(np.array([1, 2, 0, 0]), np.array([1e308, 1e308, 1.0, 1.0]))
 
 
 def test_params_validation():

@@ -18,7 +18,7 @@ from plrank import (
     mixture_logliks_per_unit,
     sample_mixture,
 )
-from plrank.model import component_stage_logliks
+from plrank.model import _stage_table
 from oracles import em_step_units, gibbs_run_units, in_engine_order, random_partial_matrix
 
 APA_SUPPORTS = [
@@ -157,7 +157,8 @@ def test_pattern_sampler_matches_exact_posterior():
     M = 100_000
     theta = rng.dirichlet(np.full(K, c), size=(M, G))
     w = rng.dirichlet(np.ones(G), size=M)
-    comp = component_stage_logliks(rows, theta.reshape(M * G, K))
+    pat = rows.patterns
+    comp = _stage_table(pat.rows, theta.reshape(M * G, K))[0][pat.index]
     lik = np.exp(comp).reshape(-1, M, G)
     ll = counts @ np.log((lik * w).sum(axis=2))
     wt = np.exp(ll - ll.max())
