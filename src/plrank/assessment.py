@@ -36,6 +36,20 @@ conditional p-values come from one pass. Counts are taken per stratum
 and stacked with their pooled integer sums as rows [pooled, stratum
 1..S], so one call per statistic scores a draw: the plain statistic is
 row 0, the conditional one the sum of rows 1..S.
+
+A chain's kept draws run in blocks of B draws, B fixed by a cell budget:
+a block's stage table over the pattern rows (B x rows x G x K) and four
+times its pair-count table (B x 2(S+1) x K x K) stay under _BLOCK_CELLS,
+and a draw that alone reaches it runs as a block of one. A block scores
+all its draws' pattern probabilities in one pass with B * G support
+rows, draws each enumerated stratum's B pattern-count rows with one
+multinomial call (a 2-D pvals consumes the stream as row-by-row calls
+do), counts them in one count-kernel call, and scores every statistic
+across the block, each draw keeping the bits it has in a block of one.
+The stream runs through the enumerated strata in ascending depth, then
+draw by draw through the simulated strata, each draw's in ascending
+depth: data whose strata are all simulated draw in the order of one draw
+at a time.
 """
 
 from __future__ import annotations
@@ -50,31 +64,41 @@ import numpy as np
 from .data import Dataset, _check_cells, _depth_counts, _order_counts
 from .errors import ValidationError
 from .gibbs import GibbsChain
-from .model import _mixture_race, _mixture_scores
+from .model import _log_mixture, _mixture_race, _stage_table
 
 # One depth stratum of the data: its depth m, its size n_m, its observed
 # (top-1, pair) counts, and its rows of the shared pattern table when it is
 # enumerated (None: its replicate is simulated unit by unit)
 _Stratum = namedtuple("_Stratum", "depth size observed rows")
 
+# cells of one block of kept draws (_block_draws). Its largest table stays
+# under 4 MiB of float64, where numpy asks the kernel for huge pages: with
+# those, faulting in a fresh c9-shaped stage table of 50 draws took 8.0 ms,
+# against 1.2 ms for 40 draws just under the line
+_BLOCK_CELLS = 2**19
+
 
 def chi2_top1(r: np.ndarray, N, pbar: np.ndarray):
     """First-place chi-squared statistic of each count set r[..., :] of N
-    units (N broadcasting over r's leading axes) against marginals pbar."""
-    E = np.multiply.outer(N, pbar)
+    units (N broadcasting over r's leading axes) against marginals
+    pbar[..., :] (pbar's leading axes broadcasting the same way)."""
+    E = np.asarray(N)[..., None] * pbar
     return (((r - E) ** 2) / E).sum(axis=-1)
 
 
 def chi2_paired(tau: np.ndarray, pbar: np.ndarray):
     """Paired-preference chi-squared of each decided-comparison matrix
-    tau[..., :, :], summed over its decided cells, n_ij > 0. A diagonal
-    cell adds an exact zero: its expectation n_ii / 2 is tau_ii."""
+    tau[..., :, :] against marginals pbar[..., :] (leading axes broadcast),
+    summed over its decided cells, n_ij > 0. A diagonal cell adds an exact
+    zero: its expectation n_ii / 2 is tau_ii."""
     n = tau + np.swapaxes(tau, -1, -2)
-    Pi = pbar[:, None]
-    E = n * (Pi / (Pi + pbar))
+    Pi = pbar[..., :, None]
+    E = n * (Pi / (Pi + pbar[..., None, :]))
+    # an undecided cell has tau = E = 0: its squared deviation is the zero
+    # it adds
     dev = tau - E
-    terms = np.divide(dev * dev, E, out=np.zeros(E.shape), where=n > 0)
-    return terms.sum(axis=(-2, -1))
+    dev *= dev
+    return np.divide(dev, E, out=dev, where=n > 0).sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,44 +148,90 @@ def _strata(data: Dataset):
     return strata, Dataset._build(np.concatenate(blocks), np.ones(lo, dtype=np.int64))
 
 
+def _block_draws(strata, table, G: int, K: int) -> int:
+    """Kept draws per block: as many as keep the block's stage table over
+    the pattern rows (draws x rows x G x K) and four times its pair-count
+    table (draws x 2 (S + 1) x K x K; chi2_paired holds four arrays of that
+    size at once) under _BLOCK_CELLS cells, and at least one."""
+    rows = 0 if table is None else table.counts.size
+    per_draw = K * (rows * G + 4 * 2 * (len(strata) + 1) * K)
+    return max(1, (_BLOCK_CELLS - 1) // per_draw)
+
+
+def _pattern_probs(table: Dataset, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mixture probabilities of the pattern table's rows, (P,) at supports
+    p (G x K) and weights w (G,), or (B x P) at a block's p (B x G x K)
+    and w (B x G): the mixture's scoring step (model._mixture_scores) in
+    one pass with all the block's B * G support rows."""
+    comp = _stage_table(table, p.reshape(-1, p.shape[-1]))[0]
+    return np.exp(_log_mixture(comp.reshape(-1, *w.shape), w)[1])
+
+
 def _replicate_counts(strata, table, p: np.ndarray, w: np.ndarray, rng):
     """(top-1 counts, pair counts) of one replicated dataset per stratum at
-    normalised supports p and weights w. Within a depth-m stratum the
-    replicated top-m orderings are i.i.d. over the top-m patterns, so an
-    enumerated stratum draws its pattern counts from Multinomial(n_m, pi);
-    any other stratum simulates its own units, whose complete orderings
-    are filled orderings of depth m as they are drawn."""
+    normalised supports p (G x K) and weights w (G,), or of one per draw of
+    a block of B draws, p (B x G x K) and w (B x G), whose counts lead with
+    the B axis. Within a depth-m stratum the replicated top-m orderings are
+    i.i.d. over the top-m patterns, so an enumerated stratum draws its
+    pattern counts from Multinomial(n_m, pi), one call per block; any other
+    stratum simulates its own units, draw by draw once the enumerated
+    strata are drawn, and counts their complete orderings, which are
+    filled orderings of depth m as they are drawn."""
+    lead = w.shape[:-1]
+    out = [None] * len(strata)
     if table is not None:
-        pi = np.exp(_mixture_scores(table, p, w)[1])
+        pi = _pattern_probs(table, p, w)
         items = table._stages.items
-    out = []
-    for s in strata:
-        if s.rows is None:
-            race = _mixture_race(s.size, p, w, rng)[1]
-            out.append(_order_counts(np.ascontiguousarray(race.T), s.depth))
-        else:
-            q = pi[s.rows]
-            n_pattern = rng.multinomial(s.size, q / q.sum())
-            out.append(_order_counts(items[:, s.rows], s.depth, n_pattern))
+        for i, s in enumerate(strata):
+            if s.rows is not None:
+                q = pi[..., s.rows]
+                n_pattern = rng.multinomial(s.size, q / q.sum(axis=-1, keepdims=True))
+                out[i] = _order_counts(items[:, s.rows], s.depth, n_pattern)
+    simulated = [i for i, s in enumerate(strata) if s.rows is None]
+    per_draw = [
+        [_simulated_counts(strata[i], p[b], w[b], rng) for i in simulated]
+        for b in np.ndindex(lead)
+    ]
+    for i, counts in zip(simulated, zip(*per_draw)):
+        out[i] = tuple(np.reshape(c, lead + c[0].shape) for c in zip(*counts))
     return out
+
+
+def _simulated_counts(s: _Stratum, p: np.ndarray, w: np.ndarray, rng):
+    """(top-1, pair) counts of stratum s's units simulated at one draw's
+    supports p and weights w, one complete ordering each by exponential
+    race, truncated to the stratum's depth by the count kernel."""
+    race = _mixture_race(s.size, p, w, rng)[1]
+    return _order_counts(np.ascontiguousarray(race.T), s.depth)
 
 
 def _check_one_chain(strata, table, chain: GibbsChain, rng):
     """(2, 4, n_kept) statistics of one chain, plain then conditional, each
-    holding top1 obs/rep and paired obs/rep, from one replicate per draw.
-    Observed and replicated counts stack as rows [pooled, stratum 1..S];
-    each row's N is its top-1 total, as every unit ranks one item first."""
-    r = np.zeros((2, len(strata) + 1, chain.n_items), dtype=np.int64)
-    tau = np.zeros((*r.shape, chain.n_items), dtype=np.int64)
-    r[0, 1:], tau[0, 1:] = zip(*(s.observed for s in strata))
+    holding top1 obs/rep and paired obs/rep, from one replicate per draw,
+    the draws taken in blocks (_block_draws). Observed and replicated
+    counts of each draw stack as rows [pooled, stratum 1..S]; each row's N
+    is its top-1 total, as every unit ranks one item first. The stratum
+    axis stays last and contiguous where the conditional sum runs, so each
+    draw's statistics have the bits of a block of one."""
+    K = chain.n_items
+    observed = [np.stack(c) for c in zip(*(s.observed for s in strata))]
+    P = chain.supports_3d()
+    P = P / P.sum(axis=2, keepdims=True)
+    B = _block_draws(strata, table, chain.n_components, K)
     stats = np.zeros((2, 4, chain.n_kept))
-    for l, (p, w) in enumerate(zip(chain.supports_3d(), chain.W)):
-        p = p / p.sum(axis=1, keepdims=True)
-        pbar = w @ p
-        r[1, 1:], tau[1, 1:] = zip(*_replicate_counts(strata, table, p, w, rng))
-        r[:, 0], tau[:, 0] = r[:, 1:].sum(axis=1), tau[:, 1:].sum(axis=1)
-        x = np.concatenate((chi2_top1(r, r.sum(axis=-1), pbar), chi2_paired(tau, pbar)))
-        stats[:, :, l] = x[:, 0], x[:, 1:].sum(axis=1)
+    for lo in range(0, chain.n_kept, B):
+        p, w = P[lo : lo + B], chain.W[lo : lo + B]
+        r = np.zeros((len(w), 2, len(strata) + 1, K), dtype=np.int64)
+        tau = np.zeros((*r.shape, K), dtype=np.int64)
+        reps = _replicate_counts(strata, table, p, w, rng)
+        r[:, 0, 1:], tau[:, 0, 1:] = observed
+        r[:, 1, 1:], tau[:, 1, 1:] = (np.stack(c, axis=1) for c in zip(*reps))
+        r[:, :, 0], tau[:, :, 0] = r[:, :, 1:].sum(axis=2), tau[:, :, 1:].sum(axis=2)
+        # each draw's w @ p, broadcasting over the [obs, rep] and stratum rows
+        pbar = np.matmul(w[:, None], p)[:, None]
+        x = np.concatenate((chi2_top1(r, r.sum(axis=-1), pbar), chi2_paired(tau, pbar)), axis=1)
+        stats[0, :, lo : lo + B] = x[..., 0].T
+        stats[1, :, lo : lo + B] = x[..., 1:].sum(axis=-1).T
     return stats
 
 

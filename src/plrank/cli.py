@@ -231,11 +231,7 @@ def _cmd_summarize(opts: argparse.Namespace) -> int:
 def _cmd_simulate(opts: argparse.Namespace) -> int:
     n, K, G, seed = opts.n, opts.K, opts.G, opts.seed
     if opts.params:
-        doc = fileio._read_json(opts.params)
-        try:
-            params = MixtureParams(doc["supports"], doc["weights"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"{opts.params}: not a params file ({e})")
+        params = fileio._read_params(opts.params)
     else:
         params = MixtureParams.uniform(G, K)
     labels, data = sample_mixture(n, K, G, params, np.random.default_rng(seed))

@@ -18,6 +18,7 @@ prefix indicators and their unit totals are the fields u and gamma.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -501,23 +502,37 @@ def _order_counts(items: np.ndarray, depth: int, weights=None):
     column s of the stage-major K x n matrix items holding the 0-based
     items of row s: its ranked prefix of `depth` items, then its unranked
     items, as _stage_items holds them. Row s is counted weights[s] times
-    (once by default). Positions a < b of a row form the decided pair
-    "item at a before item at b" when a < depth, so a pair of unranked
-    items counts for neither side. In each block of rows, each position's
-    pairs are one np.bincount over the codes i * K + j. Integer weights
+    (once by default); a B x n weight matrix gives B count sets at once,
+    (B x K, B x K x K), set b counting row s weights[b, s] times. Positions
+    a < b of a row form the decided pair "item at a before item at b" when
+    a < depth, so a pair of unranked items counts for neither side. In each
+    block of rows, of at most _PAIR_CHUNK rows times count sets, the first
+    places are one np.bincount and each position's pairs one over the codes
+    i * K + j, each set counting into its own run of bins. Integer weights
     are summed in float64, exact while they sum below 2**53."""
     K, n = items.shape
-    top1 = np.bincount(items[0], weights, minlength=K).astype(np.int64)
-    tau = np.zeros(K * K)
-    for lo in range(0, n, _PAIR_CHUNK):
-        blk = items[:, lo : lo + _PAIR_CHUNK]
+    lead = () if weights is None else np.shape(weights)[:-1]
+    sets = math.prod(lead)
+    w = None if weights is None else np.reshape(weights, (sets, 1, n) if sets > 1 else n)
+    step = max(1, _PAIR_CHUNK // sets)
+    top1, tau = np.zeros(sets * K), np.zeros(sets * K * K)
+
+    def count(codes, out, wb):
+        if sets > 1:  # set b counts into the b-th of sets equal runs of bins
+            codes = codes + out.size // sets * np.arange(sets)[:, None, None]
+        cw = None if wb is None else np.broadcast_to(wb, codes.shape).ravel()
+        out += np.bincount(codes.ravel(), cw, minlength=out.size)
+
+    for lo in range(0, n, step):
+        blk = items[:, lo : lo + step]
+        wb = None if w is None else w[..., lo : lo + step]
+        count(blk[0], top1, wb)
         for a in range(min(depth, K - 1)):
-            codes = blk[a + 1 :] + K * blk[a]
-            w = None
-            if weights is not None:
-                w = np.broadcast_to(weights[lo : lo + _PAIR_CHUNK], codes.shape).ravel()
-            tau += np.bincount(codes.ravel(), w, minlength=K * K)
-    return top1, tau.astype(np.int64).reshape(K, K)
+            count(blk[a + 1 :] + K * blk[a], tau, wb)
+    return (
+        top1.astype(np.int64).reshape(*lead, K),
+        tau.astype(np.int64).reshape(*lead, K, K),
+    )
 
 
 def rank_positions_of(orderings: np.ndarray, missing: int) -> np.ndarray:

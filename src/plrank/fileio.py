@@ -418,6 +418,23 @@ def _json_field(doc: dict, key: str, ndim: int, kind, optional: bool = False):
     return arr if ndim else arr.item()
 
 
+def _read_params(path) -> MixtureParams:
+    """Mixture parameters from a params document, {"supports": G x K,
+    "weights": G}, each key read with its JSON type (_json_field). One
+    component may give its supports as one row of K and its weight as one
+    number."""
+    doc = _read_json(path)
+    try:
+        rows, weights = doc["supports"], doc["weights"]
+        one_row = isinstance(rows, list) and not any(isinstance(v, list) for v in rows)
+        return MixtureParams(
+            _json_field(doc, "supports", 1 if one_row else 2, float),
+            _json_field(doc, "weights", 1 if isinstance(weights, list) else 0, float),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{path}: not a params file ({e})") from None
+
+
 def read_map_json(path) -> MapFit:
     """Load a fit written by write_map_json.
 

@@ -24,10 +24,12 @@ G), taking logs over the ranked slices only; _availability_sums gathers
 prefix sums back by item; _log_mixture reduces over a contiguous leading
 component axis and hands back C-contiguous (D, G) scores.
 _mixture_scores, the one scoring step built on them, is EM's E-step, the
-sampler's membership update, the likelihood and the predictive checks'
-pattern probabilities. pl_prob is that likelihood for one row and one
-component, so it takes the MixtureParams checks; the likelihood and
-em.em_step check params against the data by one rule, _check_params_data.
+sampler's membership update and the likelihood; the predictive checks
+take their pattern probabilities from the same _stage_table and
+_log_mixture pass, for a block of draws at once (assessment). pl_prob is
+that likelihood for one row and one component, so it takes the
+MixtureParams checks; the likelihood and em.em_step check params against
+the data by one rule, _check_params_data.
 
 Results are fixed bit for bit, not just to rounding: the stage sums run in
 stage order and the component sums in component order, whatever the
@@ -219,10 +221,13 @@ def mixture_loglik(params: MixtureParams, data: Dataset) -> float:
 
 
 def pl_prob(ordering, supports) -> float:
-    """Probability of one partial ordering (the first row of a matrix)
-    under a single support vector: the one-component mixture likelihood
-    of the one-row dataset."""
-    data = Dataset.from_orderings(validate_ordering_matrix(ordering)[:1])
+    """Probability of one partial ordering (a 1-D row or a one-row matrix;
+    more rows are refused) under a single support vector: the
+    one-component mixture likelihood of the one-row dataset."""
+    mat = validate_ordering_matrix(ordering)
+    if mat.shape[0] != 1:
+        raise ValidationError(f"pl_prob scores one ordering, not {mat.shape[0]} rows")
+    data = Dataset.from_orderings(mat)
     return float(np.exp(mixture_loglik(MixtureParams(supports, [1.0]), data)))
 
 

@@ -418,3 +418,94 @@ def test_simulated_strata_keep_the_simulation_path():
         for k, rep in enumerate((plain, cond)):
             got = (rep.top1_obs, rep.top1_rep, rep.paired_obs, rep.paired_rep)
             assert np.array_equal(np.array([x[c] for x in got]), want[k])
+
+
+def _counted_patterns(K, depths, per_pattern):
+    """Every top-m ordering of each depth m, counted per_pattern times: data
+    whose depth strata are all enumerated, at a few hundred rows."""
+    rows = [
+        list(r) + [0] * (K - m)
+        for m in depths
+        for r in itertools.permutations(range(1, K + 1), m)
+    ]
+    return Dataset.from_orderings(rows, [per_pattern] * len(rows))
+
+
+def _random_chain(rng, L, G, K):
+    """A chain of L kept draws of random supports and weights."""
+    from plrank import GibbsChain
+
+    P = rng.dirichlet(np.ones(K), (L, G)).reshape(L, G * K)
+    return GibbsChain(P, rng.dirichlet(np.ones(G), L), np.zeros(L), np.zeros(L))
+
+
+class _StageTableSpy:
+    """Records the (pattern rows, support rows) of each _stage_table call."""
+
+    def __init__(self, monkeypatch):
+        from plrank import assessment
+
+        self.calls, real = [], assessment._stage_table
+
+        def spy(rows, p):
+            self.calls.append((rows.counts.size, p.shape[0]))
+            return real(rows, p)
+
+        monkeypatch.setattr(assessment, "_stage_table", spy)
+
+
+@pytest.mark.parametrize(
+    "K,depths,G,L",
+    [
+        (6, [6], 3, 30),  # the benchmark's c9 shape and kept draws: 720 patterns
+        (5, [1, 2, 3, 5], 3, 50),  # its ballot shape: 205 patterns, 20 draws
+        (4, [1, 2, 4], 2, 50),
+    ],
+)
+def test_blocks_keep_to_the_cell_budget(monkeypatch, K, depths, G, L):
+    from plrank import assessment
+
+    data = _counted_patterns(K, depths, K)
+    strata, table = _strata(data)
+    assert all(s.rows is not None for s in strata)
+    rng = np.random.default_rng(K)
+    # a benchmark-sized chain runs as one block
+    spy = _StageTableSpy(monkeypatch)
+    _ppchecks(data, _random_chain(rng, L, G, K), rng)
+    assert spy.calls == [(table.counts.size, L * G)]
+    # a chain past the budget runs in blocks that each keep within it,
+    # one draw per row block of G support rows, every draw once
+    B = assessment._block_draws(strata, table, G, K)
+    L = 2 * B + 3
+    spy.calls.clear()
+    _ppchecks(data, _random_chain(rng, L, G, K), rng)
+    assert [n // G for _, n in spy.calls] == [B, B, 3]
+    assert all(rows * n * K < assessment._BLOCK_CELLS for rows, n in spy.calls)
+    # a table whose single draw exceeds the budget runs one draw at a time
+    monkeypatch.setattr(assessment, "_BLOCK_CELLS", table.counts.size * G * K)
+    spy.calls.clear()
+    _ppchecks(data, _random_chain(rng, 4, G, K), rng)
+    assert spy.calls == [(table.counts.size, G)] * 4
+
+
+def test_blocks_keep_each_draws_statistics(monkeypatch):
+    # with every stratum simulated the stream runs draw by draw, so the
+    # statistics of a chain taken in blocks equal those of blocks of one
+    # draw bit for bit
+    from plrank import assessment
+
+    rng = np.random.default_rng(12)
+    data = Dataset.from_orderings(_depth_rows(rng, 7, {2: 30, 4: 20, 7: 25}))
+    strata, table = _strata(data)
+    assert table is None
+    # the benchmark's wide shape (K=10, G=4, four simulated strata) runs its
+    # 50 kept draws as one block
+    assert assessment._block_draws(strata + [strata[0]], None, 4, 10) >= 50
+    chains = [_random_chain(rng, 40, G, 7) for G in (1, 3)]
+    blocks = _ppchecks(data, chains, np.random.default_rng(5))
+    monkeypatch.setattr(assessment, "_BLOCK_CELLS", 1)
+    singles = _ppchecks(data, chains, np.random.default_rng(5))
+    for a, b in zip(blocks, singles):
+        for name in ("top1_obs", "top1_rep", "paired_obs", "paired_rep"):
+            for x, y in zip(getattr(a, name), getattr(b, name)):
+                assert np.array_equal(x, y)

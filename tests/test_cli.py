@@ -647,14 +647,15 @@ def test_ppcheck_simulates_one_replicate_per_draw(tmp_path, monkeypatch):
     real = assessment._replicate_counts
     calls = []
 
-    def counting(*a):
-        calls.append(a)
-        return real(*a)
+    def counting(strata, table, p, w, rng):
+        # a call replicates one draw per row of its supports block p
+        calls.append(len(p))
+        return real(strata, table, p, w, rng)
 
     monkeypatch.setattr(assessment, "_replicate_counts", counting)
     out = tmp_path / "ppc"
     assert run(["ppcheck", *args, "--seed", 13, "--out", out]) == 0
-    assert len(calls) == sum(c.n_kept for c in chains)
+    assert sum(calls) == sum(c.n_kept for c in chains)
 
 
 def test_ppcheck_cli_matches_library_on_one_stream(tmp_path):
@@ -792,6 +793,46 @@ def test_malformed_params_json_is_a_validation_error(tmp_path, capsys, text):
         ["simulate", "--n", 10, "--K", 3, "--params", params, "--seed", 1,
          "--out", tmp_path / "sim"],
     )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"supports": [[1, True, 2, 1]], "weights": [True]},
+        {"supports": [1, 2, 2, 1], "weights": [True]},
+        {"supports": [[1, 2, 2, 1]], "weights": False},
+        {"supports": [[1, 2, 2, "1"]], "weights": [1.0]},
+    ],
+)
+def test_params_json_booleans_are_not_numbers(tmp_path, capsys, doc):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    _assert_validation_exit(
+        capsys,
+        ["simulate", "--n", 5, "--K", 4, "--G", 1, "--params", params, "--seed", 1,
+         "--out", tmp_path / "sim"],
+    )
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"supports": [1, 2, 2, 1], "weights": 1},
+        {"supports": [[1, 2, 2, 1]], "weights": [1.0]},
+        {"supports": [[1, 2, 2, 1]], "weights": 1.0},
+    ],
+)
+def test_params_json_keeps_one_component_shorthands(tmp_path, doc):
+    # G = 1 may give one support row and a scalar weight
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--n", 5, "--K", 4, "--G", 1, "--params", params,
+                "--seed", 1, "--out", out]) == 0
+    written = json.loads((out / "params.json").read_text())
+    assert written["supports"] == [[1.0, 2.0, 2.0, 1.0]]
+    assert written["weights"] == [1.0]
 
 
 @pytest.mark.parametrize(

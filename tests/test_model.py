@@ -39,6 +39,14 @@ def test_pl_prob_hand_values():
         pl_prob(np.array([1, 2, 0, 0]), np.array([1e308, 1e308, 1.0, 1.0]))
 
 
+def test_pl_prob_scores_one_row():
+    # a one-row matrix is the row; a second row is refused, not dropped
+    p = np.array([0.3, 0.5, 0.2])
+    assert pl_prob([[2, 1, 3]], p) == pl_prob([2, 1, 3], p)
+    with pytest.raises(ValidationError, match="one ordering, not 2 rows"):
+        pl_prob([[1, 2, 3], [3, 2, 1]], p)
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         MixtureParams(np.array([[0.5, 0.0]]), np.array([1.0]))

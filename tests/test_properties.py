@@ -31,7 +31,13 @@ from plrank import (
     unit_to_freq,
     write_dataset,
 )
-from plrank.assessment import chi2_paired, chi2_top1
+from plrank.assessment import (
+    _pattern_probs,
+    _replicate_counts,
+    _strata,
+    chi2_paired,
+    chi2_top1,
+)
 from plrank.data import (
     _MAX_CELLS,
     _PAIR_CHUNK,
@@ -42,7 +48,12 @@ from plrank.data import (
 )
 from plrank.errors import ValidationError
 from plrank.fileio import _matrix, _matrix_by_line, parse_preflib_text
-from plrank.model import _availability_sums, _log_mixture, _stage_table
+from plrank.model import (
+    _availability_sums,
+    _log_mixture,
+    _mixture_scores,
+    _stage_table,
+)
 from oracles import (
     availability_sums_rows_major,
     log_mixture_rows_major,
@@ -299,6 +310,84 @@ def test_order_counts_span_row_blocks():
         top1, tau = _order_counts(items, depth, weights)
         assert np.array_equal(top1, np.bincount(items[0], weights, minlength=K))
         assert np.array_equal(tau, pair_counts_rank_compare(ranks, weights))
+
+
+@st.composite
+def weight_blocks(draw):
+    """Stage-major filled orderings (K x n) at one depth with a B x n block
+    of integer weights; B * n ranges past _PAIR_CHUNK, so the kernel's row
+    blocks both fit in one and cross several."""
+    K = draw(st.integers(1, 9))
+    depth = draw(st.integers(1, K))
+    n = draw(st.integers(1, 40))
+    B = draw(st.sampled_from([1, 2, 7]) | st.integers(1, 2 * _PAIR_CHUNK // n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items = np.argsort(rng.random((K, n)), axis=0)
+    bound = draw(st.sampled_from([2, 50, (2**53 - 1) // n]))
+    return items, depth, rng.integers(0, bound, size=(B, n), endpoint=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_blocks())
+def test_order_counts_of_a_weight_block_equal_one_row_calls(case):
+    # a B x n weight matrix gives B count sets, each that of its own row
+    items, depth, weights = case
+    top1, tau = _order_counts(items, depth, weights)
+    assert top1.shape == weights.shape[:1] + (items.shape[0],)
+    assert tau.shape == top1.shape + (items.shape[0],)
+    for b, row in enumerate(weights):
+        one_top1, one_tau = _order_counts(items, depth, row)
+        assert np.array_equal(top1[b], one_top1)
+        assert np.array_equal(tau[b], one_tau)
+
+
+@st.composite
+def draw_blocks(draw, K_range, max_units):
+    """A dataset over K items, and a block of B draws of supports (B x G x
+    K, rows on the simplex, entries down to 1e-30) and weights (B x G,
+    some zero)."""
+    K = draw(K_range)
+    data = Dataset.from_orderings(draw(orderings(K, max_units=max_units)))
+    G = draw(st.integers(1, 3))
+    B = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = 10.0 ** rng.uniform(-30, 0, (B, G, K))
+    w = rng.dirichlet(np.ones(G), B)
+    w[rng.random((B, G)) < 0.2] = 0.0
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return data, p / p.sum(axis=2, keepdims=True), w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw_blocks(st.integers(5, 7), max_units=12), st.integers(0, 2**32 - 1))
+def test_simulated_block_equals_single_draws_on_one_stream(case, seed):
+    # with every stratum simulated (K * K!/(K-m)! > n_m), a block of B draws
+    # takes the stream of B single-draw calls and gives their counts
+    data, p, w = case
+    strata, table = _strata(data)
+    assert table is None
+    block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = _replicate_counts(strata, None, p, w, block_rng)
+    singles = [_replicate_counts(strata, None, p[b], w[b], single_rng) for b in range(len(w))]
+    for i in range(len(strata)):
+        for k in (0, 1):
+            assert np.array_equal(block[i][k], [one[i][k] for one in singles])
+    assert block_rng.random() == single_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw_blocks(st.integers(2, 5), max_units=20))
+def test_block_pattern_probs_equal_per_draw_scores(case):
+    # one scoring pass with the block's B * G support rows gives each draw's
+    # pattern probabilities as the mixture's scoring step at that draw
+    data, p, w = case
+    rows = data.patterns.rows
+    block = _pattern_probs(rows, p, w)
+    assert block.shape == (len(w), rows.counts.size)
+    for b in range(len(w)):
+        want = np.exp(_mixture_scores(rows, p[b], w[b])[1])
+        assert np.allclose(block[b], want, rtol=1e-12, atol=0)
+        assert np.array_equal(_pattern_probs(rows, p[b], w[b]), want)
 
 
 @settings(max_examples=200, deadline=None)
