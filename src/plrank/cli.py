@@ -71,7 +71,8 @@ _OPTIONS = {
     "alpha": _Option(float, 1.0, 0, "Dirichlet prior parameter"),
     "parallel": _Option(
         int, None, 1,
-        "most worker processes, when unset the CPUs this process may run on",
+        "most workers (threads for wide-row jobs, else processes), when unset "
+        "the CPUs this process may run on",
     ),
     "out": _Option(str, None, None, "output file or directory"),
     "to": _Option(
@@ -310,7 +311,7 @@ def _cmd_fit_gibbs(opts: argparse.Namespace) -> int:
         for G, s in zip(g_list, child_seeds)
     ]
     steps = _chain_steps(g_list, n_iter)
-    chains = _fan_out(_gibbs_job, data, jobs, _parallel(opts), steps)
+    chains = _fan_out(_gibbs_job, data, jobs, _parallel(opts), steps, g_list)
 
     out = _out_dir(opts)
     for G, chain in zip(g_list, chains):

@@ -191,7 +191,7 @@ def _complete_penultimate(arr: np.ndarray) -> np.ndarray:
 Patterns = namedtuple("Patterns", "rows index")
 
 # Dataset._stages: the stage index the engine's tables are built from
-_Stages = namedtuple("_Stages", "items ends at")
+_Stages = namedtuple("_Stages", "items ends at u")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,15 +258,17 @@ class Dataset:
         descending depth (the engine's order, see patterns) the ranked
         cells of stage t are the leading slice [:ends[t]]; at[s, i] is the
         flat index t * n_rows + s of the cell holding item i in row s,
-        items.ravel()[at[s, i]] == i."""
+        items.ravel()[at[s, i]] == i; u is the float64 copy of the rows'
+        u, which the engine's matmuls read without casting it each call."""
         items = _stage_items(self)
         K, n = items.shape
         at = np.empty((n, K), dtype=np.int64)
         at[np.arange(n), items] = np.arange(K * n).reshape(K, n)
-        at.setflags(write=False)
-        items.setflags(write=False)
+        u = self.u.astype(np.float64)
+        for a in (items, at, u):
+            a.setflags(write=False)
         ends = np.count_nonzero(self.nranked > np.arange(K)[:, None], axis=1)
-        return _Stages(items, tuple(ends.tolist()), at)
+        return _Stages(items, tuple(ends.tolist()), at, u)
 
     @property
     def n_units(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -149,14 +150,14 @@ def _m_step(data: Dataset, hyper: Hyperparams, zhat, rem):
     count once per unit showing it."""
     zhat = zhat * data.counts[:, None]
     N, G = data.n_units, zhat.shape[1]
-    numer = hyper.shape - 1.0 + zhat.T @ data.u
+    stages = data._stages
+    numer = hyper.shape - 1.0 + zhat.T @ stages.u
     if (numer < 0).any():
         g, i = np.argwhere(numer < 0)[0]
         raise ValidationError(
             f"support update numerator negative for component {g + 1}, "
             f"item {i + 1}: shape {hyper.shape[g, i]} too small for the data"
         )
-    stages = data._stages
     r = np.divide(1.0, rem, out=rem)
     for t, e in enumerate(stages.ends):  # zero beyond each row's depth
         r[t, e:] = 0.0
@@ -361,9 +362,10 @@ def fit_map_multistart(
     selected fit is identical at any parallelism degree; ties on the final
     log posterior go to the lowest start index. centered_start draws the
     initial supports around the observed first-place shares instead of
-    uniformly. n_jobs is the most worker processes the starts may use; a
-    fit too small to pay for a pool's start runs them in this process
-    (see _fan_out).
+    uniformly. n_jobs is the most workers the starts may use: threads
+    when the data's distinct rows times K times G make a wide table, else
+    processes, unless the fit is too small to pay for a pool's start and
+    runs them in this process (see _fan_out).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -386,11 +388,31 @@ def _pool_call(job):
     return _pool_fn(job)
 
 
-# How _fan_out prices a job list, in cells: each job's component-steps times
-# the cells of the distinct rows plus _STEP_CELLS. Spread over the workers,
-# the jobs end no sooner than the largest one alone, or an equal share of
-# them all, so the workers save at most the rest; when that reaches
-# _POOL_MIN_WORK a pool starts. On a 2-core box (numpy 2.4, Python 3.11) an
+# How _fan_out runs a job list. Threads share the dataset, and numpy drops
+# the interpreter lock inside each pass over a table, so they pay once every
+# job's table (distinct rows x K x its G) is wide enough that the passes
+# outweigh the Python between them: _THREAD_MIN_CELLS. On a 2-core box
+# (numpy 2.4, Python 3.11, BLAS on one thread) 2 EM starts of 30 iterations
+# took, on threads against serially, 1.11-1.14x the time at 42-45 k cells
+# (K=10, G=2-3), 1.00 at 54 k, 0.79-0.86 at 62-86 k and 0.58-0.77 from 100 k
+# (K=8, ~12,500-15,800 rows, G=1-2); c9-shaped tables (720 rows of 6, G=2-4)
+# took 1.4-2.6x. Chains cross over lower, near 30-45 k cells. Where BLAS runs
+# on both cores the K=8 starts took 1.1-1.3x serial time on threads, yet
+# still less than in a pool: the CLI's fit-map there ran 1.23 s (threads)
+# against 1.65 s (pool), and 0.80 s against 0.88 s with BLAS on one thread.
+# Threads start in ~0.1 ms and need no import (ThreadPoolExecutor would: its
+# module pulls in logging, ~9.5 ms per CLI stage). Each job keeps its own
+# seed and shares no mutable state, so results are the serial ones. numpy
+# >= 2.0 keeps errstate per thread; before 2.0 it was not context safe, so a
+# job's errstate could at worst print a spurious RuntimeWarning from another
+# thread, never change a value.
+#
+# Narrower tables go to a pool of processes when the work it saves pays for
+# its start, priced in cells: each job's component-steps times the cells of
+# the distinct rows plus _STEP_CELLS. Spread over the workers, the jobs end
+# no sooner than the largest one alone, or an equal share of them all, so
+# the workers save at most the rest; when that reaches _POOL_MIN_WORK a pool
+# starts. On a 2-core box (numpy 2.4, Python 3.11) an
 # EM iteration at G components cost ~12 ns per cell-step (wide and K=8
 # data, 5,000-16,000 distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared
 # by its G steps: 27-55 us per step at G=4, 2,200-4,600 cells' worth. A
@@ -404,19 +426,26 @@ def _pool_call(job):
 # cap, which stops after a few iterations. Ballot-shaped fit-map at the
 # defaults (G=1..3, 205 distinct rows of K=5) spends 3,600 of its 5,600
 # capped steps in G=3, so 2 workers save at most 9 M cells: pooled, it ran
-# 1.073x slower than in process. Chains of 60 sweeps at G=1 and 2 on
-# n=20000, K=8 data save up to 16 M: pooled, they took 0.52-0.57 s, and in
-# process 0.70 s.
+# 1.073x slower than in process. Chains of 3000 sweeps at G=1..3 on the same
+# rows save far more: pooled they took 2.1-2.7 s, serially 2.6-3.6 s and on
+# threads 3.4-5.0 s.
+_THREAD_MIN_CELLS = 60_000
 _STEP_CELLS = 3_500
 _SWEEP_STEPS = 2
 _POOL_MIN_WORK = 10_000_000
 
 
-def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list) -> list:
-    """fn(data, job) over jobs, in job order: across a pool of up to n_jobs
-    processes when there is more than one of each and the work the pool
-    can save pays for its start, else serially in this process. Every
-    job's result is the same wherever it runs.
+def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
+             comps: list) -> list:
+    """fn(data, job) over jobs, in job order, on up to n_jobs workers when
+    there is more than one of each: threads when every job's table is
+    wide, else a pool of processes when the work it can save pays for its
+    start, else serially in this process. Every job's result is the same
+    wherever it runs.
+
+    comps[i] is job i's number of components G, so that its per-pass
+    table holds the cells of data's distinct rows times G; when each job's
+    reaches _THREAD_MIN_CELLS the jobs run on threads (_thread_map).
 
     steps[i] is job i's component-steps: G times its iterations (the EM
     cap, or _SWEEP_STEPS per sweep, see _chain_steps). A job's work is its
@@ -427,26 +456,76 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list) -> list:
     module is not even imported. The cap bounds the iterations from above,
     so a job list that would really pay for a pool never runs serially.
 
-    The pool's workers receive data once each, through the pool's
-    initializer (inherited under fork, pickled once per worker otherwise),
-    with its distinct rows and their stage index already built here; the
-    jobs carry only their own arguments.
+    Either kind of worker gets data with its distinct rows and their stage
+    index already built here. A pool's workers receive it once each,
+    through the pool's initializer (inherited under fork, pickled once per
+    worker otherwise); the jobs carry only their own arguments.
     """
     workers = min(n_jobs, len(jobs))
     if workers > 1:
+        rows = data.patterns.rows
+        rows._stages  # built once here, not in each worker
+        cells = rows.orderings.size
+        if cells * min(comps) >= _THREAD_MIN_CELLS:
+            return _thread_map(fn, data, jobs, workers)
         total = sum(steps)
         saved = total - max(*steps, total / workers)
-        price = data.patterns.rows.orderings.size + _STEP_CELLS
-        if price * saved >= _POOL_MIN_WORK:
+        if (cells + _STEP_CELLS) * saved >= _POOL_MIN_WORK:
             # imported here: the process pool module costs every CLI start-up
             from concurrent.futures import ProcessPoolExecutor
 
-            data.patterns.rows._stages  # built once here, not in each worker
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_pool_init, initargs=(fn, data)
             ) as pool:
                 return list(pool.map(_pool_call, jobs))
     return [fn(data, j) for j in jobs]
+
+
+def _thread_map(fn, data: Dataset, jobs: list, workers: int) -> list:
+    """fn(data, job) over jobs on `workers` threads, this one among them,
+    each taking the next job in order; the results come in job order.
+
+    After a job fails no thread takes another, and once the running ones
+    end, the failure of the lowest-index job is raised here: the error the
+    serial loop would meet first, since every job before it was taken
+    already. An interrupt on this thread also stops the takes, and is
+    raised at once; the other threads are daemons that end with their
+    running job.
+    """
+    results = [None] * len(jobs)
+    errors = {}
+    lock = threading.Lock()
+    todo = iter(range(len(jobs)))
+
+    def work(catch):
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(data, jobs[i])
+            except catch as e:
+                with lock:
+                    errors[i] = e
+
+    threads = [
+        threading.Thread(target=work, args=(BaseException,), daemon=True)
+        for _ in range(workers - 1)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        work(Exception)
+        for t in threads:
+            t.join()
+    except BaseException as e:
+        with lock:
+            errors[len(jobs)] = e  # stops the takes
+        raise
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _chain_steps(g_list, n_sweeps: int) -> list:
@@ -469,7 +548,7 @@ def _best_fits(data, runs, n_start, centered_start, max_iter, tol, n_jobs):
     ]
     steps = [G * (default_max_iter(G) if max_iter is None else max_iter)
              for G, *_ in jobs]
-    fits = _fan_out(_one_start, data, jobs, n_jobs, steps)
+    fits = _fan_out(_one_start, data, jobs, n_jobs, steps, [G for G, *_ in jobs])
     best_fits = []
     for lo in range(0, len(fits), n_start):
         group = fits[lo : lo + n_start]

@@ -141,7 +141,7 @@ def _matrix_by_line(path, skip, dtype) -> np.ndarray:
 def _write_csv(path, header, rows) -> None:
     """CSV lines ending in CRLF: the header if given, then one line per
     row, floats as .17g (full round-trip precision)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
@@ -171,7 +171,7 @@ def _read_json(path):
 
 def _write_json(path, doc) -> None:
     """JSON document, compact on one line, with a trailing newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
@@ -276,7 +276,7 @@ def format_preflib(data, title: str = "rankings") -> str:
 def write_preflib(path, data, title: str | None = None) -> None:
     if title is None:
         title = os.path.splitext(os.path.basename(str(path)))[0]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_preflib(data, title=title))
 
 

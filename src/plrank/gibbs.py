@@ -103,8 +103,9 @@ def _support_conditional(cells: Dataset, g, n, y, hyper: Hyperparams):
     """
     # one row per component, contiguous along the cells for the matmuls
     member = (g == np.arange(hyper.n_components)[:, None]).astype(np.float64)
-    shape = hyper.shape + (member * n) @ cells.u
-    avail = _availability_sums(cells._stages.at, y)
+    stages = cells._stages
+    shape = hyper.shape + (member * n) @ stages.u
+    avail = _availability_sums(stages.at, y)
     return shape, hyper.rate[:, None] + member @ avail
 
 

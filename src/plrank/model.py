@@ -146,7 +146,7 @@ def _stage_table(data: Dataset, p: np.ndarray):
     term = np.empty_like(log_rem)
     for t, e in enumerate(stages.ends[1:], 1):
         log_rem[:e] += np.log(rem[t, :e], out=term[:e])
-    return np.subtract(data.u @ np.log(p).T, log_rem, out=log_rem), rem
+    return np.subtract(stages.u @ np.log(p).T, log_rem, out=log_rem), rem
 
 
 def _availability_sums(at: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -357,21 +357,22 @@ def _no_dataset_inside(job):
     Pickler(io.BytesIO()).dump(job)
 
 
-def test_parallel_runs_byte_identical(tmp_path, monkeypatch, pool_starts):
+def test_parallel_runs_byte_identical(tmp_path, monkeypatch, fan_outs):
     # fit-map runs 2 G values x 3 starts = 6 jobs, so at --parallel 2 each
     # worker serves several jobs with the dataset it received once; the
     # jobs themselves never carry the dataset. The data are far too small
-    # to pay for a pool, so the work gate is lifted to make one run.
+    # to pay for a pool, so the work gate is lifted to make one run; their
+    # tables are far too narrow for threads.
     from plrank import em
 
     seen = []
     fan_out = em._fan_out
 
-    def spy(fn, data, jobs, n_jobs, steps):
-        seen.append((fn.__name__, len(jobs), n_jobs, steps))
+    def spy(fn, data, jobs, n_jobs, steps, comps):
+        seen.append((fn.__name__, len(jobs), n_jobs, steps, comps))
         for job in jobs:
             _no_dataset_inside(job)
-        return fan_out(fn, data, jobs, n_jobs, steps)
+        return fan_out(fn, data, jobs, n_jobs, steps, comps)
 
     monkeypatch.setattr(em, "_POOL_MIN_WORK", 0)
 
@@ -399,12 +400,73 @@ def test_parallel_runs_byte_identical(tmp_path, monkeypatch, pool_starts):
     # each job's steps: G x its default cap 400 G per start, and 40 sweeps x
     # G, a sweep counting 2 steps
     fit_steps, gibbs_steps = [400] * 3 + [1600] * 3, [80, 160]
+    fit_comps, gibbs_comps = [1] * 3 + [2] * 3, [1, 2]
     assert seen == [
-        ("_one_start", 6, 1, fit_steps), ("_gibbs_job", 2, 1, gibbs_steps),
-        ("_one_start", 6, 2, fit_steps), ("_gibbs_job", 2, 2, gibbs_steps),
+        ("_one_start", 6, 1, fit_steps, fit_comps),
+        ("_gibbs_job", 2, 1, gibbs_steps, gibbs_comps),
+        ("_one_start", 6, 2, fit_steps, fit_comps),
+        ("_gibbs_job", 2, 2, gibbs_steps, gibbs_comps),
     ]
     # a pool ran at --parallel 2 only, once per stage
-    assert pool_starts == [2, 2]
+    assert fan_outs == [("pool", 2), ("pool", 2)]
+
+
+def _wide_input(path, n, seed):
+    """Ordering CSV shaped like the benchmark's wide workload: K=10, depths
+    3/5/7/10 in equal shares, nearly every row distinct."""
+    return _censored_input(path, n, 10, {3: 0.25, 5: 0.25, 7: 0.25, 10: 0.25}, seed)
+
+
+def test_wide_parallel_runs_byte_identical(tmp_path, fan_outs):
+    # ~3,500 distinct rows of K=10: from G=2 on every job's table reaches the
+    # thread crossover, so at --parallel 2 the starts (2 G values x 2) and
+    # the chains (one per G) run on threads, and write the serial bytes
+    wide = _wide_input(tmp_path / "wide.csv", 4000, 3)
+    model = ["--G", 2, "--G-max", 3, "--rate", 0.001]
+    outs = []
+    for workers in (1, 2):
+        fit, gibbs = tmp_path / f"fit{workers}", tmp_path / f"gibbs{workers}"
+        assert run(["fit-map", *wide, *model, "--n-start", 2, "--max-iter", 15,
+                    "--seed", 5, "--parallel", workers, "--out", fit]) == 0
+        assert run(["fit-gibbs", *wide, *model, "--n-iter", 12, "--n-burn", 4,
+                    "--seed", 6, "--init-from", fit, "--parallel", workers,
+                    "--out", gibbs]) == 0
+        outs.append(
+            {p.name: p.read_bytes() for d in (fit, gibbs) for p in sorted(d.iterdir())}
+        )
+    assert len(outs[0]) == 6 and outs[0] == outs[1]
+    assert fan_outs == [("threads", 2), ("threads", 2)]
+
+
+def test_failed_threaded_job_exits_as_the_serial_run(tmp_path, monkeypatch,
+                                                     capsys, fan_outs):
+    # three of the four starts fail; each run reports the first in job order
+    # with the serial exit code and message, and writes nothing
+    from plrank import em
+    from plrank.errors import NumericalError
+
+    one_start = em._one_start
+
+    def failing(data, job):
+        key = job[-1].bit_generator.seed_seq.spawn_key  # (G index, start)
+        if key != (0, 0):
+            raise NumericalError(f"start {key} failed")
+        return one_start(data, job)
+
+    monkeypatch.setattr(em, "_one_start", failing)
+    wide = _wide_input(tmp_path / "wide.csv", 4000, 3)
+    errs = []
+    for workers in (1, 2):
+        out = tmp_path / f"fit{workers}"
+        assert run(["fit-map", *wide, "--G", 2, "--G-max", 3, "--n-start", 2,
+                    "--max-iter", 5, "--seed", 5, "--parallel", workers,
+                    "--out", out]) == 4
+        assert not out.exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert json.loads(errs[0])["error"] == {"type": "numerical",
+                                            "message": "start (0, 1) failed"}
+    assert fan_outs == [("threads", 2)]
 
 
 def _censored_input(path, n, K, shares, seed):
@@ -422,25 +484,36 @@ def _censored_input(path, n, K, shares, seed):
     return ["--input", path, "--format", "ordering"]
 
 
-def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
-    # a pool starts when the work 2 workers can save pays for it: the total
-    # less the largest job, or less half the total where that is more.
-    # Wide-shaped data (K=10, ~5,000 distinct rows) at the benchmark's EM
-    # cap of 30 for 2 starts at G=4 are too little work; ballot-shaped data
-    # (K=5, 205 distinct rows) at the defaults (G=1..3, one start, cap 400 G)
-    # spend 3,600 of 5,600 capped steps in G=3, too little outside it; on
-    # n=20000, K=8 data fit-map (G=1..2, 3 starts, cap 50) saves up to 225 of
-    # its 450 steps and fit-gibbs (60 sweeps at G=1..2) the G=1 chain, enough
-    wide = _censored_input(tmp_path / "wide.csv", 6000, 10,
-                           {3: 0.25, 5: 0.25, 7: 0.25, 10: 0.25}, 1)
+def test_pool_gate_on_the_benchmark_shapes(tmp_path, fan_outs):
+    # threads run a job list when every job's table (distinct rows x K x
+    # its G) is wide; narrower lists start a pool when the work 2 workers
+    # can save pays for it: the total less the largest job, or less half the
+    # total where that is more. Wide-shaped data (K=10, ~5,000 distinct rows)
+    # at G=4 are wide. c9-shaped data (K=6, complete, 720 distinct rows) at
+    # the benchmark's EM cap of 30 for 2 starts at G=3 are narrow and too
+    # little work; ballot-shaped data (K=5, 205 distinct rows) at the
+    # defaults (G=1..3, one start, cap 400 G) spend 3,600 of 5,600 capped
+    # steps in G=3, too little outside it, while their chains of 400 sweeps
+    # at G=1..3 save 2,400 steps, enough. n=20000, K=8 data (~15,800
+    # distinct rows) are wide from G=1
+    wide = _wide_input(tmp_path / "wide.csv", 6000, 1)
     assert run(["fit-map", *wide, "--G", 4, "--n-start", 2, "--max-iter", 30,
                 "--seed", 1, "--parallel", 2, "--out", tmp_path / "w"]) == 0
-    assert pool_starts == []
+    assert fan_outs == [("threads", 2)]
+    run(["simulate", "--n", 15000, "--K", 6, "--G", 3, "--seed", 1,
+         "--out", tmp_path / "c9"])
+    c9 = ["--input", tmp_path / "c9" / "orderings.csv", "--format", "ordering"]
+    assert run(["fit-map", *c9, "--G", 3, "--n-start", 2, "--max-iter", 30,
+                "--seed", 1, "--parallel", 2, "--out", tmp_path / "c"]) == 0
+    assert fan_outs == [("threads", 2)]
     ballot = _censored_input(tmp_path / "ballot.csv", 15449, 5,
                              {1: 0.35, 2: 0.20, 3: 0.07, 5: 0.38}, 2)
-    assert run(["fit-map", *ballot, "--G", 1, "--G-max", 3, "--seed", 1,
-                "--parallel", 2, "--out", tmp_path / "b"]) == 0
-    assert pool_starts == []
+    ballot += ["--G", 1, "--G-max", 3, "--parallel", 2]
+    assert run(["fit-map", *ballot, "--seed", 1, "--out", tmp_path / "b"]) == 0
+    assert fan_outs == [("threads", 2)]
+    assert run(["fit-gibbs", *ballot, "--n-iter", 400, "--n-burn", 100,
+                "--seed", 2, "--out", tmp_path / "bg"]) == 0
+    assert fan_outs == [("threads", 2), ("pool", 2)]
     run(["simulate", "--n", 20000, "--K", 8, "--G", 2, "--seed", 1,
          "--out", tmp_path / "big"])
     big = ["--input", tmp_path / "big" / "orderings.csv", "--format", "ordering",
@@ -448,8 +521,8 @@ def test_pool_gate_on_the_benchmark_shapes(tmp_path, pool_starts):
     assert run(["fit-map", *big, "--n-start", 3, "--max-iter", 50, "--seed", 2,
                 "--out", tmp_path / "bf"]) == 0
     assert run(["fit-gibbs", *big, "--n-iter", 60, "--n-burn", 10, "--seed", 3,
-                "--init-from", tmp_path / "bf", "--out", tmp_path / "bg"]) == 0
-    assert pool_starts == [2, 2]
+                "--init-from", tmp_path / "bf", "--out", tmp_path / "bgg"]) == 0
+    assert fan_outs == [("threads", 2), ("pool", 2), ("threads", 2), ("threads", 2)]
 
 
 def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
@@ -458,7 +531,7 @@ def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):
 
     seen = []
 
-    def spy(fn, data, jobs, n_jobs, steps):
+    def spy(fn, data, jobs, n_jobs, steps, comps):
         seen.append(n_jobs)
         return [fn(data, job) for job in jobs]
 

@@ -166,13 +166,16 @@ def test_stages_hand():
     # order: 0-based items stage by stage, the depth-1 row's unranked items
     # 0 and 2 filling its pad in ascending order
     data = Dataset.from_orderings(np.array([[2, 3, 1], [2, 0, 0]]))
-    items, ends, at = data._stages
+    items, ends, at, u = data._stages
     assert items.tolist() == [[1, 1], [2, 0], [0, 2]]
     # both rows choose at stage 1, only the first at stages 2 and 3
     assert ends == (2, 1, 1)
     # at[s, i] = t * 2 + s, the flat cell holding item i in row s
     assert at.tolist() == [[4, 0, 2], [3, 1, 5]]
     assert all(items.ravel()[at[s, i]] == i for s in range(2) for i in range(3))
+    # the matmuls' float64 copy of u, read-only like the rest of the index
+    assert u.dtype == np.float64 and u.tolist() == [[1, 1, 1], [0, 1, 0]]
+    assert data.u.dtype == np.int64 and not u.flags.writeable
 
 
 def test_freq_round_trip_and_order():

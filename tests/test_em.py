@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_informative_prior_has_no_bic():
     assert fit.log_post != pytest.approx(fit.log_lik)
 
 
-def test_multistart_deterministic_and_parallel_equivalent(monkeypatch, pool_starts):
+def test_multistart_deterministic_and_parallel_equivalent(monkeypatch, fan_outs):
     from plrank import em
 
     # the data are far too small to pay for a pool: lift the work gate
@@ -184,7 +185,7 @@ def test_multistart_deterministic_and_parallel_equivalent(monkeypatch, pool_star
     a = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9))
     b = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9))
     c = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9), n_jobs=2)
-    assert pool_starts == [2]
+    assert fan_outs == [("pool", 2)]
     for other in (b, c):
         assert np.array_equal(a.supports, other.supports)
         assert np.array_equal(a.weights, other.weights)
@@ -194,7 +195,7 @@ def test_multistart_deterministic_and_parallel_equivalent(monkeypatch, pool_star
     assert a.log_post == pytest.approx(a.final_log_posts.max(), abs=0)
 
 
-def test_multistart_parallel_under_spawn(monkeypatch, pool_starts):
+def test_multistart_parallel_under_spawn(monkeypatch, fan_outs):
     # under spawn (and forkserver, the default from Python 3.14 on Linux)
     # the dataset is pickled once per worker through the pool initializer,
     # not once per job, and the fits are those of the serial run
@@ -223,14 +224,14 @@ def test_multistart_parallel_under_spawn(monkeypatch, pool_starts):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
     monkeypatch.setattr(Dataset, "__reduce_ex__", counted)
     pooled = fit_map_multistart(data, 2, 3, rng=np.random.default_rng(9), n_jobs=2)
-    assert pool_starts == [2]
+    assert fan_outs == [("pool", 2)]
     assert 1 <= sum(pickled) <= 2
     assert np.array_equal(serial.supports, pooled.supports)
     assert np.array_equal(serial.final_log_posts, pooled.final_log_posts)
     assert serial.best_start == pooled.best_start
 
 
-def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
+def test_pool_starts_only_when_the_work_pays(monkeypatch, fan_outs):
     # the work a pool can save = (distinct-row cells + the per-step price)
     # x (the jobs' component-steps less the most that one worker must run:
     # the largest job, or an equal share of them all); 3 starts at G=1 on 2
@@ -254,7 +255,7 @@ def test_pool_starts_only_when_the_work_pays(monkeypatch, pool_starts):
                                   rng=np.random.default_rng(9), n_jobs=2)
 
     pooled = fits(above)
-    assert pool_starts == [2]
+    assert fan_outs == [("pool", 2)]
 
     class NoPool:
         def __init__(self, **kwargs):
@@ -272,7 +273,7 @@ def _tagged(data, job):
 
 
 def test_pool_is_priced_by_the_work_outside_the_largest_job(
-    monkeypatch, pool_starts
+    monkeypatch, fan_outs
 ):
     # the same total work pools when it splits evenly over 2 workers, and
     # stays in process when one job holds so much of it that the rest is
@@ -285,8 +286,8 @@ def test_pool_is_priced_by_the_work_outside_the_largest_job(
     price = data.patterns.rows.orderings.size + em._STEP_CELLS
     unit = -(-em._POOL_MIN_WORK // price)  # the fewest steps that reach the gate
     even = [unit, unit]
-    assert em._fan_out(_tagged, data, [0, 1], 2, even) == [(0, 3), (1, 3)]
-    assert pool_starts == [2]
+    assert em._fan_out(_tagged, data, [0, 1], 2, even, [1, 1]) == [(0, 3), (1, 3)]
+    assert fan_outs == [("pool", 2)]
 
     class NoPool:
         def __init__(self, **kwargs):
@@ -295,7 +296,122 @@ def test_pool_is_priced_by_the_work_outside_the_largest_job(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     dominated = [2 * unit, unit - 1]
     assert price * sum(dominated) >= em._POOL_MIN_WORK
-    assert em._fan_out(_tagged, data, [0, 1], 2, dominated) == [(0, 3), (1, 3)]
+    assert em._fan_out(_tagged, data, [0, 1], 2, dominated, [1, 1]) == [(0, 3), (1, 3)]
+
+
+def test_wide_tables_take_threads(fan_outs):
+    # threads when every job's table (distinct-row cells x its G) reaches
+    # the crossover, even where the pool would pay; one narrower job sends
+    # the list back to the pool rule
+    from plrank import em
+
+    rng = np.random.default_rng(3)
+    data = Dataset.from_orderings(np.array([rng.permutation(10) + 1 for _ in range(400)]))
+    cells = data.patterns.rows.orderings.size
+    G = -(-em._THREAD_MIN_CELLS // cells)  # the fewest components that reach it
+    assert cells * (G - 1) < em._THREAD_MIN_CELLS <= cells * G
+    unit = -(-em._POOL_MIN_WORK // (cells + em._STEP_CELLS))
+    want = [(j, 400) for j in range(3)]
+    assert em._fan_out(_tagged, data, [0, 1, 2], 2, [1] * 3, [G] * 3) == want
+    assert fan_outs == [("threads", 2)]
+    assert em._fan_out(_tagged, data, [0, 1, 2], 2, [unit] * 3, [G] * 3) == want
+    assert em._fan_out(_tagged, data, [0, 1, 2], 1, [unit] * 3, [G] * 3) == want
+    assert fan_outs == [("threads", 2)] * 2
+    assert em._fan_out(_tagged, data, [0, 1, 2], 3, [1] * 3, [G, G - 1, G]) == want
+    assert fan_outs == [("threads", 2)] * 2
+    assert em._fan_out(_tagged, data, [0, 1, 2], 3, [unit] * 3, [G, G - 1, G]) == want
+    assert fan_outs == [("threads", 2)] * 2 + [("pool", 3)]
+
+
+def test_thread_map_shares_the_jobs_with_the_calling_thread():
+    # jobs 0 and 1 each wait for the other, so they must run at once, one
+    # of them on this thread; the results come in job order
+    from plrank import em
+
+    both = threading.Barrier(2, timeout=10)
+    ran = {}
+
+    def fn(data, job):
+        if job < 2:
+            both.wait()
+        ran[job] = threading.current_thread()
+        return data + job
+
+    assert em._thread_map(fn, 100, list(range(6)), 2) == [100, 101, 102, 103, 104, 105]
+    assert threading.current_thread() in (ran[0], ran[1]) and ran[0] is not ran[1]
+
+
+def test_thread_map_takes_each_job_once_under_stress():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a job taken twice or skipped would show in the runs or the results
+    from plrank import em
+
+    runs = []
+
+    def fn(data, job):
+        runs.append(job)
+        return -job
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            runs.clear()
+            assert em._thread_map(fn, None, list(range(200)), 8) == [-j for j in range(200)]
+            assert sorted(runs) == list(range(200))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_map_raises_the_lowest_index_error():
+    # job 3 fails while job 2 runs; job 2 then fails too. The serial loop
+    # would meet job 2's error first, and no job after a failure starts
+    from plrank import em
+
+    failed = threading.Event()
+    started = []
+
+    def fn(data, job):
+        started.append(job)
+        if job == 2:
+            assert failed.wait(10)
+            raise ValueError("job 2")
+        if job == 3:
+            failed.set()
+            raise ValueError("job 3")
+        return job
+
+    with pytest.raises(ValueError, match="job 2"):
+        em._thread_map(fn, None, list(range(8)), 2)
+    assert sorted(started) == [0, 1, 2, 3]
+    # one failure alone is raised as the serial loop raises it
+    with pytest.raises(ValueError, match="job 3"):
+        em._thread_map(fn, None, [0, 1, 3, 4], 2)
+
+
+def test_thread_map_stops_taking_jobs_on_an_interrupt():
+    # an interrupt on the calling thread is raised at once, while the other
+    # thread's job still runs, and that thread takes no job after it
+    from plrank import em
+
+    release = threading.Event()
+    started = []
+
+    def fn(data, job):
+        started.append(job)
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        assert release.wait(10)
+
+    with pytest.raises(KeyboardInterrupt):
+        em._thread_map(fn, None, list(range(8)), 2)
+    running = list(started)
+    release.set()
+    for t in threading.enumerate():
+        if t is not threading.current_thread():
+            t.join(10)
+            assert not t.is_alive()
+    assert started == running and len(running) <= 2
 
 
 def test_small_fit_never_imports_the_pool(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,26 @@ def test_preflib_round_trip(tmp_path):
     assert format_preflib(back, title="profile") == format_preflib(
         parse_preflib_text(format_preflib(back, title="profile")), title="profile"
     )
+
+
+def test_preflib_is_written_as_utf8_under_an_ascii_locale(tmp_path):
+    # the locale's encoding would refuse the title (ASCII) or write bytes
+    # that the reader, which takes UTF-8 only, refuses (Latin-1)
+    path = tmp_path / "profile.txt"
+    code = (
+        "import sys, numpy as np\n"
+        "from plrank import Dataset\n"
+        "from plrank.fileio import write_preflib\n"
+        "data = Dataset.from_orderings(np.array([[1, 2, 3], [2, 1, 0]]))\n"
+        "write_preflib(sys.argv[1], data, title='caf\\u00e9')\n"
+    )
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes().startswith("# TITLE: café\n".encode("utf-8"))
+    back = read_dataset(path, "preflib")
+    assert back.orderings.tolist() == [[1, 2, 3], [2, 1, 3]]
 
 
 def test_read_write_dataset_formats(tmp_path):
