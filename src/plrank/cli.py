@@ -71,8 +71,8 @@ _OPTIONS = {
     "alpha": _Option(float, 1.0, 0, "Dirichlet prior parameter"),
     "parallel": _Option(
         int, None, 1,
-        "most workers (threads for wide-row jobs, else processes), when unset "
-        "the CPUs this process may run on",
+        "most workers (processes where a pool pays, else threads for wide-row "
+        "jobs), when unset the CPUs this process may run on",
     ),
     "out": _Option(str, None, None, "output file or directory"),
     "to": _Option(

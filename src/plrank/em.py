@@ -23,6 +23,7 @@ d breaks scale invariance); reported fits carry rows rescaled to sum 1.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import threading
@@ -362,10 +363,10 @@ def fit_map_multistart(
     selected fit is identical at any parallelism degree; ties on the final
     log posterior go to the lowest start index. centered_start draws the
     initial supports around the observed first-place shares instead of
-    uniformly. n_jobs is the most workers the starts may use: threads
-    when the data's distinct rows times K times G make a wide table, else
-    processes, unless the fit is too small to pay for a pool's start and
-    runs them in this process (see _fan_out).
+    uniformly. n_jobs is the most workers the starts may use: processes
+    when the fit pays for a pool's start, else threads when the data's
+    distinct rows times K times G make a wide table, else none, the starts
+    running in turn in this process (see _fan_out).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -388,32 +389,14 @@ def _pool_call(job):
     return _pool_fn(job)
 
 
-# How _fan_out runs a job list. Threads share the dataset, and numpy drops
-# the interpreter lock inside each pass over a table, so they pay once every
-# job's table (distinct rows x K x its G) is wide enough that the passes
-# outweigh the Python between them: _THREAD_MIN_CELLS. On a 2-core box
-# (numpy 2.4, Python 3.11, BLAS on one thread) 2 EM starts of 30 iterations
-# took, on threads against serially, 1.11-1.14x the time at 42-45 k cells
-# (K=10, G=2-3), 1.00 at 54 k, 0.79-0.86 at 62-86 k and 0.58-0.77 from 100 k
-# (K=8, ~12,500-15,800 rows, G=1-2); c9-shaped tables (720 rows of 6, G=2-4)
-# took 1.4-2.6x. Chains cross over lower, near 30-45 k cells. Where BLAS runs
-# on both cores the K=8 starts took 1.1-1.3x serial time on threads, yet
-# still less than in a pool: the CLI's fit-map there ran 1.23 s (threads)
-# against 1.65 s (pool), and 0.80 s against 0.88 s with BLAS on one thread.
-# Threads start in ~0.1 ms and need no import (ThreadPoolExecutor would: its
-# module pulls in logging, ~9.5 ms per CLI stage). Each job keeps its own
-# seed and shares no mutable state, so results are the serial ones. numpy
-# >= 2.0 keeps errstate per thread; before 2.0 it was not context safe, so a
-# job's errstate could at worst print a spurious RuntimeWarning from another
-# thread, never change a value.
-#
-# Narrower tables go to a pool of processes when the work it saves pays for
-# its start, priced in cells: each job's component-steps times the cells of
-# the distinct rows plus _STEP_CELLS. Spread over the workers, the jobs end
-# no sooner than the largest one alone, or an equal share of them all, so
-# the workers save at most the rest; when that reaches _POOL_MIN_WORK a pool
-# starts. On a 2-core box (numpy 2.4, Python 3.11) an
-# EM iteration at G components cost ~12 ns per cell-step (wide and K=8
+# How _fan_out runs a job list on several workers. A pool of processes runs
+# it when the work the pool saves pays for its start, priced in cells: each
+# job's component-steps times the cells of the distinct rows plus
+# _STEP_CELLS. Spread over the workers, the jobs end no sooner than the
+# largest one alone, or an equal share of them all, so the workers save at
+# most the rest; when that reaches _POOL_MIN_WORK a pool starts. On a 2-core
+# box (numpy 2.4, Python 3.11) an EM iteration at G components cost ~12 ns
+# per cell-step (wide and K=8
 # data, 5,000-16,000 distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared
 # by its G steps: 27-55 us per step at G=4, 2,200-4,600 cells' worth. A
 # sweep cost 20-36 ns per cell-step (28-35 ns on n=20000, K=8 data), so a
@@ -426,9 +409,32 @@ def _pool_call(job):
 # cap, which stops after a few iterations. Ballot-shaped fit-map at the
 # defaults (G=1..3, 205 distinct rows of K=5) spends 3,600 of its 5,600
 # capped steps in G=3, so 2 workers save at most 9 M cells: pooled, it ran
-# 1.073x slower than in process. Chains of 3000 sweeps at G=1..3 on the same
-# rows save far more: pooled they took 2.1-2.7 s, serially 2.6-3.6 s and on
-# threads 3.4-5.0 s.
+# 1.073x slower than in process. Chains of 60 sweeps at G=1 and 2 on
+# n=20000, K=8 data save up to 16 M: pooled, they took 0.52-0.57 s, and in
+# process 0.70 s.
+#
+# A list the pool would not pay for runs on threads when every job's table
+# (distinct rows x K x its G) reaches _THREAD_MIN_CELLS; one it pays for
+# keeps the pool. Ballot-shaped chains of 3000 sweeps at G=1..3 took
+# 2.1-2.7 s pooled, 2.6-3.6 s serially and 3.4-5.0 s on threads, and long
+# wide-row runs were not timed on threads against the pool. Threads share the
+# dataset and start in ~0.1 ms, and numpy drops the interpreter lock inside
+# each pass over a table, so they pay once the passes outweigh the Python
+# between them. On the same box with BLAS on one thread, 2 EM starts of 30
+# iterations took, on threads against serially, 1.11-1.14x the time at
+# 42-45 k cells (K=10, G=2-3), 1.00 at 54 k, 0.79-0.86 at 62-86 k and
+# 0.58-0.77 from 100 k (K=8, ~12,500-15,800 rows, G=1-2); c9-shaped tables
+# (720 rows of 6, G=2-4) took 1.4-2.6x. Chains cross over lower, near
+# 30-45 k cells. As a CLI stage the benchmark's wide fit-map (2 starts at
+# G=4 on ~5,100 distinct rows of 10) took 273 ms on threads against 289 ms
+# serially with OpenBLAS at its default thread count, and 282 against
+# 301 ms with it on one thread (medians of 20 alternating pairs).
+# ThreadPoolExecutor is not used: its module pulls in logging, ~9.5 ms per
+# CLI stage. Each job keeps its own seed and shares no mutable state, so
+# results are the serial ones. Each thread runs in a copy of the caller's
+# context, which holds numpy's errstate from numpy 2.0 on; before 2.0
+# errstate was kept per thread, so there the other threads run under
+# numpy's default errstate, not the caller's.
 _THREAD_MIN_CELLS = 60_000
 _STEP_CELLS = 3_500
 _SWEEP_STEPS = 2
@@ -438,14 +444,15 @@ _POOL_MIN_WORK = 10_000_000
 def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
              comps: list) -> list:
     """fn(data, job) over jobs, in job order, on up to n_jobs workers when
-    there is more than one of each: threads when every job's table is
-    wide, else a pool of processes when the work it can save pays for its
-    start, else serially in this process. Every job's result is the same
+    there is more than one of each: a pool of processes when the work it
+    can save pays for its start, else threads when every job's table is
+    wide, else serially in this process. Every job's result is the same
     wherever it runs.
 
     comps[i] is job i's number of components G, so that its per-pass
-    table holds the cells of data's distinct rows times G; when each job's
-    reaches _THREAD_MIN_CELLS the jobs run on threads (_thread_map).
+    table holds the cells of data's distinct rows times G; when the pool
+    would not pay and each job's table reaches _THREAD_MIN_CELLS, the jobs
+    run on threads (_thread_map).
 
     steps[i] is job i's component-steps: G times its iterations (the EM
     cap, or _SWEEP_STEPS per sweep, see _chain_steps). A job's work is its
@@ -466,8 +473,6 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
         rows = data.patterns.rows
         rows._stages  # built once here, not in each worker
         cells = rows.orderings.size
-        if cells * min(comps) >= _THREAD_MIN_CELLS:
-            return _thread_map(fn, data, jobs, workers)
         total = sum(steps)
         saved = total - max(*steps, total / workers)
         if (cells + _STEP_CELLS) * saved >= _POOL_MIN_WORK:
@@ -478,6 +483,8 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
                 max_workers=workers, initializer=_pool_init, initargs=(fn, data)
             ) as pool:
                 return list(pool.map(_pool_call, jobs))
+        if cells * min(comps) >= _THREAD_MIN_CELLS:
+            return _thread_map(fn, data, jobs, workers)
     return [fn(data, j) for j in jobs]
 
 
@@ -509,8 +516,9 @@ def _thread_map(fn, data: Dataset, jobs: list, workers: int) -> list:
                 with lock:
                     errors[i] = e
 
-    threads = [
-        threading.Thread(target=work, args=(BaseException,), daemon=True)
+    threads = [  # each in a copy of this thread's context, numpy's errstate too
+        threading.Thread(target=contextvars.copy_context().run,
+                         args=(work, BaseException), daemon=True)
         for _ in range(workers - 1)
     ]
     for t in threads:

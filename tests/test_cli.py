@@ -419,8 +419,9 @@ def _wide_input(path, n, seed):
 
 def test_wide_parallel_runs_byte_identical(tmp_path, fan_outs):
     # ~3,500 distinct rows of K=10: from G=2 on every job's table reaches the
-    # thread crossover, so at --parallel 2 the starts (2 G values x 2) and
-    # the chains (one per G) run on threads, and write the serial bytes
+    # thread crossover and the runs are too short to pay for a pool, so at
+    # --parallel 2 the starts (2 G values x 2) and the chains (one per G)
+    # run on threads, and write the serial bytes
     wide = _wide_input(tmp_path / "wide.csv", 4000, 3)
     model = ["--G", 2, "--G-max", 3, "--rate", 0.001]
     outs = []
@@ -485,17 +486,19 @@ def _censored_input(path, n, K, shares, seed):
 
 
 def test_pool_gate_on_the_benchmark_shapes(tmp_path, fan_outs):
-    # threads run a job list when every job's table (distinct rows x K x
-    # its G) is wide; narrower lists start a pool when the work 2 workers
-    # can save pays for it: the total less the largest job, or less half the
-    # total where that is more. Wide-shaped data (K=10, ~5,000 distinct rows)
-    # at G=4 are wide. c9-shaped data (K=6, complete, 720 distinct rows) at
-    # the benchmark's EM cap of 30 for 2 starts at G=3 are narrow and too
-    # little work; ballot-shaped data (K=5, 205 distinct rows) at the
-    # defaults (G=1..3, one start, cap 400 G) spend 3,600 of 5,600 capped
-    # steps in G=3, too little outside it, while their chains of 400 sweeps
-    # at G=1..3 save 2,400 steps, enough. n=20000, K=8 data (~15,800
-    # distinct rows) are wide from G=1
+    # a pool starts when the work 2 workers can save pays for it: the total
+    # less the largest job, or less half the total where that is more;
+    # below that, threads run a job list when every job's table (distinct
+    # rows x K x its G) is wide. Wide-shaped data (K=10, ~5,000 distinct
+    # rows) at the benchmark's EM cap of 30 for 2 starts at G=4 are too
+    # little work and wide. c9-shaped data (K=6, complete, 720 distinct
+    # rows) at the same cap and G=3 are too little work and narrow;
+    # ballot-shaped data (K=5, 205 distinct rows) at the defaults (G=1..3,
+    # one start, cap 400 G) spend 3,600 of 5,600 capped steps in G=3, too
+    # little outside it, while their chains of 400 sweeps at G=1..3 save
+    # 2,400 steps, enough. On n=20000, K=8 data fit-map (G=1..2, 3 starts,
+    # cap 50) saves up to 225 of its 450 steps and fit-gibbs (60 sweeps at
+    # G=1..2) the G=1 chain, enough
     wide = _wide_input(tmp_path / "wide.csv", 6000, 1)
     assert run(["fit-map", *wide, "--G", 4, "--n-start", 2, "--max-iter", 30,
                 "--seed", 1, "--parallel", 2, "--out", tmp_path / "w"]) == 0
@@ -522,7 +525,7 @@ def test_pool_gate_on_the_benchmark_shapes(tmp_path, fan_outs):
                 "--out", tmp_path / "bf"]) == 0
     assert run(["fit-gibbs", *big, "--n-iter", 60, "--n-burn", 10, "--seed", 3,
                 "--init-from", tmp_path / "bf", "--out", tmp_path / "bgg"]) == 0
-    assert fan_outs == [("threads", 2), ("pool", 2), ("threads", 2), ("threads", 2)]
+    assert fan_outs == [("threads", 2), ("pool", 2), ("pool", 2), ("pool", 2)]
 
 
 def test_parallel_default_counts_usable_cpus(tmp_path, monkeypatch):

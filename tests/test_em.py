@@ -299,10 +299,10 @@ def test_pool_is_priced_by_the_work_outside_the_largest_job(
     assert em._fan_out(_tagged, data, [0, 1], 2, dominated, [1, 1]) == [(0, 3), (1, 3)]
 
 
-def test_wide_tables_take_threads(fan_outs):
-    # threads when every job's table (distinct-row cells x its G) reaches
-    # the crossover, even where the pool would pay; one narrower job sends
-    # the list back to the pool rule
+def test_wide_tables_take_threads_where_the_pool_would_not_pay(fan_outs):
+    # a list the pool would not pay for runs on threads when every job's
+    # table (distinct-row cells x its G) reaches the crossover; one narrower
+    # job keeps it serial, and a list the pool pays for takes the pool
     from plrank import em
 
     rng = np.random.default_rng(3)
@@ -314,13 +314,11 @@ def test_wide_tables_take_threads(fan_outs):
     want = [(j, 400) for j in range(3)]
     assert em._fan_out(_tagged, data, [0, 1, 2], 2, [1] * 3, [G] * 3) == want
     assert fan_outs == [("threads", 2)]
-    assert em._fan_out(_tagged, data, [0, 1, 2], 2, [unit] * 3, [G] * 3) == want
-    assert em._fan_out(_tagged, data, [0, 1, 2], 1, [unit] * 3, [G] * 3) == want
-    assert fan_outs == [("threads", 2)] * 2
     assert em._fan_out(_tagged, data, [0, 1, 2], 3, [1] * 3, [G, G - 1, G]) == want
-    assert fan_outs == [("threads", 2)] * 2
-    assert em._fan_out(_tagged, data, [0, 1, 2], 3, [unit] * 3, [G, G - 1, G]) == want
-    assert fan_outs == [("threads", 2)] * 2 + [("pool", 3)]
+    assert em._fan_out(_tagged, data, [0, 1, 2], 1, [unit] * 3, [G] * 3) == want
+    assert fan_outs == [("threads", 2)]
+    assert em._fan_out(_tagged, data, [0, 1, 2], 2, [unit] * 3, [G] * 3) == want
+    assert fan_outs == [("threads", 2), ("pool", 2)]
 
 
 def test_thread_map_shares_the_jobs_with_the_calling_thread():
@@ -339,6 +337,27 @@ def test_thread_map_shares_the_jobs_with_the_calling_thread():
 
     assert em._thread_map(fn, 100, list(range(6)), 2) == [100, 101, 102, 103, 104, 105]
     assert threading.current_thread() in (ran[0], ran[1]) and ran[0] is not ran[1]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy keeps errstate in a context variable from 2.0")
+def test_thread_map_runs_every_job_under_the_callers_errstate():
+    # jobs 0 and 1 run at once on both threads, and each sees the errstate
+    # the caller set around the fan-out
+    from plrank import em
+
+    both = threading.Barrier(2, timeout=10)
+
+    def fn(data, job):
+        if job < 2:
+            both.wait()
+        return np.geterr()["divide"], threading.current_thread()
+
+    with np.errstate(divide="raise"):
+        out = em._thread_map(fn, None, list(range(4)), 2)
+    assert [e for e, _ in out] == ["raise"] * 4
+    assert out[0][1] is not out[1][1]
+    assert np.geterr()["divide"] != "raise"
 
 
 def test_thread_map_takes_each_job_once_under_stress():
