@@ -117,6 +117,11 @@ def _cast(name: str, val):
             raise ValidationError(f"--{name}: expected a string, not {val!r}")
         if bound is not None and val not in bound:
             raise ValidationError(f"--{name}={val}: expected {_words(bound)}")
+        if name == "out":  # echoed on stdout and in a profile's title, as UTF-8
+            try:
+                val.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"--out: {val!r} is not a UTF-8 name") from None
         return val
     try:
         val = kind(str(val))

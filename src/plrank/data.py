@@ -193,6 +193,9 @@ Patterns = namedtuple("Patterns", "rows index")
 # Dataset._stages: the stage index the engine's tables are built from
 _Stages = namedtuple("_Stages", "items ends at u")
 
+# Dataset._prefix_sets: the sets of items chosen before the ranked stages
+_PrefixSets = namedtuple("_PrefixSets", "cell avail")
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -205,7 +208,8 @@ class Dataset:
         u[s, i]     1 if item i+1 appears in row s's ranked prefix
         gamma[i]    number of units ranking item i+1, counts @ u
 
-    The engine's stage index (_stages) is built from them on first use.
+    The engine's stage index (_stages) and the sampler's prefix-set index
+    (_prefix_sets) are built from them on first use.
     """
 
     orderings: np.ndarray
@@ -269,6 +273,29 @@ class Dataset:
             a.setflags(write=False)
         ends = np.count_nonzero(self.nranked > np.arange(K)[:, None], axis=1)
         return _Stages(items, tuple(ends.tolist()), at, u)
+
+    @cached_property
+    def _prefix_sets(self) -> _PrefixSets:
+        """The sets of items chosen before each ranked stage, built on first
+        use by the sampler: cell[t, s] is the id of the set row s has chosen
+        before stage t, for t below its depth, and -1 beyond it; avail[j, i]
+        (float64, one row per set) is 1 where item i is not in set j. Set 0
+        is the empty set, which every row reaches at stage 0. The sets are
+        the distinct rows (_group_rows) of the cells' packed bit masks, so
+        any K takes ceil(K / 8) bytes a cell."""
+        K, n = self.n_items, self.orderings.shape[0]
+        pos = self._stages.at // n  # each item's stage in each row
+        ranked = self.nranked > np.arange(K)[:, None]
+        keys = np.concatenate(
+            [np.packbits(pos[ranked[t]] < t, axis=1) for t in range(K)]
+        )
+        sets, _, index = _group_rows(keys)
+        cell = np.full((K, n), -1, dtype=np.int64)
+        cell[ranked] = index
+        avail = 1.0 - np.unpackbits(sets, axis=1, count=K)
+        for a in (cell, avail):
+            a.setflags(write=False)
+        return _PrefixSets(cell, avail)
 
     @property
     def n_units(self) -> int:

@@ -399,8 +399,14 @@ def _pool_call(job):
 # per cell-step (wide and K=8
 # data, 5,000-16,000 distinct rows, G=2-4) plus ~0.1-0.25 ms of calls shared
 # by its G steps: 27-55 us per step at G=4, 2,200-4,600 cells' worth. A
-# sweep cost 20-36 ns per cell-step (28-35 ns on n=20000, K=8 data), so a
-# chain counts _SWEEP_STEPS steps per sweep and component, the low end.
+# sweep, which draws its stage times once per prefix set, cost 1.1-1.9 EM
+# iterations with BLAS on one thread: 0.20, 0.086, 0.54 and 0.98 ms against
+# 0.10, 0.062, 0.51 and 0.85 ms on the c9, ballot, wide and K=8 shapes (G=3,
+# 3, 4, 2), 2.7-28 ns per cell-step against EM's 2.5-20. A chain counts
+# _SWEEP_STEPS steps per sweep and component, the top of that range:
+# ballot-shaped chains of 400 sweeps at G=1..3, which it pools, took a
+# median 0.53 s pooled and in process in one batch of 6 CLI pairs, and
+# 0.38 against 0.43 s in another.
 # Importing the pool took 21-28 ms, starting and shutting down 2 workers
 # 14-23 ms, and a whole CLI stage paid ~0.06-0.12 s more at --parallel 2, so
 # the pool pays from about 0.12 s / 12 ns = 10 M cells saved. The steps are
@@ -447,7 +453,9 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
     there is more than one of each: a pool of processes when the work it
     can save pays for its start, else threads when every job's table is
     wide, else serially in this process. Every job's result is the same
-    wherever it runs.
+    wherever it runs. A pool takes the jobs by descending steps (ties in
+    job order); wherever they run, a failure raises the error of the
+    lowest-index failed job, the one the serial loop would meet first.
 
     comps[i] is job i's number of components G, so that its per-pass
     table holds the cells of data's distinct rows times G; when the pool
@@ -464,9 +472,11 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
     so a job list that would really pay for a pool never runs serially.
 
     Either kind of worker gets data with its distinct rows and their stage
-    index already built here. A pool's workers receive it once each,
-    through the pool's initializer (inherited under fork, pickled once per
-    worker otherwise); the jobs carry only their own arguments.
+    index already built here, and a pool's workers the sampler's prefix-set
+    index too (EM never reads it, and threads share the one a chain builds
+    on first use). A pool's workers receive data once each, through the
+    pool's initializer (inherited under fork, pickled once per worker
+    otherwise); the jobs carry only their own arguments.
     """
     workers = min(n_jobs, len(jobs))
     if workers > 1:
@@ -476,13 +486,22 @@ def _fan_out(fn, data: Dataset, jobs: list, n_jobs: int, steps: list,
         total = sum(steps)
         saved = total - max(*steps, total / workers)
         if (cells + _STEP_CELLS) * saved >= _POOL_MIN_WORK:
+            rows._prefix_sets  # the sampler's: here, not in each process
             # imported here: the process pool module costs every CLI start-up
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_pool_init, initargs=(fn, data)
             ) as pool:
-                return list(pool.map(_pool_call, jobs))
+                # the longest jobs first, so that none starts last to run alone
+                futures = {i: pool.submit(_pool_call, jobs[i])
+                           for i in sorted(range(len(jobs)), key=lambda i: -steps[i])}
+                try:
+                    return [futures[i].result() for i in range(len(jobs))]
+                except BaseException:
+                    for f in futures.values():
+                        f.cancel()
+                    raise
         if cells * min(comps) >= _THREAD_MIN_CELLS:
             return _thread_map(fn, data, jobs, workers)
     return [fn(data, j) for j in jobs]

@@ -5,27 +5,31 @@ times whose rates are the remaining support mass at each selection stage
 (Caron & Doucet 2012); this makes every full conditional standard. Units
 with the same ranking share their likelihood terms, so the state holds,
 per distinct row d of the data (Dataset.patterns, n_d units), the counts
-n_dg of its units in each component. One sweep updates, in order:
+n_dg of its units in each component. The mass left at a stage depends only
+on the set S of items chosen before it, rem_g(S), the sum of p[g, i] over
+the items not in S (positive terms, exact at extreme supports). The times
+enter the support conditional only through their sums per set and
+component (Dataset._prefix_sets), and the n_Sg units of component g that
+reach S at a ranked stage sum to one Gamma(n_Sg) / rem_g(S). One sweep
+updates, in order:
 
-    weights     | memberships        ~ Dirichlet(alpha + sum_d n_dg)
-    stage times | memberships, supp. ~ Gamma(n_dg) / rem[t, d, g] per cell
+    weights     | memberships        ~ Dirichlet(alpha + n_Sg, S empty)
+    stage times | memberships, supp. ~ Gamma(n_Sg) / rem_g(S) per set
     supports    | times, memberships ~ Gamma
     memberships | weights, supports  ~ Multinomial(n_d, pi_d), times
                                        integrated out
 
 A row holding one unit keeps its counts as a 0-based label: its
 membership is a categorical draw, one uniform through the inverse CDF of
-pi_d; its one cell is its label; and its stage times are Gamma(1), drawn
-as standard exponentials over its ranked stages. Its cells come first,
-then the repeated rows' cells, each block in the rows' depth order, so
-the one-unit cells ranked at stage t are a leading slice of them.
+pi_d. Its ranked cells count into n_Sg by one bincount over the bins
+set * G + label, the repeated rows' cells by one bincount weighted by
+their counts.
 
 The membership step is the mixture's one scoring step
-(model._mixture_scores, EM's E-step too): pi_d are its responsibilities,
-the log-likelihood sums its row densities, and rem is its stage table.
-The times are redrawn given the new memberships before anything reads
-them, so the two form one exact block move; with every count 1 the draws
-are the per-unit ones.
+(model._mixture_scores, EM's E-step too): pi_d are its responsibilities
+and the log-likelihood sums its row densities. The times are redrawn
+given the new memberships before anything reads them, so the two form
+one exact block move.
 
 With a single component the weight and membership moves are skipped. The
 recorded trace stores supports normalized within component (the sampler
@@ -42,7 +46,7 @@ import numpy as np
 from .data import Dataset, _labels0, binary_group_ind
 from .em import Hyperparams, MapFit, _resolve_prior
 from .errors import ValidationError
-from .model import _availability_sums, _mixture_scores, _stage_table
+from .model import _mixture_scores
 
 DEFAULT_N_ITER = 22000
 DEFAULT_N_BURN = 2000
@@ -93,20 +97,16 @@ def init_from_map(fit: MapFit) -> dict:
     }
 
 
-def _support_conditional(cells: Dataset, g, n, y, hyper: Hyperparams):
+def _support_conditional(avail, member, u, times, hyper: Hyperparams):
     """Gamma (shape, rate) arrays of the support full conditional.
 
-    Column r of y (K x cells, stage-major) sums the stage times, zero
-    beyond the depth, of the n[r] units that rank as row r of cells and
-    belong to component g[r] (0-based); a dataset of units with n = 1
-    gives the per-unit form. y is overwritten.
+    member (G x rows) counts the units of each component in each row of
+    float64 prefix indicators u (rows x K). times (sets x G) sums, per
+    prefix set j (avail[j], 1 on the items not yet chosen) and component
+    g, the stage times of the units of g at the stages they reach with the
+    items of set j chosen.
     """
-    # one row per component, contiguous along the cells for the matmuls
-    member = (g == np.arange(hyper.n_components)[:, None]).astype(np.float64)
-    stages = cells._stages
-    shape = hyper.shape + (member * n) @ stages.u
-    avail = _availability_sums(stages.at, y)
-    return shape, hyper.rate[:, None] + member @ avail
+    return hyper.shape + member @ u, hyper.rate[:, None] + times.T @ avail
 
 
 def _categorical(prob: np.ndarray, rng) -> np.ndarray:
@@ -198,47 +198,40 @@ def gibbs_run(
     rate = np.where(hyper.rate > 0, hyper.rate, 1.0)
     hyper = Hyperparams(hyper.shape, rate, hyper.alpha)
 
-    # stage-time cells: a one-unit row's one cell, then each repeated row's
-    # top min(n_d, G) components by count, which hold all its units; cell r
-    # ranks as row d[r]. A fixed cell count keeps the arrays one size, so the
-    # heap does not fragment and peak memory stays flat over a long chain,
-    # and the cells' index is built once
-    S = single.size
-    top = np.arange(G) < np.minimum(n_many, G)[:, None]
-    r_many = np.nonzero(top)[0]
-    d = np.concatenate((single, many[r_many]))
-    cells = Dataset._build(rows.orderings[d], np.ones(d.size, dtype=np.int64))
-    ranked = cells.orderings[S:] != 0
-    # the one-unit cells ranked at stage t are the first k[t] (stages that
-    # rank none are left out); their times stay zero beyond the depth
-    k = np.count_nonzero(cells.nranked[:S] > np.arange(K)[:, None], axis=1)
-    k = k[k > 0].tolist()
-    times = np.zeros((K, S))
-    n = np.ones(d.size, dtype=np.int64)
-    rem = _stage_table(rows, p)[1]  # rebuilt by each membership step
+    # the ranked cells of the one-unit rows, then of the repeated rows, row
+    # by row: their prefix sets as bins set * G + component of n_Sg; and
+    # the rows' units in each component, in that order, with their u
+    sets = rows._prefix_sets
+    cell = sets.cell[:, single].T
+    s_key, s_depth = cell[cell >= 0] * G, rows.nranked[single]
+    cell = sets.cell[:, many].T
+    m_key = ((cell[cell >= 0] * G)[:, None] + np.arange(G)).ravel()
+    m_depth = rows.nranked[many]
+    bins, eye = sets.avail.shape[0] * G, np.eye(G)
+    member = np.empty((counts.size, G))
+    u = rows._stages.u[np.concatenate((single, many))]
     kept = []
     for sweep in range(1, n_iter + 1):
-        # weights | memberships
-        if G > 1:
-            n_g = np.bincount(label, minlength=G) + n_dg.sum(axis=0)
-            w = rng.dirichlet(hyper.alpha + n_g)
+        if sweep == 1 or G > 1:  # the memberships, which G = 1 never moves
+            n_sg = np.bincount(m_key, np.repeat(n_dg, m_depth, axis=0).ravel(), bins)
+            n_sg += np.bincount(s_key + np.repeat(label, s_depth), minlength=bins)
+            n_sg = n_sg.reshape(-1, G)
+            np.take(eye, label, axis=0, out=member[: single.size])
+            member[single.size :] = n_dg
 
-        # stage times | memberships, supports, summed per cell (shape 0: 0)
-        g = np.concatenate((label, np.argsort(-n_dg, axis=1, kind="stable")[top]))
-        n[S:] = n_dg[r_many, g[S:]]
-        for t, e in enumerate(k):
-            rng.standard_exponential(out=times[t, :e])
-        # the cells' rates rem[:, d, g], stage-major; y takes their layout
-        y = np.take(rem.reshape(K, -1), d * G + g, axis=1)
-        np.divide(times, y[:, :S], out=y[:, :S])
-        np.divide(rng.standard_gamma(n[S:, None] * ranked).T, y[:, S:], out=y[:, S:])
+        # weights | memberships: every unit reaches the empty set, set 0
+        if G > 1:
+            w = rng.dirichlet(hyper.alpha + n_sg[0])
+
+        # stage times | memberships, supports, summed per set and component
+        times = rng.standard_gamma(n_sg) / (sets.avail @ p.T)
 
         # supports | times, memberships
-        shape, rate = _support_conditional(cells, g, n, y, hyper)
+        shape, rate = _support_conditional(sets.avail, member.T, u, times, hyper)
         p = np.maximum(rng.standard_gamma(shape) / rate, _TINY_SUPPORT)
 
         # memberships | weights, supports, and the log-likelihood
-        zhat, per_row, rem = _mixture_scores(rows, p, w)
+        zhat, per_row, _ = _mixture_scores(rows, p, w)
         ll = float(counts @ per_row)
         if G > 1:
             label = _categorical(np.take(zhat, single, axis=0), rng)

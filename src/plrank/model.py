@@ -16,10 +16,11 @@ along the long row axis. A dataset's stage index (Dataset._stages, built
 once) holds the item taken at each stage, stage-major, with the unranked
 items filled into the pad. The tables the engine scores hold their rows
 in descending depth (Dataset.patterns, the predictive checks' pattern
-table; the sampler's cells keep that order within each of their two
-blocks), so that the cells ranked at stage t are a leading slice of the
-rows. _stage_table gathers the supports through the index
-once and returns the remaining masses rem[t, d, g] stage-major (K x D x
+table), so that the cells ranked at stage t are a leading slice of the
+rows. The sampler's stage times need only the set of items chosen before
+each ranked cell, which a second index (Dataset._prefix_sets) numbers
+once. _stage_table gathers the supports through the index once and
+returns the remaining masses rem[t, d, g] stage-major (K x D x
 G), taking logs over the ranked slices only; _availability_sums gathers
 prefix sums back by item; _log_mixture reduces over a contiguous leading
 component axis and hands back C-contiguous (D, G) scores.

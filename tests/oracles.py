@@ -146,6 +146,28 @@ def support_conditional_direct(orderings, nranked, z_onehot, y, shape, rate):
     return a, b
 
 
+def prefix_sets_direct(orderings, nranked):
+    """For each row, the sets of items (frozensets of 1-based labels) it has
+    chosen before each of its ranked stages, by explicit prefixes."""
+    return [
+        [frozenset(int(v) for v in orderings[s, :t]) for t in range(nranked[s])]
+        for s in range(orderings.shape[0])
+    ]
+
+
+def sums_per_set(cell, n_sets, g, y):
+    """(n_sets x G) sums of per-unit stage times y[s, t] over the ranked
+    cells (cell[t, s] >= 0, the id of the set unit s has chosen before
+    stage t), per set and component g[s] (0-based, G = max + 1), by loops."""
+    out = np.zeros((n_sets, int(np.max(g)) + 1))
+    K, N = cell.shape
+    for s in range(N):
+        for t in range(K):
+            if cell[t, s] >= 0:
+                out[cell[t, s], g[s]] += y[s, t]
+    return out
+
+
 def paired_counts_direct(orderings, nranked):
     """Pairwise preference counts by explicit rank comparison."""
     N, K = orderings.shape

@@ -51,6 +51,7 @@ from oracles import (
     all_complete_orderings,
     mixture_loglik_direct,
     random_partial_matrix,
+    sums_per_set,
 )
 
 
@@ -402,14 +403,17 @@ def test_c05a_conditional_moments():
     z_var = abs(W.var(ddof=1) - var_th) / se_var
 
     # support conditional: library (shape, rate) on a hand-fixed latent
-    # state, given as the sweep gives it (one cell per unit, 0-based
-    # components, stage-major times), then the sweep's own draw form at
-    # n = 10^4
+    # state, given as the sweep gives it (each component's units per row,
+    # the stage times summed per prefix set and component), then the
+    # sweep's own draw form at n = 10^4
     hyper = Hyperparams.expand(1.5, 0.7, 1.0, 2, 3)
     yrng = np.random.default_rng(12)
     y = yrng.exponential(0.7, size=(5, 3))
     y[data.orderings == 0] = 0.0
-    shape, rate = _support_conditional(data, z0 - 1, np.ones(5), y.T.copy(), hyper)
+    sets = data._prefix_sets
+    times = sums_per_set(sets.cell, sets.avail.shape[0], z0 - 1, y)
+    member = np.eye(2)[z0 - 1].T
+    shape, rate = _support_conditional(sets.avail, member, data._stages.u, times, hyper)
     n = 10_000
     draws = np.random.default_rng(314159).standard_gamma(
         np.broadcast_to(shape, (n, 2, 3))

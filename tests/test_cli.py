@@ -265,6 +265,29 @@ def test_exit_codes_and_error_json(tmp_path, capsys):
         assert str(bad) in err["error"]["message"]
 
 
+def test_out_name_must_be_utf8(tmp_path, capsys):
+    # a name of bytes that are not UTF-8 (as Python decodes such an argv
+    # entry) is refused before anything is read or written: one JSON error,
+    # exit 2, no file and no directory
+    src = tmp_path / "ord.csv"
+    src.write_text("1,2,3\n2,1,3\n")
+    name = os.fsdecode(b"caf\xe9")
+    for argv in (
+        ["convert", "--input", src, "--format", "ordering", "--to", "preflib",
+         "--out", tmp_path / (name + ".txt")],
+        ["convert", "--input", src, "--format", "ordering",
+         "--out", tmp_path / (name + ".csv")],
+        ["simulate", "--n", 5, "--K", 3, "--seed", 1, "--out", tmp_path / name],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"]["type"] == "validation"
+        assert "--out" in err["error"]["message"] and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ord.csv"]
+
+
 def test_option_precedence(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 100, "n": 20, "K": 3}))

@@ -18,7 +18,7 @@ from plrank import (
     rank_summaries,
     unit_to_freq,
 )
-from oracles import paired_counts_direct, random_partial_matrix
+from oracles import paired_counts_direct, prefix_sets_direct, random_partial_matrix
 
 
 def test_public_api():
@@ -176,6 +176,45 @@ def test_stages_hand():
     # the matmuls' float64 copy of u, read-only like the rest of the index
     assert u.dtype == np.float64 and u.tolist() == [[1, 1, 1], [0, 1, 0]]
     assert data.u.dtype == np.int64 and not u.flags.writeable
+
+
+def _prefix_set_cases():
+    """Datasets for the prefix-set index: hand rows, K = 70 (a set takes 9
+    bytes, past an int64 bit mask), depth-1 rows only, and one-unit rows
+    only, each with the rows in the order given and in the engine's."""
+    rng = np.random.default_rng(70)
+    hand = Dataset.from_orderings(
+        np.array([[2, 3, 1, 4], [2, 0, 0, 0], [1, 2, 0, 0], [2, 3, 4, 1], [3, 2, 0, 0]]),
+        [1, 3, 2, 1, 1],
+    )
+    wide = Dataset.from_orderings(random_partial_matrix(rng, 30, 70)[0])
+    top1 = Dataset.from_orderings(np.array([[3, 0, 0], [1, 0, 0], [3, 0, 0]]))
+    mat, _ = random_partial_matrix(rng, 40, 6)
+    distinct = Dataset.from_orderings(unit_to_freq(mat).sequences)
+    for data in (hand, wide, top1, distinct):
+        yield data
+        yield data.patterns.rows
+
+
+@pytest.mark.parametrize("data", list(_prefix_set_cases()))
+def test_prefix_sets_match_brute_force(data):
+    # cell[t, s] names the set row s has chosen before its ranked stage t,
+    # -1 beyond its depth; avail marks each set's items not yet chosen;
+    # equal sets share one id, set 0 is the empty set, and no set is unused
+    cell, avail = data._prefix_sets
+    K, n = data.n_items, data.orderings.shape[0]
+    assert cell.shape == (K, n) and avail.dtype == np.float64
+    assert not cell.flags.writeable and not avail.flags.writeable
+    chosen = [frozenset(np.flatnonzero(a == 0) + 1) for a in avail]
+    assert len(set(chosen)) == len(chosen) and chosen[0] == frozenset()
+    assert ((avail == 0) | (avail == 1)).all()
+    used = set()
+    for s, row_sets in enumerate(prefix_sets_direct(data.orderings, data.nranked)):
+        assert (cell[len(row_sets):, s] == -1).all()
+        for t, S in enumerate(row_sets):
+            assert chosen[cell[t, s]] == S
+            used.add(S)
+    assert used == set(chosen)
 
 
 def test_freq_round_trip_and_order():

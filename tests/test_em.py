@@ -299,6 +299,39 @@ def test_pool_is_priced_by_the_work_outside_the_largest_job(
     assert em._fan_out(_tagged, data, [0, 1], 2, dominated, [1, 1]) == [(0, 3), (1, 3)]
 
 
+def _tagged_failing(data, job):
+    if job in (1, 2):
+        raise ValueError(f"job {job}")
+    return job, data.n_units
+
+
+def test_pool_takes_the_longest_jobs_first(monkeypatch, fan_outs):
+    # a pool is handed the jobs by descending steps, ties in job order, and
+    # returns their results in job order; of several failed jobs the
+    # lowest-index one's error is raised, as the serial loop would
+    import concurrent.futures
+
+    from plrank import em
+
+    submitted = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    data = Dataset.from_orderings(np.array([[1, 2, 3], [2, 1, 3], [3, 1, 2]]))
+    unit = -(-em._POOL_MIN_WORK // (data.patterns.rows.orderings.size + em._STEP_CELLS))
+    steps = [unit, 2 * unit, 4 * unit, 2 * unit, 3 * unit]
+    jobs = list(range(5))
+    assert em._fan_out(_tagged, data, jobs, 2, steps, [1] * 5) == [(j, 3) for j in jobs]
+    assert submitted == [2, 4, 1, 3, 0]
+    with pytest.raises(ValueError, match="job 1"):
+        em._fan_out(_tagged_failing, data, jobs, 2, steps, [1] * 5)
+    assert fan_outs == [("pool", 2), ("pool", 2)]
+
+
 def test_wide_tables_take_threads_where_the_pool_would_not_pay(fan_outs):
     # a list the pool would not pay for runs on threads when every job's
     # table (distinct-row cells x its G) reaches the crossover; one narrower

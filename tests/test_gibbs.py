@@ -16,7 +16,12 @@ from plrank import (
 from plrank import gibbs
 from plrank.gibbs import _categorical, _support_conditional
 from plrank.model import _stage_table
-from oracles import in_engine_order, random_partial_matrix, support_conditional_direct
+from oracles import (
+    prefix_sets_direct,
+    random_partial_matrix,
+    sums_per_set,
+    support_conditional_direct,
+)
 
 
 def _single_row_rates(row, p):
@@ -74,12 +79,75 @@ def test_support_conditional_matches_loop_oracle():
     for s in range(25):
         y[s, : depths[s]] = rng.exponential(size=depths[s])
     hyper = Hyperparams.expand(1.7, 0.4, 1.0, G, 5)
-    # unit cells: column s of the stage-major times holds unit s's
+    # the per-unit latent state summed per prefix set and component
     g = np.argmax(z, axis=1)
-    a, b = _support_conditional(data, g, np.ones(25), y.T.copy(), hyper)
+    sets = data._prefix_sets
+    times = sums_per_set(sets.cell, sets.avail.shape[0], g, y)
+    a, b = _support_conditional(sets.avail, z.T.astype(float), data._stages.u, times, hyper)
     a2, b2 = support_conditional_direct(mat, depths, z, y, hyper.shape, hyper.rate)
     assert np.allclose(a, a2, atol=1e-12)
     assert np.allclose(b, b2, atol=1e-10)
+
+
+def test_grouped_stage_times_have_the_per_unit_law(monkeypatch):
+    # the sweep draws the stage times once per prefix set S and component
+    # g, Gamma(n_Sg) / rem_g(S); the support rate they give must have the
+    # law of the per-unit form, one exponential per unit and ranked stage
+    # at rate rem_g(S). Mixed depths, one-unit and repeated rows, a fixed
+    # membership state and supports: the first sweep's rate over 4000
+    # seeded one-sweep chains against 4000 per-unit draws, entry by entry,
+    # by a two-sample KS test (p >= 1e-4) and each sample's mean against
+    # the exact one (|z| <= 4)
+    from scipy.stats import ks_2samp
+
+    orderings = np.array([
+        [1, 2, 3, 4], [1, 2, 0, 0], [2, 0, 0, 0], [3, 1, 0, 0],
+        [4, 3, 2, 1], [1, 3, 0, 0], [2, 4, 0, 0], [1, 2, 4, 3],
+    ])
+    counts = np.array([3, 1, 4, 1, 2, 1, 5, 1])
+    labels = np.array([1, 2, 1, 2, 2, 1, 2, 1])  # one component per row
+    data = Dataset.from_orderings(orderings, counts)
+    G, K, M = 2, 4, 4000
+    p0 = np.array([[0.4, 0.3, 0.2, 0.1], [0.05, 0.15, 0.3, 0.5]])
+    hyper = Hyperparams.expand(1.0, 0.5, 1.0, G, K)
+
+    rates = []
+
+    def spy(avail, member, u, times, hyper):
+        shape, rate = _support_conditional(avail, member, u, times, hyper)
+        rates.append(rate)
+        return shape, rate
+
+    monkeypatch.setattr(gibbs, "_support_conditional", spy)
+    for m in range(M):
+        gibbs_run(data, G, hyper=hyper, init={"p": p0, "z": labels},
+                  n_iter=1, n_burn=0, rng=60_000 + m)
+    grouped = np.array(rates)
+
+    # per unit: every unit of row s, each ranked stage t, an exponential at
+    # rate rem (the mass of the items still available) adding to the rate
+    # of every available item
+    terms = []  # (component, availability row, rem) per unit and stage
+    for s in range(orderings.shape[0]):
+        g = labels[s] - 1
+        avail = np.ones(K)
+        for t in range(data.nranked[s]):
+            terms += [(g, avail.copy(), p0[g] @ avail)] * counts[s]
+            avail[orderings[s, t] - 1] = 0.0
+    e = np.random.default_rng(60_001).standard_exponential((M, len(terms)))
+    per_unit = np.broadcast_to(hyper.rate[:, None], (M, G, K)).copy()
+    mean = hyper.rate[:, None] + np.zeros((G, K))
+    var = np.zeros((G, K))
+    for c, (g, avail, rem) in enumerate(terms):
+        per_unit[:, g] += (e[:, c] / rem)[:, None] * avail
+        mean[g] += avail / rem
+        var[g] += avail / rem**2
+    for g in range(G):
+        for i in range(K):
+            a, b = grouped[:, g, i], per_unit[:, g, i]
+            assert ks_2samp(a, b).pvalue >= 1e-4, (g, i)
+            for x in (a, b):
+                assert abs(x.mean() - mean[g, i]) <= 4 * np.sqrt(var[g, i] / M), (g, i)
 
 
 def test_single_component_tracks_mle():
@@ -197,66 +265,103 @@ def test_flat_prior_samples_the_zero_rate_limit():
     assert abs((phi**2).mean() - 0.5) < 0.01
 
 
-class _DirichletSpy:
+class _RngSpy:
     """Stands in for a Generator in gibbs_run: records the parameter of
-    every Dirichlet draw and hands every draw on to a real generator."""
+    every Dirichlet and Gamma draw and hands every draw on to a real
+    generator."""
 
     def __init__(self, rng):
-        self.rng, self.alphas = rng, []
+        self.rng, self.alphas, self.gamma_shapes = rng, [], []
 
     def dirichlet(self, alpha):
         self.alphas.append(np.array(alpha))
         return self.rng.dirichlet(alpha)
 
+    def standard_gamma(self, shape):
+        self.gamma_shapes.append(np.array(shape))
+        return self.rng.standard_gamma(shape)
+
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
-def test_membership_state_counts_every_unit(monkeypatch):
-    # one-unit and repeated rows at mixed depths: after every sweep the
-    # one-unit labels (one cell of count 1 each) and the repeated rows'
-    # cells count each row's units once and, per component, the units the
-    # weights' Dirichlet is drawn with; the first sweep's counts are the
-    # initial labels'. The cells are the one-unit rows, then each repeated
-    # row's min(n_d, G) cells, each block in the engine's row order, and
-    # their stage times stop at the depth
-    rng = np.random.default_rng(4)
-    K, G = 5, 3
-    mat, _ = random_partial_matrix(rng, 40, K)
-    counts = np.where(rng.random(40) < 0.5, 1, rng.integers(2, 9, 40))
-    data = Dataset.from_orderings(mat, counts)
-    rows = data.patterns.rows
-    single = np.flatnonzero(rows.counts == 1)
-    many = np.flatnonzero(rows.counts > 1)
-    assert single.size >= 5 and many.size >= 5
-    d = np.concatenate((single, np.repeat(many, np.minimum(rows.counts[many], G))))
+def _reached(rows, member, sets):
+    """n_Sg by loops: each row's units of component g (member[g, d]) count
+    once into the set they have chosen before each of their ranked stages,
+    the sets' ids read off avail by their chosen items."""
+    ids = {frozenset(np.flatnonzero(a == 0) + 1): j for j, a in enumerate(sets.avail)}
+    out = np.zeros((sets.avail.shape[0], member.shape[0]))
+    for d, row_sets in enumerate(prefix_sets_direct(rows.orderings, rows.nranked)):
+        for S in row_sets:
+            out[ids[S]] += member[:, d]
+    return out
 
+
+def test_membership_state_counts_every_unit(monkeypatch):
+    # in every sweep each row's units are counted once over the components
+    # (the member counts the support shape reads), and the stage times are
+    # drawn with shapes n_Sg, the units of component g that reach prefix
+    # set S at a ranked stage: at the empty set, set 0, every unit, split
+    # per component as the weights' Dirichlet counts them. The first
+    # sweep's counts are the initial labels'. Rows of one and of several
+    # units at mixed depths (G = 3 and 1), K = 70, depth-1 rows only, and
+    # one-unit rows only
+    cases = [("mixed", 3), ("mixed", 1), ("K=70", 2), ("depth 1", 2), ("one-unit", 3)]
+    for case, G in cases:
+        _check_membership_counts(monkeypatch, case, G)
+
+
+def _check_membership_counts(monkeypatch, case, G):
+    """One case of test_membership_state_counts_every_unit."""
+    rng = np.random.default_rng(4)
+    K, n = {"K=70": 70, "depth 1": 4}.get(case, 5), 40
+    mat, _ = random_partial_matrix(rng, n, K)
+    if case == "depth 1":
+        mat[:, 1:] = 0
+    counts = np.where(rng.random(n) < 0.5, 1, rng.integers(2, 9, n))
+    if case == "one-unit":
+        mat, counts = np.unique(mat, axis=0), None
+        n = mat.shape[0]
+    data = Dataset.from_orderings(mat, counts)
+    counts = data.counts
+    rows = data.patterns.rows
+    sets = rows._prefix_sets
+    if case == "mixed":
+        assert (rows.counts == 1).sum() >= 5 and (rows.counts > 1).sum() >= 5
+    assert (rows.counts == 1).all() == (case == "one-unit")
+
+    # the sweep holds the one-unit rows first, then the repeated rows, each
+    # block in the engine's order; seen holds member in the rows' order
+    order = np.concatenate(
+        (np.flatnonzero(rows.counts == 1), np.flatnonzero(rows.counts > 1))
+    )
     seen = []
 
-    def spy(cells, g, n, y, hyper):
-        # every cell's stage times are zero beyond its depth, and a one-unit
-        # cell's are positive at every ranked stage
-        ranked = cells.orderings.T != 0
-        assert (y[~ranked] == 0).all()
-        assert (y[:, : single.size][ranked[:, : single.size]] > 0).all()
-        seen.append((cells.orderings.copy(), g.copy(), n.copy()))
-        return _support_conditional(cells, g, n, y, hyper)
+    def spy(avail, member, u, times, hyper):
+        assert np.array_equal(u, rows._stages.u[order])
+        seen.append(np.empty_like(member))
+        seen[-1][:, order] = member
+        return _support_conditional(avail, member, u, times, hyper)
 
     monkeypatch.setattr(gibbs, "_support_conditional", spy)
-    labels = rng.integers(1, G + 1, size=40)
+    labels = rng.integers(1, G + 1, size=n)
     hyper = Hyperparams.expand(1.0, 0.5, 2.0, G, K)
-    draws = _DirichletSpy(np.random.default_rng(5))
+    draws = _RngSpy(np.random.default_rng(5))
     gibbs_run(data, G, hyper=hyper, init={"z": labels}, n_iter=25, n_burn=0, rng=draws)
-    assert len(seen) == len(draws.alphas) == 25
-    want = np.bincount(labels - 1, weights=counts, minlength=G)
-    assert np.array_equal(draws.alphas[0] - hyper.alpha, want)
-    for (cells, g, n), alpha in zip(seen, draws.alphas):
-        assert np.array_equal(cells, rows.orderings[d])
-        assert in_engine_order(cells[: single.size]) and in_engine_order(cells[single.size :])
-        assert (n[: single.size] == 1).all()
-        assert np.array_equal(np.bincount(d, weights=n, minlength=rows.counts.size), rows.counts)
-        assert np.array_equal(np.bincount(g, weights=n, minlength=G), alpha - hyper.alpha)
-        assert (alpha - hyper.alpha).sum() == data.n_units
+    # per sweep: one Gamma draw of the stage times, one of the supports
+    assert len(seen) == 25 and len(draws.gamma_shapes) == 50
+    assert len(draws.alphas) == (25 if G > 1 else 0)
+    n_sgs = draws.gamma_shapes[::2]
+    first = np.zeros((G, rows.counts.size))
+    np.add.at(first, (labels - 1, data.patterns.index), counts)
+    assert np.array_equal(seen[0], first)
+    for sweep, (member, n_sg) in enumerate(zip(seen, n_sgs)):
+        assert np.array_equal(member.sum(axis=0), rows.counts)
+        assert np.array_equal(n_sg, _reached(rows, member, sets))
+        assert np.array_equal(n_sg[0], member.sum(axis=1))
+        assert n_sg[0].sum() == data.n_units
+        if G > 1:
+            assert np.array_equal(draws.alphas[sweep] - hyper.alpha, n_sg[0])
 
 
 def test_categorical_draw_has_the_responsibility_law():
