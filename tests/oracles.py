@@ -310,11 +310,15 @@ def stage_table_rows_major(data, p):
     before rem became stage-major: rem is (D, K, G), its unranked items
     filled into the pad on every call, one reversed cumsum along the
     stages. Kept so that the stage-major engine can be pinned to it bit
-    for bit."""
+    for bit. The logs are taken on a C-contiguous copy of rem, as the
+    engine takes them on contiguous slices: numpy picks its float64 log
+    kernel by layout (a SIMD one on contiguous input where the CPU has
+    one, libm's on the reversed view), and the two kernels differ in the
+    last bit on a few values in 10,000."""
     ranked = data.orderings != 0
     idx = data.orderings - 1
     idx[~ranked] = np.nonzero(data.u == 0)[1]
-    rem = np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1]
+    rem = np.ascontiguousarray(np.cumsum(p.T[idx[:, ::-1]], axis=1)[:, ::-1])
     rem[~ranked] = 1.0
     return data.u @ np.log(p).T - np.log(rem).sum(axis=1), rem
 

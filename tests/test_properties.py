@@ -175,6 +175,17 @@ def _same_bits(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(stage_cases())
+@example(  # rem[4] = 0x1.57f427d56718fp+2, whose log the two kernels round apart
+    (
+        np.array([[1, 3, 4, 5, 2, 0, 0]]),
+        np.array([[float.fromhex(h) for h in (
+            "0x1.39fa1f07085c6p+0", "0x1.2d8dbae817e5bp+2", "0x1.4cc3ee8a71362p-2",
+            "0x1.32fb8cee7f4c3p-1", "0x1.83967f5090222p+0", "0x1.79e6716532e5ep-2",
+            "0x1.2c805d6fc04e0p-2",
+        )]]),
+        np.array([1.0]),
+    )
+)
 def test_stage_major_kernels_equal_rows_major_bit_for_bit(case):
     # the engine's stage-major tables give the very bits of the former
     # (D, K, G) formulation, with two exceptions of numpy's pairwise
